@@ -1,10 +1,12 @@
 """Exact rational linear algebra, polytopes in the probability simplex, and LP.
 
-Everything in this module is computed over `fractions.Fraction`; there are no
-tolerances and no floating point anywhere.  Strict conditions ("is there a
-point strictly on one side?") are decided by margin-maximization LPs: the
-strict system is feasible iff the optimal margin is positive, which is an
-exact comparison.
+Everything in this module is exact rational arithmetic; there are no
+tolerances and no floating point anywhere.  Values in and out are
+`fractions.Fraction`s.  The simplex pivots an integer tableau over one
+positive common denominator and builds `Fraction`s only for the point and
+value it returns.  Strict conditions ("is there a point strictly on one
+side?") are decided by margin-maximization LPs: the strict system is
+feasible iff the optimal margin is positive, which is an exact comparison.
 
 Conventions
 -----------
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CapExceededError, DimensionMismatchError
 
@@ -211,43 +213,60 @@ class LPResult:
     value: Fraction | None = None
 
 
-def _pivot(tab, rhs, basis, zrow, row, col):
-    piv = tab[row][col]
-    inv = _ONE / piv
-    tab[row] = [x * inv for x in tab[row]]
-    rhs[row] *= inv
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-            rhs[i] -= f * rhs[row]
-    if zrow[col] != 0:
-        f = zrow[col]
-        for j in range(len(zrow)):
-            zrow[j] -= f * tab[row][j]
+def _pivot(tab, basis, d, row, col):
+    """Pivot on tab[row][col] and return the new common denominator.
+
+    Every row of `tab` (the constraint rows with their rhs as last entry, then
+    the reduced-cost row) holds integers over the positive common denominator
+    `d`.  Integer-preserving update (Edmonds 1967; Bareiss 1968): every other
+    row becomes (p*a - f*r) // d, an exact division; the pivot row stays as it
+    is and the pivot p becomes the denominator.  A negative p negates every
+    row, so the denominator stays positive and signs keep their meaning.
+    """
+    pr = tab[row]
+    p = pr[col]
+    for i, r in enumerate(tab):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tab[i] = [(p * a - f * b) // d for a, b in zip(r, pr)]
+        elif p != d:
+            tab[i] = [p * a // d for a in r]
     basis[row] = col
+    if p < 0:
+        tab[:] = [[-a for a in r] for r in tab]
+        return -p
+    return p
 
 
-def _bland_loop(tab, rhs, basis, zrow, allowed):
-    """Maximize until no allowed column has positive reduced cost.
+def _bland_loop(tab, basis, d, n):
+    """Maximize until no structural column has positive reduced cost.
 
-    Returns "optimal" or "unbounded". Bland's rule: entering = smallest
-    eligible column index, leaving = smallest basis index among ratio ties.
+    Returns ("optimal" | "unbounded", denominator).  Bland's rule: entering =
+    smallest eligible column index, leaving = smallest basis index among
+    ratio ties.  Ratios rhs/coef are compared by cross-multiplication; both
+    sides share the denominator, which cancels.
     """
     while True:
-        enter = next((j for j in allowed if zrow[j] > 0), None)
+        zrow = tab[-1]
+        enter = next((j for j in range(n) if zrow[j] > 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", d
         best = None
-        for i in range(len(tab)):
-            coef = tab[i][enter]
+        for i in range(len(basis)):
+            r = tab[i]
+            coef = r[enter]
             if coef > 0:
-                ratio = rhs[i] / coef
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < best[1]):
-                    best = (ratio, basis[i], i)
+                if best is None:
+                    best, num, den = i, r[-1], coef
+                    continue
+                lhs, rhs = r[-1] * den, num * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, num, den = i, r[-1], coef
         if best is None:
-            return "unbounded"
-        _pivot(tab, rhs, basis, zrow, best[2], enter)
+            return "unbounded", d
+        d = _pivot(tab, basis, d, best, enter)
 
 
 def simplex_standard(
@@ -255,59 +274,66 @@ def simplex_standard(
     rhs: list[Fraction],
     objective: list[Fraction],
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Maximize objective·z subject to rows·z = rhs, z >= 0 (exact, two-phase)."""
+    """Maximize objective·z subject to rows·z = rhs, z >= 0 (exact, two-phase).
+
+    The tableau is kept in integers over one common denominator.  Rows with a
+    negative rhs are negated, then every row and the rhs are multiplied by
+    the lcm of all their denominators: one scale for all rows, so the
+    phase-1 reduced costs keep their signs and Bland's rule picks the pivots
+    a `Fraction` tableau would.  Only the returned point and value are
+    `Fraction`s.
+    """
     m = len(rows)
     n = len(objective)
-    tab = [list(r) for r in rows]
-    b = list(rhs)
-    for i in range(m):
-        if len(tab[i]) != n:
+    if len(rhs) != m:
+        raise DimensionMismatchError("rhs length differs from the number of rows")
+    for r in rows:
+        if len(r) != n:
             raise DimensionMismatchError("constraint width differs from objective length")
-        if b[i] < 0:
-            tab[i] = [-x for x in tab[i]]
-            b[i] = -b[i]
+    scale = lcm(*{x.denominator for r in rows for x in r}, *{b.denominator for b in rhs})
+    tab = []
+    for r, b in zip(rows, rhs):
+        s = -scale if b < 0 else scale
+        tab.append([s * x.numerator // x.denominator for x in (*r, b)])
 
-    # Phase 1: one artificial column per row, drive their sum to zero.
-    for i in range(m):
-        tab[i] += [_ONE if j == i else _ZERO for j in range(m)]
+    # Phase 1 drives the sum of one artificial per row to zero.  Artificial
+    # columns never enter, so only their basis indices are kept.
     basis = [n + i for i in range(m)]
-    zrow = [sum(tab[i][j] for i in range(m)) for j in range(n)] + [_ZERO] * m
-    _bland_loop(tab, b, basis, zrow, range(n))
-    if sum(b[i] for i in range(m) if basis[i] >= n) != 0:
+    tab.append([sum(c) for c in zip(*tab)] if m else [0] * (n + 1))
+    _, d = _bland_loop(tab, basis, 1, n)
+    tab.pop()
+    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) != 0:
         return "infeasible", None, None
 
     # Pivot surviving artificials out; rows that cannot pivot are redundant.
-    drop = []
+    keep = []
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is None:
-                drop.append(i)
-            else:
-                _pivot(tab, b, basis, zrow, i, col)
-    if drop:
-        tab = [tab[i] for i in range(m) if i not in drop]
-        b = [b[i] for i in range(m) if i not in drop]
-        basis = [basis[i] for i in range(m) if i not in drop]
+                continue
+            d = _pivot(tab, basis, d, i, col)
+        keep.append(i)
+    if len(keep) < m:
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
 
-    tab = [row[:n] for row in tab]
-
-    # Phase 2 with the real objective.
-    zrow = list(objective)
-    zval = _ZERO
-    for i, bi in enumerate(basis):
-        if objective[bi] != 0:
-            f = objective[bi]
-            for j in range(n):
-                zrow[j] -= f * tab[i][j]
-            zval += f * b[i]
-    status = _bland_loop(tab, b, basis, zrow, range(n))
+    # Phase 2 with the real objective, scaled to integers.
+    oscale = lcm(*{c.denominator for c in objective})
+    obj = [oscale * c.numerator // c.denominator for c in objective]
+    zrow = [d * c for c in obj] + [0]
+    for r, bi in zip(tab, basis):
+        f = obj[bi]
+        if f:
+            zrow = [z - f * a for z, a in zip(zrow, r)]
+    tab.append(zrow)
+    status, d = _bland_loop(tab, basis, d, n)
     if status == "unbounded":
         return "unbounded", None, None
     z = [_ZERO] * n
-    for i, bi in enumerate(basis):
-        z[bi] = b[i]
-    value = sum((objective[j] * z[j] for j in range(n)), _ZERO)
+    for r, bi in zip(tab, basis):
+        z[bi] = Fraction(r[-1], d)
+    value = Fraction(sum(obj[bi] * r[-1] for r, bi in zip(tab, basis)), oscale * d)
     return "optimal", z, value
 
 
@@ -462,8 +488,12 @@ def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:
     lam = res.point[:d]
     kappa = res.point[d]
     h = Hyperplane(lam, kappa)
-    assert all(h.value(v) > kappa for v in points)
-    assert all(h.value(w) < kappa for w in P.vertices)
+    # Re-checked by direct evaluation in every run mode, python -O included.
+    if not (
+        all(h.value(v) > kappa for v in points)
+        and all(h.value(w) < kappa for w in P.vertices)
+    ):
+        raise RuntimeError(f"LP separator {h} does not strictly separate the point sets")
     return h
 
 

@@ -19,7 +19,9 @@ from paretostar import (
     vec,
     vrep_to_hrep,
 )
+from paretostar import geometry
 from paretostar.geometry import (
+    LPResult,
     argmax_vertex,
     convex_weights,
     dot,
@@ -78,6 +80,13 @@ class TestSeparate:
         assert h is not None
         assert all(dot(h.normal, p) > h.threshold for p in pts)
         assert dot(h.normal, poly.vertices[0]) < h.threshold
+
+    def test_bad_lp_point_is_rejected_in_every_mode(self, monkeypatch):
+        # A separator the LP got wrong must raise even under python -O.
+        bad = LPResult("optimal", (F(1), F(0), F(0), F(1)), F(1))
+        monkeypatch.setattr(geometry, "lp_solve", lambda objective, constraints: bad)
+        with pytest.raises(RuntimeError, match="does not strictly separate"):
+            separate([vec(["0.9", "0.1"])], P(["0.2", "0.8"], ["0.8", "0.2"]))
 
 
 class TestSupport:
