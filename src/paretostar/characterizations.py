@@ -50,8 +50,6 @@ _ONE = Fraction(1)
 
 DEFAULT_COMBO_CAP = 100_000
 
-CONDITION_TAGS = ("eq1", "thm1", "lemma1", "eq4", "thm2", "corollary2", "prop1", "prop2")
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -295,14 +293,12 @@ def check_thm1_condition(prof: Profile) -> ConditionReport:
                 details["prior"] = v
                 details["hyperplane"] = separate([v], soc.beliefs)
                 return ConditionReport("thm1", False, details)
-    pair = None
-    for i1, i2 in itertools.combinations(support, 2):
-        pair = distinct_priors(prof.agents[i1].beliefs, prof.agents[i2].beliefs)
-        if pair is not None:
-            details["failure"] = "two-positive-weights"
-            details["agents"] = (i1, i2)
-            details["priors"] = pair
-            return ConditionReport("thm1", False, details)
+    chosen = distinct_prior_pair(prof, support)
+    if chosen is not None:
+        details["failure"] = "two-positive-weights"
+        details["agents"] = chosen[:2]
+        details["priors"] = chosen[2:]
+        return ConditionReport("thm1", False, details)
     raise AssertionError("failure must fall in one of the two classes")
 
 
@@ -312,6 +308,18 @@ def distinct_priors(P1: Polytope, P2: Polytope) -> tuple[Vec, Vec] | None:
         for v2 in P2.vertices:
             if v1 != v2:
                 return v1, v2
+    return None
+
+
+def distinct_prior_pair(
+    prof: Profile, support: tuple[int, ...]
+) -> tuple[int, int, Vec, Vec] | None:
+    """First agents i1 < i2 of `support`, in combination order, that hold
+    distinct priors, with those priors (`distinct_priors`); None if none."""
+    for i1, i2 in itertools.combinations(support, 2):
+        pair = distinct_priors(prof.agents[i1].beliefs, prof.agents[i2].beliefs)
+        if pair is not None:
+            return i1, i2, *pair
     return None
 
 

@@ -24,7 +24,7 @@ from .characterizations import (
     check_seu_existence,
     check_thm1_condition,
     check_thm2_condition,
-    distinct_priors,
+    distinct_prior_pair,
     utilitarian_decompose,
 )
 from .documents import (
@@ -193,19 +193,7 @@ def cmd_witness(args) -> int:
         dec = utilitarian_decompose(prof)
         if dec is None:
             raise PreconditionError("no nonnegative taste decomposition exists")
-        chosen = None
-        support = dec.support
-        for a_idx in range(len(support)):
-            for b_idx in range(a_idx + 1, len(support)):
-                i1, i2 = support[a_idx], support[b_idx]
-                pair = distinct_priors(
-                    prof.agents[i1].beliefs, prof.agents[i2].beliefs
-                )
-                if pair is not None:
-                    chosen = (i1, i2, pair[0], pair[1])
-                    break
-            if chosen:
-                break
+        chosen = distinct_prior_pair(prof, dec.support)
         if chosen is None:
             print("no two positively weighted agents hold distinct priors; nothing to witness",
                   file=sys.stderr)

@@ -531,14 +531,9 @@ DEFAULT_DIM_CAP = 6
 
 def _primitive(normal: Vec, bound: Fraction) -> tuple[Vec, Fraction]:
     """Scale an inequality by a positive rational to coprime integer entries."""
-    dens = [x.denominator for x in normal] + [bound.denominator]
-    mult = 1
-    for q in dens:
-        mult = mult * q // gcd(mult, q)
+    mult = lcm(*(x.denominator for x in normal), bound.denominator)
     ints = [int(x * mult) for x in normal] + [int(bound * mult)]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
@@ -564,55 +559,38 @@ def _coords(p: Vec, base: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
     return t
 
 
-def _box_and_cut(
+def _tight_vertices(
     ineqs: list[tuple[Vec, Fraction]], k: int
 ) -> list[Vec] | None:
-    """Vertices of the (bounded) region given by inequalities in R^k.
+    """Vertices of the bounded region {y in R^k : a·y <= b for each row}.
 
-    Incremental double description: start from the exact bounding box and cut
-    one halfspace at a time, keeping the generator set irredundant.  Returns
-    None when the region is empty.
+    A vertex is a feasible point at which k linearly independent rows are
+    tight, so every k-subset of the rows is solved as a square system and
+    each unique solution that satisfies every row is kept, in no particular
+    order.  Returns None when no subset gives a vertex, which for a bounded
+    region means it is empty.
     """
-    lo = []
-    hi = []
-    for j in range(k):
-        e = tuple(_ONE if i == j else _ZERO for i in range(k))
-        up = lp_solve(e, HRep(tuple(ineqs)))
-        if up.status == "infeasible":
-            return None
-        if up.status == "unbounded":
-            raise ValueError("region is unbounded; expected a polytope")
-        down = lp_solve(tuple(-x for x in e), HRep(tuple(ineqs)))
-        if down.status == "unbounded":
-            raise ValueError("region is unbounded; expected a polytope")
-        hi.append(up.value)
-        lo.append(-down.value)
-    corners = [tuple(c) for c in itertools.product(*([l, h] for l, h in zip(lo, hi)))]
-    verts = remove_redundant(list(dict.fromkeys(corners)))
-    for a, bound in ineqs:
-        inside = [v for v in verts if dot(a, v) < bound]
-        on = [v for v in verts if dot(a, v) == bound]
-        out = [v for v in verts if dot(a, v) > bound]
-        if not out:
+    rows = list(dict.fromkeys(ineqs))
+    found: set[Vec] = set()
+    for subset in itertools.combinations(rows, k):
+        sol = solve_linear([list(a) for a, _ in subset], [b for _, b in subset])
+        if sol is None or sol[1]:
             continue
-        if not inside and not on:
-            return None
-        crossings = []
-        for u in inside:
-            au = dot(a, u)
-            for w in out:
-                s = (bound - au) / (dot(a, w) - au)
-                crossings.append(vadd(u, vscale(s, vsub(w, u))))
-        verts = remove_redundant(inside + on + crossings)
-    return verts
+        y = sol[0]
+        if y not in found and all(dot(a, y) <= b for a, b in rows):
+            found.add(y)
+    return list(found) or None
 
 
 def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
     """Exact facet description of a vertex-represented polytope.
 
-    Equalities pin the affine hull; facets are found by enumerating the
-    vertices of the polar dual within the hull's coordinate frame.  Only
-    sensible at desk scale, hence the ambient-dimension cap.
+    Equalities pin the affine hull.  In the hull's coordinate frame, centred
+    on the vertex centroid, each facet is a vertex y of the polar dual
+    {y : q·y <= 1 for every shifted vertex q}; those are found by solving
+    the k-subsets of the dual rows.  Every row is brought to primitive
+    integers and the rows are sorted, so equal polytopes give equal HReps.
+    Only sensible at desk scale, hence the ambient-dimension cap.
     """
     d = P.ambient_dim
     if d > dim_cap:
@@ -634,8 +612,9 @@ def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
     )
     shifted = [vsub(t, centroid) for t in ts]
     dual_ineqs = [(q, _ONE) for q in shifted]
-    dual_vertices = _box_and_cut(dual_ineqs, k)
-    assert dual_vertices, "polar dual of a full-dimensional polytope has vertices"
+    dual_vertices = _tight_vertices(dual_ineqs, k)
+    if not dual_vertices:
+        raise RuntimeError("polar dual of a full-dimensional polytope has no vertex")
     ineqs = []
     for y in dual_vertices:
         normal = [_ZERO] * d
@@ -653,8 +632,10 @@ def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
     """Exact vertex set of an H-represented polytope; None when empty.
 
     The equalities are eliminated by an exact parametrization of their
-    solution space; the inequality system is then cut down from its bounding
-    box in that frame.
+    solution space.  In that frame {t : A t <= b} is bounded iff rank A = k
+    and some lambda >= 1 has A^T lambda = 0 (Stiemke's lemma), one phase-1
+    LP; its vertices are then the feasible solutions of the k-subsets of
+    rows.  Raises ValueError when the region is nonempty and unbounded.
     """
     if H.inequalities:
         d = len(H.inequalities[0][0])
@@ -690,7 +671,15 @@ def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
                 return None
             continue
         reduced.append((a_t, b_t))
-    verts_t = _box_and_cut(reduced, k)
+    # Rows of A^T; lambda = 1 + mu with mu >= 0 gives A^T mu = -A^T 1.
+    cols = [list(c) for c in zip(*(a for a, _ in reduced))]
+    if rank(cols) < k or feasible_nonneg(
+        cols, [-sum(c, _ZERO) for c in cols]
+    ) is None:
+        if lp_solve(zero_vec(k), HRep(tuple(reduced))).status == "infeasible":
+            return None
+        raise ValueError("region is unbounded; expected a polytope")
+    verts_t = _tight_vertices(reduced, k)
     if verts_t is None:
         return None
     verts = []

@@ -1,5 +1,6 @@
 """Exact LP, polytope membership/separation, and V<->H conversion."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,61 @@ class TestHRepConversion:
         a = P(["0.9", "0.1"])
         b = P(["0.1", "0.9"], ["0.2", "0.8"])
         assert intersect_polytopes([a, b]) is None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((1, 0), 1)],  # half-plane x <= 1, rank 1 < 2
+            [((1, 0), 1), ((-1, 0), 0)],  # strip 0 <= x <= 1, rank 1 < 2
+            [((-1, 0), 0), ((0, -1), 0)],  # quadrant: full rank, no positive null combination
+        ],
+        ids=["half-plane", "strip", "quadrant"],
+    )
+    def test_unbounded_region_raises(self, rows):
+        H = HRep(tuple((vec(a), F(b)) for a, b in rows))
+        with pytest.raises(ValueError, match="unbounded"):
+            hrep_vertices(H)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # x <= 0, y <= 0, x + y >= 1: bounded recession cone, no vertex.
+            [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)],
+            # x <= 0, x >= 1, y <= 0: full rank but unbounded in -y.
+            [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)],
+            # x <= 0, x >= 1: rank 1 < 2.
+            [((1, 0), 0), ((-1, 0), -1)],
+        ],
+        ids=["full-rank-bounded-cone", "full-rank-open-cone", "rank-deficient"],
+    )
+    def test_empty_region_is_none(self, rows):
+        H = HRep(tuple((vec(a), F(b)) for a, b in rows))
+        assert hrep_vertices(H) is None
+
+    def test_six_state_hypersimplex_known_answer(self):
+        """At the dimension cap: the 15 points with mass 1/2 on two of six
+        states.  Its facets are x_i >= 0 and x_i <= 1/2; those of the last
+        state are written through the equality sum x = 1."""
+        half = F(1, 2)
+        poly = Polytope.from_generators(
+            [tuple(half if s in pair else F(0) for s in range(6))
+             for pair in itertools.combinations(range(6), 2)]
+        )
+        h = vrep_to_hrep(poly)
+
+        def row(normal, bound):
+            return tuple(F(x) for x in normal), F(bound)
+
+        def unit(i, c):
+            return [c if s == i else 0 for s in range(5)] + [0]
+
+        assert h.equalities == (row([1] * 6, 1),)
+        assert h.inequalities == tuple(sorted(
+            [row([-2] * 5 + [0], -1), row([1] * 5 + [0], 1)]
+            + [row(unit(i, -1), 0) for i in range(5)]
+            + [row(unit(i, 2), 1) for i in range(5)]
+        ))
+        assert hrep_vertices(h) == poly
 
 
 class TestLinearAlgebra:
