@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MissingSocietyError
-from .geometry import HRep, Vec, dot, lp_solve, vsub
+# lp_solve is not called here; it stays bound because perfbench/tracing.py
+# wraps it in every module that binds it, and its smoke test checks this one.
+from .geometry import Vec, dot, lp_solve, max_margin, vsub  # noqa: F401
 from .preferences import (
     Act,
     Agent,
@@ -27,15 +29,6 @@ from .preferences import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-AXIOM_TAGS = (
-    "pareto",
-    "pareto-star",
-    "ct-pareto",
-    "ct-pareto-star",
-    "exchange-pareto",
-    "exchange-pareto-star",
-)
 
 
 @dataclass(frozen=True)
@@ -170,30 +163,22 @@ def exchange_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
 def _exchange_star_prior(agent_diffs: list[Vec], holder: Agent) -> tuple[Vec, Fraction] | None:
     """A prior in the holder's belief set that strictly favors g for every taste.
 
-    Margin LP over the hull: variables are hull weights mu plus the margin t;
-    maximize t subject to sum_v mu_v * diff_i(v) >= t for every taste i.
+    Margin LP over the hull weights mu: maximize t subject to
+    sum_v mu_v * diff_i(v) >= t for every taste i and sum_v mu_v = 1.
     """
     verts = holder.beliefs.vertices
     nv = len(verts)
-    # Variables (mu_1..mu_nv, t).
-    ineqs: list[tuple[Vec, Fraction]] = []
-    for diff in agent_diffs:
-        row = [-dot(v, diff) for v in verts] + [_ONE]
-        ineqs.append((tuple(row), _ZERO))
-    for j in range(nv):
-        e = [_ZERO] * (nv + 1)
-        e[j] = -_ONE
-        ineqs.append((tuple(e), _ZERO))
-    eqs = [(tuple([_ONE] * nv + [_ZERO]), _ONE)]
-    res = lp_solve(tuple([_ZERO] * nv + [_ONE]), HRep(tuple(ineqs), tuple(eqs)))
-    if res.status != "optimal" or res.value <= 0:
+    found = max_margin(
+        [[dot(v, diff) for v in verts] for diff in agent_diffs], [[_ONE] * nv], [_ONE]
+    )
+    if found is None:
         return None
-    mu = res.point[:nv]
+    mu, margin = found
     prior = tuple(
         sum((mu[j] * verts[j][s] for j in range(nv)), _ZERO)
         for s in range(len(verts[0]))
     )
-    return prior, res.value
+    return prior, margin
 
 
 def exchange_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:

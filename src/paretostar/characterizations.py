@@ -21,14 +21,17 @@ from .errors import (
     MissingSocietyError,
     PreconditionError,
 )
-from .geometry import (
-    HRep,
+# lp_solve is not called here; it stays bound because perfbench/tracing.py
+# wraps it in every module that binds it, and its smoke test checks this one.
+from .geometry import (  # noqa: F401
     Polytope,
     Vec,
     convex_weights,
+    delta,
     feasible_nonneg,
     intersect_polytopes,
     lp_solve,
+    max_margin,
     membership,
     separate,
     simplex_standard,
@@ -117,30 +120,23 @@ def utilitarian_decompose(
         members = sorted(support_constraint)
         if not members:
             return None
-        # Variables (alpha_i for i in members, t): maximize t, alpha_i >= t.
+        # Columns alpha_i (i in members), then w = 1: maximize t with
+        # alpha_i >= t and w >= t, so t is capped at 1.
         nm = len(members)
-        ineqs: list[tuple[Vec, Fraction]] = []
-        for j in range(nm):
-            row = [_ZERO] * (nm + 1)
-            row[j] = -_ONE
-            row[nm] = _ONE
-            ineqs.append((tuple(row), _ZERO))
-            row2 = [_ZERO] * (nm + 1)
-            row2[j] = -_ONE
-            ineqs.append((tuple(row2), _ZERO))
-        cap_row = [_ZERO] * (nm + 1)
-        cap_row[nm] = _ONE
-        ineqs.append((tuple(cap_row), _ONE))
-        eqs = []
-        for k in range(d):
-            row = [prof.agents[i].utility.coeffs[k] for i in members] + [_ZERO]
-            eqs.append((tuple(row), soc.utility.coeffs[k]))
-        res = lp_solve(tuple([_ZERO] * nm + [_ONE]), HRep(tuple(ineqs), tuple(eqs)))
-        if res.status != "optimal" or res.value <= 0:
+        eqs = [
+            [prof.agents[i].utility.coeffs[k] for i in members] + [_ZERO]
+            for k in range(d)
+        ]
+        found = max_margin(
+            [delta(j, nm + 1) for j in range(nm + 1)],
+            eqs + [delta(nm, nm + 1)],
+            [*soc.utility.coeffs, _ONE],
+        )
+        if found is None:
             return None
         alpha_list = [_ZERO] * n
         for j, i in enumerate(members):
-            alpha_list[i] = res.point[j]
+            alpha_list[i] = found[0][j]
         alpha = tuple(alpha_list)
     beta = soc.utility.constant - sum(
         (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
@@ -158,7 +154,8 @@ def _unique_decomposition(prof: Profile) -> Decomposition | None:
     if sol is None:
         return None
     alpha, kernel = sol
-    assert not kernel, "independent gradients leave no degrees of freedom"
+    if kernel:
+        raise RuntimeError("independent gradients leave no degrees of freedom")
     if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
         return None
     beta = soc.utility.constant - sum(
@@ -293,13 +290,11 @@ def check_thm1_condition(prof: Profile) -> ConditionReport:
                 details["prior"] = v
                 details["hyperplane"] = separate([v], soc.beliefs)
                 return ConditionReport("thm1", False, details)
-    chosen = distinct_prior_pair(prof, support)
-    if chosen is not None:
-        details["failure"] = "two-positive-weights"
-        details["agents"] = chosen[:2]
-        details["priors"] = chosen[2:]
-        return ConditionReport("thm1", False, details)
-    raise AssertionError("failure must fall in one of the two classes")
+    pair = distinct_prior_pair(prof, dec)
+    if pair.holds:
+        raise AssertionError("failure must fall in one of the two classes")
+    details.update(pair.details)
+    return ConditionReport("thm1", False, details)
 
 
 def distinct_priors(P1: Polytope, P2: Polytope) -> tuple[Vec, Vec] | None:
@@ -311,16 +306,27 @@ def distinct_priors(P1: Polytope, P2: Polytope) -> tuple[Vec, Vec] | None:
     return None
 
 
-def distinct_prior_pair(
-    prof: Profile, support: tuple[int, ...]
-) -> tuple[int, int, Vec, Vec] | None:
-    """First agents i1 < i2 of `support`, in combination order, that hold
-    distinct priors, with those priors (`distinct_priors`); None if none."""
-    for i1, i2 in itertools.combinations(support, 2):
+def distinct_prior_pair(prof: Profile, dec: Decomposition) -> ConditionReport:
+    """Holds when no two positively weighted agents hold distinct priors.
+
+    On failure the details carry the first such agents i1 < i2, in
+    combination order over the support, and their priors
+    (`distinct_priors`).
+    """
+    for i1, i2 in itertools.combinations(dec.support, 2):
         pair = distinct_priors(prof.agents[i1].beliefs, prof.agents[i2].beliefs)
         if pair is not None:
-            return i1, i2, *pair
-    return None
+            return ConditionReport(
+                "spurious-unanimity",
+                False,
+                {
+                    "decomposition": dec,
+                    "failure": "two-positive-weights",
+                    "agents": (i1, i2),
+                    "priors": pair,
+                },
+            )
+    return ConditionReport("spurious-unanimity", True, {"decomposition": dec})
 
 
 def check_lemma1_superset(prof: Profile, dec: Decomposition) -> ConditionReport:
@@ -397,7 +403,8 @@ def check_thm2_condition(
         met = combo_meets(combo, soc.beliefs)
         if met is None:
             h = separate(list(combo), soc.beliefs)
-            assert h is not None, "disjoint hulls admit a separating hyperplane"
+            if h is None:
+                raise RuntimeError("disjoint hulls admit a separating hyperplane")
             return ConditionReport(
                 "thm2",
                 False,

@@ -43,31 +43,48 @@ from .errors import (
     PreconditionError,
 )
 from .harness import fuzz_axiom
-from .preferences import check_c_minimal_agreement, expected_utility
-from .witnesses import (
-    witness_ct_pareto_star,
-    witness_lemma1,
-    witness_spurious_unanimity,
-)
+from .preferences import expected_utility
+from .witnesses import witness_for
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
 
-CONDITION_TAGS = (
-    "thm1",
-    "thm2",
-    "eq1",
-    "eq4",
-    "lemma1",
-    "corollary2",
-    "prop1",
-    "prop2",
-    "seu-existence",
-)
 
-WITNESS_KINDS = ("ct-pareto-star", "lemma1", "spurious-unanimity")
+def _decomposition(prof):
+    dec = utilitarian_decompose(prof)
+    if dec is None:
+        raise PreconditionError("no nonnegative taste decomposition exists")
+    return dec
+
+
+# Condition tag -> (profile, parsed args) -> ConditionReport.  Each entry looks
+# its checker up when called, so rebinding a module name reaches the CLI too.
+CONDITIONS = {
+    "thm1": lambda prof, args: check_thm1_condition(prof),
+    "thm2": lambda prof, args: check_thm2_condition(prof, combo_cap=args.combo_cap),
+    "eq1": lambda prof, args: check_eq1_dght1(prof),
+    "eq4": lambda prof, args: check_eq4_dght2(prof),
+    "lemma1": lambda prof, args: check_lemma1_superset(prof, _decomposition(prof)),
+    "corollary2": lambda prof, args: check_corollary2(prof, dim_cap=args.dim_cap),
+    "prop1": lambda prof, args: check_prop1(prof),
+    "prop2": lambda prof, args: check_prop2(prof, combo_cap=args.combo_cap),
+}
+
+# Witness kind -> (report producer, message when the report holds).  A failed
+# report is turned into its counterexample by `witness_for`.
+WITNESSES = {
+    "ct-pareto-star": (CONDITIONS["thm2"], "condition holds; nothing to witness"),
+    "lemma1": (
+        CONDITIONS["lemma1"],
+        "every weighted belief set sits inside the social one; nothing to witness",
+    ),
+    "spurious-unanimity": (
+        lambda prof, args: distinct_prior_pair(prof, _decomposition(prof)),
+        "no two positively weighted agents hold distinct priors; nothing to witness",
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,27 +136,9 @@ def cmd_check(args) -> int:
         _emit(args, payload, lines)
         return EXIT_OK if holds else EXIT_FAIL
 
-    if what not in CONDITION_TAGS:
+    if what not in CONDITIONS:
         raise DocumentError(f"unknown check tag {what!r}")
-    if what == "thm1":
-        report = check_thm1_condition(prof)
-    elif what == "thm2":
-        report = check_thm2_condition(prof, combo_cap=args.combo_cap)
-    elif what == "eq1":
-        report = check_eq1_dght1(prof)
-    elif what == "eq4":
-        report = check_eq4_dght2(prof)
-    elif what == "lemma1":
-        dec = utilitarian_decompose(prof)
-        if dec is None:
-            raise PreconditionError("no nonnegative taste decomposition exists")
-        report = check_lemma1_superset(prof, dec)
-    elif what == "corollary2":
-        report = check_corollary2(prof, dim_cap=args.dim_cap)
-    elif what == "prop1":
-        report = check_prop1(prof)
-    else:
-        report = check_prop2(prof, combo_cap=args.combo_cap)
+    report = CONDITIONS[what](prof, args)
 
     payload = {"command": "check", "what": what, "report": report}
     lines = [f"{what}: {'holds' if report.holds else 'FAILS'}"]
@@ -164,41 +163,12 @@ def cmd_check(args) -> int:
 def cmd_witness(args) -> int:
     prof = load_profile(args.profile)
     kind = args.kind
-    if kind == "ct-pareto-star":
-        report = check_thm2_condition(prof, combo_cap=args.combo_cap)
-        if report.holds:
-            print("condition holds; nothing to witness", file=sys.stderr)
-            return EXIT_PRECONDITION
-        if "combo" not in report.details:
-            raise PreconditionError(
-                "condition failed on the taste side; no combo witness applies"
-            )
-        x_star, x_low = check_c_minimal_agreement(prof)
-        cert = witness_ct_pareto_star(
-            prof, report.details["combo"], report.details["hyperplane"], x_star, x_low
-        )
-    elif kind == "lemma1":
-        dec = utilitarian_decompose(prof)
-        if dec is None:
-            raise PreconditionError("no nonnegative taste decomposition exists")
-        report = check_lemma1_superset(prof, dec)
-        if report.holds:
-            print("every weighted belief set sits inside the social one; nothing to witness",
-                  file=sys.stderr)
-            return EXIT_PRECONDITION
-        cert = witness_lemma1(
-            prof, dec, report.details["agent"], report.details["prior"]
-        )
-    else:
-        dec = utilitarian_decompose(prof)
-        if dec is None:
-            raise PreconditionError("no nonnegative taste decomposition exists")
-        chosen = distinct_prior_pair(prof, dec.support)
-        if chosen is None:
-            print("no two positively weighted agents hold distinct priors; nothing to witness",
-                  file=sys.stderr)
-            return EXIT_PRECONDITION
-        cert = witness_spurious_unanimity(prof, dec, *chosen)
+    produce, nothing = WITNESSES[kind]
+    report = produce(prof, args)
+    if report.holds:
+        print(nothing, file=sys.stderr)
+        return EXIT_PRECONDITION
+    cert = witness_for(prof, report)
 
     save_json(args.out, cert)
     payload = {"command": "witness", "kind": kind, "out": str(args.out), "witness": cert}
@@ -304,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("witness", help="construct a certified counterexample")
     p_wit.add_argument("profile")
-    p_wit.add_argument("kind", choices=WITNESS_KINDS)
+    p_wit.add_argument("kind", choices=tuple(WITNESSES))
     p_wit.add_argument("--out", required=True, help="path for the witness document")
     p_wit.add_argument("--combo-cap", type=int, default=DEFAULT_COMBO_CAP)
     common(p_wit)

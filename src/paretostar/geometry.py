@@ -144,9 +144,8 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: list[list[Fraction]], width: int) -> list[Vec]:
-    """Basis of {x : R x = 0} for the row system, one vector per free column."""
-    red, pivots = rref(rows)
+def _kernel(red: list[list[Fraction]], pivots: list[int], width: int) -> list[Vec]:
+    """Kernel basis read off the first `width` columns of an RREF."""
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for f in free:
@@ -158,13 +157,19 @@ def nullspace(rows: list[list[Fraction]], width: int) -> list[Vec]:
     return basis
 
 
+def nullspace(rows: list[list[Fraction]], width: int) -> list[Vec]:
+    """Basis of {x : R x = 0} for the row system, one vector per free column."""
+    return _kernel(*rref(rows), width)
+
+
 def solve_linear(
     rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> tuple[Vec, list[Vec]] | None:
     """Solve R x = rhs exactly.
 
     Returns (particular solution with free variables at 0, homogeneous basis),
-    or None when the system is inconsistent.
+    or None when the system is inconsistent.  One RREF of the augmented
+    system serves both: its first `width` columns are the RREF of R.
     """
     if not rows:
         return (), []
@@ -176,7 +181,7 @@ def solve_linear(
     x = [_ZERO] * width
     for i, p in enumerate(pivots):
         x[p] = red[i][width]
-    return tuple(x), nullspace(rows, width)
+    return tuple(x), _kernel(red, pivots, width)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +349,34 @@ def feasible_nonneg(
     n = len(rows[0]) if rows else 0
     status, z, _ = simplex_standard(rows, rhs, [_ZERO] * n)
     return z if status == "optimal" else None
+
+
+def max_margin(
+    rows: list[Vec], eqs: list[Vec], eq_rhs: list[Fraction]
+) -> tuple[Vec, Fraction] | None:
+    """Maximize t >= 0 over z >= 0 with row·z >= t per row and eqs·z = eq_rhs.
+
+    Returns (z, t) when the largest margin t is positive, None when it is 0
+    or no z >= 0 satisfies the system.  Unlike `lp_solve`, no variable is
+    split: the standard-form columns are z, then t, then one surplus per
+    row.  The equalities must keep t bounded (for instance by fixing the
+    scale of z); an unbounded margin raises ValueError.
+    """
+    n = len(rows[0])
+    k = len(rows)
+    lp_rows = []
+    for i, r in enumerate(rows):
+        surplus = [_ZERO] * k
+        surplus[i] = -_ONE
+        lp_rows.append([*r, -_ONE, *surplus])
+    lp_rows += [[*a, _ZERO] + [_ZERO] * k for a in eqs]
+    rhs = [_ZERO] * k + list(eq_rhs)
+    status, z, value = simplex_standard(lp_rows, rhs, [_ZERO] * n + [_ONE] + [_ZERO] * k)
+    if status == "unbounded":
+        raise ValueError("margin LP is unbounded")
+    if status != "optimal" or value <= 0:
+        return None
+    return tuple(z[:n]), value
 
 
 def lp_solve(objective: Vec, constraints: HRep) -> LPResult:

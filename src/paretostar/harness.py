@@ -29,13 +29,7 @@ from .preferences import (
     check_c_minimal_agreement,
     validate_profile,
 )
-from .witnesses import (
-    WitnessCertificate,
-    revalidate,
-    witness_ct_pareto_star,
-    witness_lemma1,
-    witness_spurious_unanimity,
-)
+from .witnesses import WitnessCertificate, revalidate, witness_for
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -327,7 +321,7 @@ def cross_validate(
             condition, "CONSISTENT", True, "checker passed; fuzzing found nothing", fuzz=fz
         )
 
-    cert = _build_witness(prof, condition, report, witness_builder)
+    cert = witness_for(prof, report, witness_builder)
     ok = revalidate(prof, cert) and AXIOM_CHECKS[cert.axiom_tag](
         prof, cert.act_x, cert.act_f
     ).violation
@@ -341,32 +335,4 @@ def cross_validate(
         )
     return CrossValidation(
         condition, "CONSISTENT", False, "checker failed; witness validates", witness=cert
-    )
-
-
-def _build_witness(prof, condition, report, builder):
-    details = report.details
-    if condition == "thm2":
-        if "combo" not in details:
-            raise PreconditionError(
-                "condition failed on the taste side; no combo witness is constructed"
-            )
-        cmin = check_c_minimal_agreement(prof)
-        x_star, x_low = cmin
-        if builder is None:
-            builder = witness_ct_pareto_star
-        return builder(prof, details["combo"], details["hyperplane"], x_star, x_low)
-    failure = details.get("failure")
-    if failure == "belief-outside-society":
-        if builder is None:
-            builder = witness_lemma1
-        return builder(prof, details["decomposition"], details["agent"], details["prior"])
-    if failure == "two-positive-weights":
-        i1, i2 = details["agents"]
-        p1, p2 = details["priors"]
-        if builder is None:
-            builder = witness_spurious_unanimity
-        return builder(prof, details["decomposition"], i1, i2, p1, p2)
-    raise PreconditionError(
-        "condition failed on the taste side; no witness construction applies"
     )

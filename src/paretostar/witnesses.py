@@ -32,12 +32,13 @@ from .preferences import (
     Act,
     Profile,
     check_c_diversity,
+    check_c_minimal_agreement,
     constant_act,
     expected_utility,
     no_taste_disagreement,
     utility_profile,
 )
-from .characterizations import Decomposition, verify_decomposition
+from .characterizations import ConditionReport, Decomposition, verify_decomposition
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -451,3 +452,32 @@ def witness_spurious_unanimity(
         tuple(per_agent),
         society_margin,
     )
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: the construction that matches a failed condition report
+# ---------------------------------------------------------------------------
+
+def witness_for(
+    prof: Profile, report: ConditionReport, builder=None
+) -> WitnessCertificate:
+    """Build the counterexample that a failed report's details call for.
+
+    A failing vertex combo (``combo``) gives the common-taste witness, one
+    weighted agent's prior outside the social set (``prior``) the lemma-1
+    witness, and two weighted agents' distinct priors (``priors``) the
+    spurious-unanimity witness.  `builder` replaces the chosen construction
+    and takes the same arguments.
+    """
+    det = report.details
+    if "combo" in det:
+        x_star, x_low = check_c_minimal_agreement(prof)
+        build = builder or witness_ct_pareto_star
+        return build(prof, det["combo"], det["hyperplane"], x_star, x_low)
+    if "prior" in det:
+        build = builder or witness_lemma1
+        return build(prof, det["decomposition"], det["agent"], det["prior"])
+    if "priors" in det:
+        build = builder or witness_spurious_unanimity
+        return build(prof, det["decomposition"], *det["agents"], *det["priors"])
+    raise PreconditionError("condition failed on the taste side; no combo witness applies")

@@ -1,15 +1,24 @@
-"""Reference two-phase simplex on a `Fraction` tableau.
+"""Reference LP routes kept as oracles for the differential tests.
 
-This is the solver `paretostar.geometry` used before its tableau kernel moved
-to integer-preserving pivots.  It is kept verbatim as the oracle the new
-kernel is differential-tested against (`tests/test_lp_kernel.py`): both must
-return the same `(status, z, value)` on every LP, because Bland's rule makes
-the same choices on either representation.
+`simplex_standard` is the solver `paretostar.geometry` used before its
+tableau kernel moved to integer-preserving pivots.  It is kept verbatim as
+the oracle the new kernel is differential-tested against
+(`tests/test_lp_kernel.py`): both must return the same `(status, z, value)`
+on every LP, because Bland's rule makes the same choices on either
+representation.
+
+`exchange_star_prior` and `support_decompose_alpha` are the margin LPs of
+`axioms._exchange_star_prior` and of the support branch of
+`characterizations.utilitarian_decompose` as they were written over
+`lp_solve` (free variables split u - v, explicit -x <= 0 rows), before both
+moved to `geometry.max_margin`.  They are kept verbatim
+(`tests/test_margin_lp.py`).
 """
 
 from fractions import Fraction
 
 from paretostar.errors import DimensionMismatchError
+from paretostar.geometry import HRep, Vec, dot, lp_solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -113,3 +122,67 @@ def simplex_standard(
         z[bi] = b[i]
     value = sum((objective[j] * z[j] for j in range(n)), _ZERO)
     return "optimal", z, value
+
+
+def exchange_star_prior(agent_diffs: list[Vec], holder) -> tuple[Vec, Fraction] | None:
+    """A prior in the holder's belief set that strictly favors g for every taste.
+
+    Margin LP over the hull: variables are hull weights mu plus the margin t;
+    maximize t subject to sum_v mu_v * diff_i(v) >= t for every taste i.
+    """
+    verts = holder.beliefs.vertices
+    nv = len(verts)
+    # Variables (mu_1..mu_nv, t).
+    ineqs: list[tuple[Vec, Fraction]] = []
+    for diff in agent_diffs:
+        row = [-dot(v, diff) for v in verts] + [_ONE]
+        ineqs.append((tuple(row), _ZERO))
+    for j in range(nv):
+        e = [_ZERO] * (nv + 1)
+        e[j] = -_ONE
+        ineqs.append((tuple(e), _ZERO))
+    eqs = [(tuple([_ONE] * nv + [_ZERO]), _ONE)]
+    res = lp_solve(tuple([_ZERO] * nv + [_ONE]), HRep(tuple(ineqs), tuple(eqs)))
+    if res.status != "optimal" or res.value <= 0:
+        return None
+    mu = res.point[:nv]
+    prior = tuple(
+        sum((mu[j] * verts[j][s] for j in range(nv)), _ZERO)
+        for s in range(len(verts[0]))
+    )
+    return prior, res.value
+
+
+def support_decompose_alpha(prof, support_constraint) -> tuple[Fraction, ...] | None:
+    """The alpha of `utilitarian_decompose(prof, support_constraint)`."""
+    soc = prof.society
+    d = prof.outcome_dim
+    n = prof.n
+    members = sorted(support_constraint)
+    if not members:
+        return None
+    # Variables (alpha_i for i in members, t): maximize t, alpha_i >= t.
+    nm = len(members)
+    ineqs: list[tuple[Vec, Fraction]] = []
+    for j in range(nm):
+        row = [_ZERO] * (nm + 1)
+        row[j] = -_ONE
+        row[nm] = _ONE
+        ineqs.append((tuple(row), _ZERO))
+        row2 = [_ZERO] * (nm + 1)
+        row2[j] = -_ONE
+        ineqs.append((tuple(row2), _ZERO))
+    cap_row = [_ZERO] * (nm + 1)
+    cap_row[nm] = _ONE
+    ineqs.append((tuple(cap_row), _ONE))
+    eqs = []
+    for k in range(d):
+        row = [prof.agents[i].utility.coeffs[k] for i in members] + [_ZERO]
+        eqs.append((tuple(row), soc.utility.coeffs[k]))
+    res = lp_solve(tuple([_ZERO] * nm + [_ONE]), HRep(tuple(ineqs), tuple(eqs)))
+    if res.status != "optimal" or res.value <= 0:
+        return None
+    alpha_list = [_ZERO] * n
+    for j, i in enumerate(members):
+        alpha_list[i] = res.point[j]
+    return tuple(alpha_list)

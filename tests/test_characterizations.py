@@ -25,6 +25,7 @@ from paretostar import (
     utility,
     vec,
 )
+from paretostar import characterizations
 from paretostar.characterizations import (
     Decomposition,
     combo_meets,
@@ -366,3 +367,23 @@ class TestBoundDuality:
         for _ in range(100):
             combo = tuple(interior_point(rng, a.beliefs) for a in prof.agents)
             assert combo_meets(combo, prof.society.beliefs) is not None
+
+
+class TestInternalChecks:
+    """Broken internals raise RuntimeError in every run mode, python -O too."""
+
+    def test_missing_separator_raises(self, monkeypatch):
+        monkeypatch.setattr(characterizations, "separate", lambda points, P: None)
+        with pytest.raises(RuntimeError):
+            check_thm2_condition(scenario2(singleton("0.8")))
+
+    def test_leftover_kernel_raises(self, monkeypatch):
+        solve = characterizations.solve_linear
+
+        def with_kernel(rows, rhs):
+            alpha, _ = solve(rows, rhs)
+            return alpha, [tuple(F(1) for _ in alpha)]
+
+        monkeypatch.setattr(characterizations, "solve_linear", with_kernel)
+        with pytest.raises(RuntimeError):
+            check_thm1_condition(scenario1())

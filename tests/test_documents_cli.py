@@ -15,8 +15,10 @@ from paretostar.documents import (
     load_profile,
     profile_from_dict,
     profile_to_dict,
+    save_json,
 )
 from paretostar.errors import DocumentError
+from paretostar.harness import GenParams, cross_validate, random_profile
 from paretostar.witnesses import revalidate
 
 from helpers import scenario1
@@ -308,3 +310,30 @@ class TestShippedProfilesMatchApi:
         acts = load_acts(profiles_dir / "sq_vs_reform.acts", prof)
         (_, sq), (_, reform) = acts
         assert pareto_star_check(prof, sq, reform).violation
+
+
+class TestWitnessParity:
+    """`paretostar witness` writes the certificate `cross_validate` builds."""
+
+    def assert_parity(self, path, condition, kind, tmp_path):
+        cv = cross_validate(load_profile(path), condition, trials=0, seed=0)
+        assert cv.verdict == "CONSISTENT" and not cv.checker_holds
+        out = tmp_path / "w.json"
+        assert main(["witness", str(path), kind, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == dumps(cv.witness)
+
+    def test_ct_pareto_star(self, profiles_dir, tmp_path):
+        self.assert_parity(profiles_dir / "example2_p08.profile", "thm2", "ct-pareto-star", tmp_path)
+
+    def test_spurious_unanimity(self, profiles_dir, tmp_path):
+        self.assert_parity(profiles_dir / "example1.profile", "thm1", "spurious-unanimity", tmp_path)
+
+    def test_belief_outside_society(self, tmp_path):
+        prof = random_profile(
+            GenParams(seed=0, n=2, m=2, d=2, max_vertices=2, society_rule="minkowski")
+        )
+        path = tmp_path / "seeded.profile"
+        save_json(path, profile_to_dict(prof))
+        report = cross_validate(prof, "thm1", trials=0, seed=0)
+        assert report.witness.kind == "lemma1"
+        self.assert_parity(path, "thm1", "lemma1", tmp_path)
