@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
+    InternalError,
     MissingSocietyError,
     PreconditionError,
 )
@@ -32,7 +33,6 @@ from .geometry import (  # noqa: F401
     intersect_polytopes,
     lp_solve,
     max_margin,
-    membership,
     separate,
     simplex_standard,
     solve_linear,
@@ -82,18 +82,23 @@ def _society(prof: Profile) -> Agent:
     return prof.society
 
 
+def _weighted_taste(prof: Profile, alpha, beta) -> AffineUtility:
+    """sum_i alpha_i u_i + beta."""
+    coeffs = zero_vec(prof.outcome_dim)
+    const = beta
+    for a, agent in zip(alpha, prof.agents):
+        coeffs = vadd(coeffs, vscale(a, agent.utility.coeffs))
+        const += a * agent.utility.constant
+    return AffineUtility(coeffs, const)
+
+
 def verify_decomposition(prof: Profile, dec: Decomposition) -> bool:
     soc = _society(prof)
     if len(dec.alpha) != prof.n or any(a < 0 for a in dec.alpha):
         return False
     if all(a == 0 for a in dec.alpha):
         return False
-    combo = zero_vec(prof.outcome_dim)
-    const = dec.beta
-    for a, agent in zip(dec.alpha, prof.agents):
-        combo = vadd(combo, vscale(a, agent.utility.coeffs))
-        const += a * agent.utility.constant
-    return combo == soc.utility.coeffs and const == soc.utility.constant
+    return _weighted_taste(prof, dec.alpha, dec.beta) == soc.utility
 
 
 def utilitarian_decompose(
@@ -155,7 +160,7 @@ def _unique_decomposition(prof: Profile) -> Decomposition | None:
         return None
     alpha, kernel = sol
     if kernel:
-        raise RuntimeError("independent gradients leave no degrees of freedom")
+        raise InternalError("independent gradients leave no degrees of freedom")
     if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
         return None
     beta = soc.utility.constant - sum(
@@ -212,6 +217,22 @@ def combo_meets(combo: tuple[Vec, ...], P0: Polytope) -> tuple[Vec, ...] | None:
 # Condition checkers
 # ---------------------------------------------------------------------------
 
+def _hull_weights(points, P: Polytope) -> tuple[dict, Vec | None]:
+    """Hull weights in P of each point up to the first one outside P.
+
+    Returns (point -> weights over P's vertices, first point outside P or
+    None when every point lies in P).
+    """
+    vertices = list(P.vertices)
+    weights = {}
+    for p in points:
+        w = convex_weights(p, vertices)
+        if w is None:
+            return weights, p
+        weights[p] = tuple(w)
+    return weights, None
+
+
 def check_eq1_dght1(prof: Profile) -> ConditionReport:
     """Some decomposition puts its support inside agents whose belief sets all
     contain the social one (vertex memberships, enumerated over supports)."""
@@ -224,14 +245,11 @@ def check_eq1_dght1(prof: Profile) -> ConditionReport:
         memberships = {}
         ok = True
         for i in M:
-            for w in soc.beliefs.vertices:
-                weights = convex_weights(w, list(prof.agents[i].beliefs.vertices))
-                if weights is None:
-                    ok = False
-                    break
-                memberships[(i, w)] = tuple(weights)
-            if not ok:
+            weights, outside = _hull_weights(soc.beliefs.vertices, prof.agents[i].beliefs)
+            if outside is not None:
+                ok = False
                 break
+            memberships.update(((i, w), mu) for w, mu in weights.items())
         if ok:
             return ConditionReport(
                 "eq1",
@@ -259,40 +277,28 @@ def check_thm1_condition(prof: Profile) -> ConditionReport:
     if all(P.is_singleton() for P in singles):
         common = singles[0].vertices[0]
         if all(P.vertices[0] == common for P in singles):
-            weights = convex_weights(common, list(soc.beliefs.vertices))
-            if weights is not None:
+            weights, outside = _hull_weights([common], soc.beliefs)
+            if outside is None:
                 details["clause"] = "common-single-prior"
                 details["shared_prior"] = common
-                details["membership"] = tuple(weights)
+                details["membership"] = weights[common]
                 return ConditionReport("thm1", True, details)
-    if len(support) == 1:
-        i_star = support[0]
-        memberships = {}
-        ok = True
-        for v in prof.agents[i_star].beliefs.vertices:
-            weights = convex_weights(v, list(soc.beliefs.vertices))
-            if weights is None:
-                ok = False
-                break
-            memberships[v] = tuple(weights)
-        if ok:
-            details["clause"] = "taste-dictator"
-            details["dictator"] = i_star
-            details["memberships"] = memberships
-            return ConditionReport("thm1", True, details)
 
-    # Classify the failure so a counterexample construction can be chosen.
-    for i in support:
-        for v in prof.agents[i].beliefs.vertices:
-            if not membership(v, soc.beliefs):
-                details["failure"] = "belief-outside-society"
-                details["agent"] = i
-                details["prior"] = v
-                details["hyperplane"] = separate([v], soc.beliefs)
-                return ConditionReport("thm1", False, details)
+    # Every weighted belief set inside the social one (Lemma 1) is what a
+    # taste dictator needs; a prior outside it is the first failure class.
+    inclusion = check_lemma1_superset(prof, dec)
+    if not inclusion.holds:
+        details.update(inclusion.details, failure="belief-outside-society")
+        return ConditionReport("thm1", False, details)
+    if len(support) == 1:
+        details["clause"] = "taste-dictator"
+        details["dictator"] = support[0]
+        memberships = inclusion.details["memberships"]
+        details["memberships"] = {v: mu for (_, v), mu in memberships.items()}
+        return ConditionReport("thm1", True, details)
     pair = distinct_prior_pair(prof, dec)
     if pair.holds:
-        raise AssertionError("failure must fall in one of the two classes")
+        raise InternalError("thm1 failure must fall in one of the two classes")
     details.update(pair.details)
     return ConditionReport("thm1", False, details)
 
@@ -334,20 +340,19 @@ def check_lemma1_superset(prof: Profile, dec: Decomposition) -> ConditionReport:
     soc = _society(prof)
     memberships = {}
     for i in dec.support:
-        for v in prof.agents[i].beliefs.vertices:
-            weights = convex_weights(v, list(soc.beliefs.vertices))
-            if weights is None:
-                return ConditionReport(
-                    "lemma1",
-                    False,
-                    {
-                        "agent": i,
-                        "prior": v,
-                        "hyperplane": separate([v], soc.beliefs),
-                        "decomposition": dec,
-                    },
-                )
-            memberships[(i, v)] = tuple(weights)
+        weights, outside = _hull_weights(prof.agents[i].beliefs.vertices, soc.beliefs)
+        if outside is not None:
+            return ConditionReport(
+                "lemma1",
+                False,
+                {
+                    "agent": i,
+                    "prior": outside,
+                    "hyperplane": separate([outside], soc.beliefs),
+                    "decomposition": dec,
+                },
+            )
+        memberships.update(((i, v), mu) for v, mu in weights.items())
     return ConditionReport(
         "lemma1", True, {"memberships": memberships, "decomposition": dec}
     )
@@ -361,20 +366,17 @@ def check_eq4_dght2(prof: Profile) -> ConditionReport:
         return ConditionReport("eq4", False, {"reason": "no-decomposition"})
     pooled = [v for a in prof.agents for v in a.beliefs.vertices]
     pooled_poly = Polytope.from_generators(pooled)
-    memberships = {}
-    for w in soc.beliefs.vertices:
-        weights = convex_weights(w, list(pooled_poly.vertices))
-        if weights is None:
-            return ConditionReport(
-                "eq4",
-                False,
-                {
-                    "vertex": w,
-                    "hyperplane": separate([w], pooled_poly),
-                    "decomposition": dec,
-                },
-            )
-        memberships[w] = tuple(weights)
+    memberships, outside = _hull_weights(soc.beliefs.vertices, pooled_poly)
+    if outside is not None:
+        return ConditionReport(
+            "eq4",
+            False,
+            {
+                "vertex": outside,
+                "hyperplane": separate([outside], pooled_poly),
+                "decomposition": dec,
+            },
+        )
     return ConditionReport(
         "eq4",
         True,
@@ -404,7 +406,7 @@ def check_thm2_condition(
         if met is None:
             h = separate(list(combo), soc.beliefs)
             if h is None:
-                raise RuntimeError("disjoint hulls admit a separating hyperplane")
+                raise InternalError("disjoint hulls admit a separating hyperplane")
             return ConditionReport(
                 "thm2",
                 False,
@@ -427,9 +429,9 @@ def check_corollary2(prof: Profile, dim_cap: int = 6) -> ConditionReport:
         details["intersection"] = None
     else:
         details["intersection"] = inter.vertices
-        a_holds = all(membership(v, soc.beliefs) for v in inter.vertices)
+        _, bad = _hull_weights(inter.vertices, soc.beliefs)
+        a_holds = bad is None
         if not a_holds:
-            bad = next(v for v in inter.vertices if not membership(v, soc.beliefs))
             details["missing_vertex"] = bad
             details["hyperplane"] = separate([bad], soc.beliefs)
     details["a"] = a_holds
@@ -437,8 +439,9 @@ def check_corollary2(prof: Profile, dim_cap: int = 6) -> ConditionReport:
     first = prof.agents[0].beliefs
     common = all(a.beliefs == first for a in prof.agents[1:])
     if common:
-        b_holds = all(membership(v, first) for v in soc.beliefs.vertices) and all(
-            membership(v, soc.beliefs) for v in first.vertices
+        b_holds = (
+            _hull_weights(soc.beliefs.vertices, first)[1] is None
+            and _hull_weights(first.vertices, soc.beliefs)[1] is None
         )
         details["b"] = b_holds
         details["common_beliefs"] = first.vertices
@@ -487,20 +490,20 @@ def check_seu_existence(
     return tuple(z[:m])
 
 
+def _delegated(condition: str, inner: ConditionReport) -> ConditionReport:
+    return ConditionReport(
+        condition, inner.holds, {**inner.details, "delegated_to": inner.condition}
+    )
+
+
 def check_prop1(prof: Profile) -> ConditionReport:
     """Same representation condition as the hull upper bound; delegated."""
-    inner = check_eq4_dght2(prof)
-    details = dict(inner.details)
-    details["delegated_to"] = "eq4"
-    return ConditionReport("prop1", inner.holds, details)
+    return _delegated("prop1", check_eq4_dght2(prof))
 
 
 def check_prop2(prof: Profile, combo_cap: int = DEFAULT_COMBO_CAP) -> ConditionReport:
     """Same representation condition as the combo lower bound; delegated."""
-    inner = check_thm2_condition(prof, combo_cap)
-    details = dict(inner.details)
-    details["delegated_to"] = "thm2"
-    return ConditionReport("prop2", inner.holds, details)
+    return _delegated("prop2", check_thm2_condition(prof, combo_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +532,7 @@ def aggregate_society(
     alpha = tuple(Fraction(a) for a in alpha)
     if len(alpha) != prof.n or any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
         raise ValueError("alpha must be nonnegative, nonzero, one weight per agent")
-    beta = Fraction(beta)
-    coeffs = zero_vec(prof.outcome_dim)
-    const = beta
-    for a, agent in zip(alpha, prof.agents):
-        coeffs = vadd(coeffs, vscale(a, agent.utility.coeffs))
-        const += a * agent.utility.constant
-    u0 = AffineUtility(coeffs, const)
+    u0 = _weighted_taste(prof, alpha, Fraction(beta))
 
     if rule == "minkowski":
         if gamma is None:

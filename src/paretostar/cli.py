@@ -3,7 +3,8 @@
 Exit codes: 0 = holds / no violation, 1 = fails / violation found,
 2 = precondition unmet (missing society, hypothesis failure, size caps,
 nothing to witness), 3 = input error (unreadable or invalid documents,
-bad usage).
+bad usage), 4 = internal error (a derived certificate or invariant failed
+its own re-check; a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .documents import (
 from .errors import (
     CapExceededError,
     DocumentError,
+    InternalError,
     MissingSocietyError,
     ParetoStarError,
     PreconditionError,
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _decomposition(prof):
@@ -312,6 +315,9 @@ def main(argv=None) -> int:
     except (PreconditionError, MissingSocietyError, CapExceededError) as e:
         print(f"precondition unmet: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ParetoStarError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,12 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .axioms import AxiomVerdict
-from .characterizations import ConditionReport, Decomposition
 from .errors import DocumentError
-from .geometry import Hyperplane, Polytope, frac
-from .harness import CrossValidation, FuzzReport
+from .geometry import Polytope, frac
+from .harness import FuzzReport
 from .preferences import Act, AffineUtility, Agent, Profile, validate_profile
-from .witnesses import AgentMargin, WitnessCertificate
+from .witnesses import WitnessCertificate
 
 
 def fraction_str(x: Fraction) -> str:
@@ -39,7 +38,12 @@ def format_decimal(x: Fraction, digits: int) -> str:
 
 
 def jsonable(obj):
-    """Recursively convert package objects to JSON-ready structures."""
+    """Recursively convert package objects to JSON-ready structures.
+
+    A dataclass becomes ``{field: value}`` over its fields.  A polytope is its
+    vertex list; verdicts and witnesses add their derived ``violation`` and
+    ``violates`` entries; fuzz violations become ``{f, g, verdict}`` objects.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -54,76 +58,19 @@ def jsonable(obj):
             key = k if isinstance(k, str) else json.dumps(jsonable(k), sort_keys=True)
             out[key] = jsonable(v)
         return out
-    if isinstance(obj, Act):
-        return {"rows": jsonable(obj.rows)}
     if isinstance(obj, Polytope):
         return jsonable(obj.vertices)
-    if isinstance(obj, Hyperplane):
-        return {"normal": jsonable(obj.normal), "threshold": jsonable(obj.threshold)}
-    if isinstance(obj, AffineUtility):
-        return {"coeffs": jsonable(obj.coeffs), "constant": jsonable(obj.constant)}
-    if isinstance(obj, Agent):
-        return {
-            "name": obj.name,
-            "utility": jsonable(obj.utility),
-            "beliefs": jsonable(obj.beliefs),
-        }
-    if isinstance(obj, Decomposition):
-        return {"alpha": jsonable(obj.alpha), "beta": jsonable(obj.beta)}
-    if isinstance(obj, AgentMargin):
-        return {
-            "agent": obj.agent,
-            "prior": jsonable(obj.prior),
-            "margin": jsonable(obj.margin),
-        }
-    if isinstance(obj, WitnessCertificate):
-        return {
-            "kind": obj.kind,
-            "violates": obj.axiom_tag,
-            "act_f": jsonable(obj.act_f),
-            "act_x": jsonable(obj.act_x),
-            "hyperplane": jsonable(obj.hyperplane),
-            "params": jsonable(obj.params),
-            "per_agent": jsonable(obj.per_agent),
-            "society_margin": jsonable(obj.society_margin),
-        }
-    if isinstance(obj, AxiomVerdict):
-        return {
-            "axiom": obj.axiom,
-            "premise_holds": obj.premise_holds,
-            "conclusion_holds": obj.conclusion_holds,
-            "violation": obj.violation,
-            "certificates": jsonable(obj.certificates),
-        }
-    if isinstance(obj, ConditionReport):
-        return {
-            "condition": obj.condition,
-            "holds": obj.holds,
-            "details": jsonable(obj.details),
-        }
-    if isinstance(obj, FuzzReport):
-        return {
-            "axiom": obj.axiom,
-            "sampler": obj.sampler,
-            "trials": obj.trials,
-            "premise_hits": obj.premise_hits,
-            "violations": [
-                {"f": jsonable(f), "g": jsonable(g), "verdict": jsonable(v)}
-                for f, g, v in obj.violations
-            ],
-            "digest": obj.digest,
-        }
-    if isinstance(obj, CrossValidation):
-        return {
-            "condition": obj.condition,
-            "verdict": obj.verdict,
-            "checker_holds": obj.checker_holds,
-            "detail": obj.detail,
-            "fuzz": jsonable(obj.fuzz),
-            "witness": jsonable(obj.witness),
-        }
     if dataclasses.is_dataclass(obj):
-        return jsonable(dataclasses.asdict(obj))
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, AxiomVerdict):
+            fields["violation"] = obj.violation
+        elif isinstance(obj, WitnessCertificate):
+            fields["violates"] = obj.axiom_tag
+        elif isinstance(obj, FuzzReport):
+            fields["violations"] = [
+                {"f": f, "g": g, "verdict": v} for f, g, v in obj.violations
+            ]
+        return jsonable(fields)
     raise DocumentError(f"cannot serialize {type(obj).__name__}")
 
 

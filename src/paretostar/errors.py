@@ -23,3 +23,7 @@ class CapExceededError(ParetoStarError):
 
 class DocumentError(ParetoStarError):
     """An on-disk document failed to parse or validate."""
+
+
+class InternalError(ParetoStarError, RuntimeError):
+    """A certificate or invariant the engine derived failed its own re-check."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import CapExceededError, DimensionMismatchError, InternalError
 
 Vec = tuple[Fraction, ...]
 
@@ -526,7 +526,7 @@ def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:
         all(h.value(v) > kappa for v in points)
         and all(h.value(w) < kappa for w in P.vertices)
     ):
-        raise RuntimeError(f"LP separator {h} does not strictly separate the point sets")
+        raise InternalError(f"LP separator {h} does not strictly separate the point sets")
     return h
 
 
@@ -647,7 +647,7 @@ def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
     dual_ineqs = [(q, _ONE) for q in shifted]
     dual_vertices = _tight_vertices(dual_ineqs, k)
     if not dual_vertices:
-        raise RuntimeError("polar dual of a full-dimensional polytope has no vertex")
+        raise InternalError("polar dual of a full-dimensional polytope has no vertex")
     ineqs = []
     for y in dual_vertices:
         normal = [_ZERO] * d

@@ -5,8 +5,11 @@ Each builder turns a failed representation condition into a pair
 above f while society strictly prefers x under all of its priors — an
 explicit starred-axiom violation.  All tuning parameters ("small enough"
 epsilon, nu; "large enough" scale b) are pinned deterministically to half of
-their exact binding bound, and every strict inequality is re-evaluated in
-exact arithmetic before the certificate is returned.
+their exact binding bound.  Each builder states its margins in closed form
+and returns through `revalidate`, which re-derives every one of them by
+direct evaluation in exact arithmetic, in every run mode (``python -O``
+included); a mismatch or a margin that is not strictly positive raises
+`InternalError`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .geometry import (
     Hyperplane,
     Polytope,
@@ -96,6 +99,13 @@ def revalidate(prof: Profile, cert: WitnessCertificate) -> bool:
     return cert.society_margin > 0
 
 
+def _certified(prof: Profile, cert: WitnessCertificate) -> WitnessCertificate:
+    """The certificate, once direct evaluation reproduces its closed-form margins."""
+    if not revalidate(prof, cert):
+        raise InternalError(f"{cert.kind} witness fails its own re-check")
+    return cert
+
+
 def _check_separation(h: Hyperplane, above: list[Vec], P0: Polytope) -> None:
     for p in above:
         if h.value(p) <= h.threshold:
@@ -113,7 +123,8 @@ def _rescale_unit(h: Hyperplane) -> tuple[Vec, Fraction]:
     """
     vals = list(h.normal) + [h.threshold]
     lo, hi = min(vals), max(vals)
-    assert hi > lo, "a constant separator cannot strictly separate simplex points"
+    if hi <= lo:
+        raise InternalError("a constant separator cannot strictly separate simplex points")
     span = hi - lo
     lam = tuple((x - lo) / span for x in h.normal)
     kappa = (h.threshold - lo) / span
@@ -164,29 +175,27 @@ def witness_ct_pareto_star(
     lam, kappa = _rescale_unit(h)
     act_f = Act(tuple(_segment_point(ls, x_star, x_low) for ls in lam))
     act_x = constant_act(_segment_point(kappa, x_star, x_low), prof.states)
+    if not no_taste_disagreement(prof, act_f, act_x):
+        raise InternalError("acts on one commonly ranked segment split the agents' tastes")
 
-    per_agent = []
-    for i, (agent, p_i, gain) in enumerate(zip(prof.agents, combo, gains)):
-        margin = gain * (dot(p_i, lam) - kappa)
-        direct = expected_utility(agent.utility, p_i, act_f) - expected_utility(
-            agent.utility, p_i, act_x
-        )
-        assert direct == margin and margin > 0
-        per_agent.append(AgentMargin(i, p_i, margin))
-    society_margin = _society_min_margin(prof, act_x, act_f)
-    assert society_margin == society_gain * (
+    per_agent = tuple(
+        AgentMargin(i, p_i, gain * (dot(p_i, lam) - kappa))
+        for i, (p_i, gain) in enumerate(zip(combo, gains))
+    )
+    society_margin = society_gain * (
         kappa - max(dot(w, lam) for w in prof.society.beliefs.vertices)
     )
-    assert society_margin > 0
-    assert no_taste_disagreement(prof, act_f, act_x)
-    return WitnessCertificate(
-        "ct-pareto-star",
-        act_f,
-        act_x,
-        Hyperplane(lam, kappa),
-        {},
-        tuple(per_agent),
-        society_margin,
+    return _certified(
+        prof,
+        WitnessCertificate(
+            "ct-pareto-star",
+            act_f,
+            act_x,
+            Hyperplane(lam, kappa),
+            {},
+            per_agent,
+            society_margin,
+        ),
     )
 
 
@@ -194,11 +203,49 @@ def witness_ct_pareto_star(
 # Single-agent belief escape (superset condition fails)
 # ---------------------------------------------------------------------------
 
-def _diversity_pairs(prof: Profile):
+def _diversity_legs(prof: Profile) -> tuple[tuple[tuple[Vec, Vec], ...], list[Fraction]]:
+    """Per-agent direction pairs (hi, lo) and each agent's gain u_i(hi - lo)."""
     pairs = check_c_diversity(prof)
     if pairs is None:
         raise PreconditionError("profile is not c-diverse; no per-agent direction pairs")
-    return pairs
+    gains = [dot(a.utility.coeffs, vsub(hi, lo)) for a, (hi, lo) in zip(prof.agents, pairs)]
+    if any(g <= 0 for g in gains):
+        raise InternalError("a c-diversity pair must strictly favor its agent's hi outcome")
+    return pairs, gains
+
+
+def _outcome(pairs, ts) -> Vec:
+    """sum_j (lo_j + t_j (hi_j - lo_j)) / n: agent j's leg at position t_j."""
+    weight = Fraction(1, len(pairs))
+    out = zero_vec(len(pairs[0][0]))
+    for (hi, lo), t in zip(pairs, ts):
+        out = vadd(out, vscale(weight, _segment_point(t, hi, lo)))
+    return out
+
+
+def _small(numerator: Fraction, slack_weight: Fraction) -> Fraction:
+    """Half of the binding bound numerator / (2 slack_weight), at most 1/2."""
+    if slack_weight == 0:
+        return _HALF
+    return min(_HALF, numerator / (2 * slack_weight) / 2)
+
+
+def _bystanders(prof, act_f: Act, act_x: Act, others, gains, bonus) -> list[AgentMargin]:
+    """Margins of agents whose own leg sits bonus above 1/2 in f, below in x.
+
+    Each one's utility gain is the same in every state, so its first belief
+    vertex certifies it; the statewise equality is checked here.
+    """
+    n = Fraction(prof.n)
+    margins = []
+    for j in others:
+        margin = 2 * bonus * gains[j] / n
+        uf = utility_profile(prof.agents[j].utility, act_f)
+        ux = utility_profile(prof.agents[j].utility, act_x)
+        if any(a - b != margin for a, b in zip(uf, ux)):
+            raise InternalError(f"agent {j}'s taste bonus is not the same in every state")
+        margins.append(AgentMargin(j, prof.agents[j].beliefs.vertices[0], margin))
+    return margins
 
 
 def witness_lemma1(
@@ -226,73 +273,41 @@ def witness_lemma1(
     h = separate([p_i], prof.society.beliefs)
     if h is None:
         raise PreconditionError("prior lies in the social belief set; nothing to witness")
-    pairs = _diversity_pairs(prof)
-    gains = [
-        dot(a.utility.coeffs, vsub(hi, lo))
-        for a, (hi, lo) in zip(prof.agents, pairs)
-    ]
-    assert all(g > 0 for g in gains)
+    pairs, gains = _diversity_legs(prof)
 
     n = Fraction(prof.n)
     lam, kappa = _rescale_unit(h)
     min_gap = min(kappa - dot(w, lam) for w in prof.society.beliefs.vertices)
-    assert min_gap > 0
-    slack_weight = sum(
-        (dec.alpha[j] * gains[j] for j in range(prof.n) if j != i), _ZERO
-    )
+    if min_gap <= 0:
+        raise InternalError("the separator must cut off every social prior")
+    others = [j for j in range(prof.n) if j != i]
+    slack_weight = sum((dec.alpha[j] * gains[j] for j in others), _ZERO)
     if epsilon is None:
-        if slack_weight == 0:
-            epsilon = _HALF
-        else:
-            bound = dec.alpha[i] * gains[i] * min_gap / (2 * slack_weight)
-            epsilon = min(_HALF, bound / 2)
+        epsilon = _small(dec.alpha[i] * gains[i] * min_gap, slack_weight)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
-    def leg(j: int, t: Fraction) -> Vec:
-        hi, lo = pairs[j]
-        return vscale(_ONE / n, _segment_point(t, hi, lo))
+    def outcome(t_i: Fraction, t_other: Fraction) -> Vec:
+        return _outcome(pairs, [t_i if j == i else t_other for j in range(prof.n)])
 
-    def build_row(t_i: Fraction, others_high: bool) -> Vec:
-        row = leg(i, t_i)
-        t_other = _HALF + epsilon if others_high else _HALF - epsilon
-        for j in range(prof.n):
-            if j != i:
-                row = vadd(row, leg(j, t_other))
-        return row
+    act_f = Act(tuple(outcome(ls, _HALF + epsilon) for ls in lam))
+    act_x = constant_act(outcome(kappa, _HALF - epsilon), prof.states)
 
-    act_f = Act(tuple(build_row(ls, others_high=True) for ls in lam))
-    act_x = constant_act(build_row(kappa, others_high=False), prof.states)
-
-    per_agent = []
-    margin_i = (gains[i] / n) * (dot(p_i, lam) - kappa)
-    direct = expected_utility(prof.agents[i].utility, p_i, act_f) - expected_utility(
-        prof.agents[i].utility, p_i, act_x
-    )
-    assert direct == margin_i and margin_i > 0
-    per_agent.append(AgentMargin(i, p_i, margin_i))
-    for j in range(prof.n):
-        if j == i:
-            continue
-        margin_j = 2 * epsilon * gains[j] / n
-        uf = utility_profile(prof.agents[j].utility, act_f)
-        ux = utility_profile(prof.agents[j].utility, act_x)
-        assert all(a - b == margin_j for a, b in zip(uf, ux)) and margin_j > 0
-        per_agent.append(AgentMargin(j, prof.agents[j].beliefs.vertices[0], margin_j))
+    per_agent = [AgentMargin(i, p_i, (gains[i] / n) * (dot(p_i, lam) - kappa))]
+    per_agent += _bystanders(prof, act_f, act_x, others, gains, epsilon)
     per_agent.sort(key=lambda am: am.agent)
-
-    society_margin = _society_min_margin(prof, act_x, act_f)
-    expected_margin = dec.alpha[i] * (gains[i] / n) * min_gap - 2 * epsilon * slack_weight / n
-    assert society_margin == expected_margin
-    assert society_margin > 0
-    return WitnessCertificate(
-        "lemma1",
-        act_f,
-        act_x,
-        Hyperplane(lam, kappa),
-        {"epsilon": epsilon, "alpha": dec.alpha, "beta": dec.beta},
-        tuple(per_agent),
-        society_margin,
+    society_margin = dec.alpha[i] * (gains[i] / n) * min_gap - 2 * epsilon * slack_weight / n
+    return _certified(
+        prof,
+        WitnessCertificate(
+            "lemma1",
+            act_f,
+            act_x,
+            Hyperplane(lam, kappa),
+            {"epsilon": epsilon, "alpha": dec.alpha, "beta": dec.beta},
+            tuple(per_agent),
+            society_margin,
+        ),
     )
 
 
@@ -334,17 +349,14 @@ def witness_spurious_unanimity(
         p2, prof.agents[i2].beliefs
     ):
         raise PreconditionError("cited priors must belong to the agents' belief sets")
-    pairs = _diversity_pairs(prof)
-    gains = [
-        dot(a.utility.coeffs, vsub(hi, lo))
-        for a, (hi, lo) in zip(prof.agents, pairs)
-    ]
+    pairs, gains = _diversity_legs(prof)
     a1, a2 = dec.alpha[i1], dec.alpha[i2]
     n = Fraction(prof.n)
     m = prof.states
 
     spread = sum((x - y) ** 2 for x, y in zip(p2, p1))
-    assert spread > 0
+    if spread <= 0:
+        raise InternalError("distinct priors must lie apart")
     if epsilon is None:
         epsilon = min(a1, a2) * spread / 4
     if epsilon <= 0:
@@ -366,14 +378,10 @@ def witness_spurious_unanimity(
     phi2_states = [phi2(delta(s, m)) for s in range(m)]
 
     if b is None:
-        limits = []
-        for val in phi1_states:
-            if val != 0:
-                limits.append(gains[i1] / (2 * n * abs(val)))
-        for val in phi2_states:
-            if val != 0:
-                limits.append(gains[i2] / (2 * n * abs(val)))
-        assert limits, "the two state increments cannot both vanish everywhere"
+        limits = [gains[i1] / (2 * n * abs(v)) for v in phi1_states if v != 0]
+        limits += [gains[i2] / (2 * n * abs(v)) for v in phi2_states if v != 0]
+        if not limits:
+            raise InternalError("the two state increments cannot both vanish everywhere")
         b = min(limits) / 2
     if b <= 0:
         raise ValueError("b must be positive")
@@ -381,76 +389,53 @@ def witness_spurious_unanimity(
     others = [j for j in range(prof.n) if j not in (i1, i2)]
     slack_weight = sum((dec.alpha[j] * gains[j] for j in others), _ZERO)
     if nu is None:
-        if slack_weight == 0:
-            nu = _HALF
-        else:
-            bound = n * b * (a1 + a2) * epsilon / (2 * slack_weight)
-            nu = min(_HALF, bound / 2)
+        nu = _small(n * b * (a1 + a2) * epsilon, slack_weight)
     if nu <= 0:
         raise ValueError("nu must be positive")
 
-    def pair_leg(j: int, t: Fraction) -> Vec:
-        hi, lo = pairs[j]
-        return vscale(_ONE / n, _segment_point(t, hi, lo))
+    def outcome(t1: Fraction, t2: Fraction, t_other: Fraction) -> Vec:
+        ts = [t1 if j == i1 else t2 if j == i2 else t_other for j in range(prof.n)]
+        return _outcome(pairs, ts)
 
-    base_x = zero_vec(prof.outcome_dim)
-    for j in (i1, i2):
-        base_x = vadd(base_x, pair_leg(j, _HALF))
-    for j in others:
-        base_x = vadd(base_x, pair_leg(j, _HALF - nu))
-    act_x = constant_act(base_x, m)
+    act_x = constant_act(outcome(_HALF, _HALF, _HALF - nu), m)
+    act_f = Act(
+        tuple(
+            outcome(
+                _HALF + n * b * phi1_states[s] / gains[i1],
+                _HALF + n * b * phi2_states[s] / gains[i2],
+                _HALF + nu,
+            )
+            for s in range(m)
+        )
+    )
+    base_x = act_x.rows[0]
+    for j, phi_states in ((i1, phi1_states), (i2, phi2_states)):
+        coeffs = prof.agents[j].utility.coeffs
+        base = dot(coeffs, base_x)
+        if any(dot(coeffs, row) - base != b * phi for row, phi in zip(act_f.rows, phi_states)):
+            raise InternalError(f"agent {j}'s increments do not track its affine function")
 
-    rows = []
-    for s in range(m):
-        t1 = _HALF + n * b * phi1_states[s] / gains[i1]
-        t2 = _HALF + n * b * phi2_states[s] / gains[i2]
-        row = vadd(pair_leg(i1, t1), pair_leg(i2, t2))
-        for j in others:
-            row = vadd(row, pair_leg(j, _HALF + nu))
-        rows.append(row)
-    act_f = Act(tuple(rows))
-
-    u1 = prof.agents[i1].utility
-    u2 = prof.agents[i2].utility
-    for s in range(m):
-        assert dot(u1.coeffs, act_f.rows[s]) - dot(u1.coeffs, base_x) == b * phi1_states[s]
-        assert dot(u2.coeffs, act_f.rows[s]) - dot(u2.coeffs, base_x) == b * phi2_states[s]
-
-    per_agent = []
-    margin1 = b * phi1(p1)
-    assert margin1 == expected_utility(u1, p1, act_f) - expected_utility(u1, p1, act_x)
-    assert margin1 > 0, "epsilon must stay below its spread bound"
-    per_agent.append(AgentMargin(i1, p1, margin1))
-    margin2 = b * phi2(p2)
-    assert margin2 == expected_utility(u2, p2, act_f) - expected_utility(u2, p2, act_x)
-    assert margin2 > 0
-    per_agent.append(AgentMargin(i2, p2, margin2))
-    for j in others:
-        margin_j = 2 * nu * gains[j] / n
-        uf = utility_profile(prof.agents[j].utility, act_f)
-        ux = utility_profile(prof.agents[j].utility, act_x)
-        assert all(a - x == margin_j for a, x in zip(uf, ux)) and margin_j > 0
-        per_agent.append(AgentMargin(j, prof.agents[j].beliefs.vertices[0], margin_j))
+    per_agent = [AgentMargin(i1, p1, b * phi1(p1)), AgentMargin(i2, p2, b * phi2(p2))]
+    per_agent += _bystanders(prof, act_f, act_x, others, gains, nu)
     per_agent.sort(key=lambda am: am.agent)
-
-    society_margin = _society_min_margin(prof, act_x, act_f)
-    expected_margin = b * (a1 + a2) * epsilon - 2 * nu * slack_weight / n
-    assert society_margin == expected_margin
-    assert society_margin > 0
-    return WitnessCertificate(
-        "spurious-unanimity",
-        act_f,
-        act_x,
-        None,
-        {
-            "epsilon": epsilon,
-            "b": b,
-            "nu": nu,
-            "alpha": dec.alpha,
-            "beta": dec.beta,
-        },
-        tuple(per_agent),
-        society_margin,
+    society_margin = b * (a1 + a2) * epsilon - 2 * nu * slack_weight / n
+    return _certified(
+        prof,
+        WitnessCertificate(
+            "spurious-unanimity",
+            act_f,
+            act_x,
+            None,
+            {
+                "epsilon": epsilon,
+                "b": b,
+                "nu": nu,
+                "alpha": dec.alpha,
+                "beta": dec.beta,
+            },
+            tuple(per_agent),
+            society_margin,
+        ),
     )
 
 

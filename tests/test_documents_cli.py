@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from paretostar import pareto_star_check
+from paretostar import characterizations, pareto_star_check, witnesses
 from paretostar.axioms import AXIOM_CHECKS
 from paretostar.cli import main
 from paretostar.documents import (
@@ -26,11 +26,25 @@ from helpers import scenario1
 F = Fraction
 
 
+SHIPPED_PROFILES = (
+    "common_singleton",
+    "dictator",
+    "example1",
+    "example2",
+    "example2_p08",
+)
+
+
 class TestDocuments:
     def test_profile_round_trip(self, profiles_dir):
         prof = load_profile(profiles_dir / "example1.profile")
         again = profile_from_dict(json.loads(dumps(profile_to_dict(prof)), parse_float=Fraction))
         assert again == prof
+
+    @pytest.mark.parametrize("name", SHIPPED_PROFILES)
+    def test_profile_document_reloads(self, profiles_dir, name):
+        prof = load_profile(profiles_dir / f"{name}.profile")
+        assert profile_from_dict(json.loads(dumps(prof), parse_float=Fraction)) == prof
 
     def test_decimal_strings_parse_exactly(self, profiles_dir):
         prof = load_profile(profiles_dir / "example1.profile")
@@ -192,6 +206,25 @@ class TestCliWitness:
         act_x = Act(tuple(tuple(F(x) for x in row) for row in data["act_x"]["rows"]))
         verdict = AXIOM_CHECKS[data["violates"]](prof, act_x, act_f)
         assert verdict.violation
+
+
+class TestCliInternalError:
+    """A failed internal re-check exits 4 in every run mode, python -O too."""
+
+    def test_missing_separator_exit_4(self, profiles_dir, monkeypatch, capsys):
+        monkeypatch.setattr(characterizations, "separate", lambda points, P: None)
+        code = main(["check", str(profiles_dir / "example2_p08.profile"), "thm2"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_unvalidated_witness_exit_4_and_no_file(self, profiles_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(witnesses, "revalidate", lambda prof, cert: False)
+        out = tmp_path / "w.json"
+        code = main(
+            ["witness", str(profiles_dir / "example2_p08.profile"), "ct-pareto-star", "--out", str(out)]
+        )
+        assert code == 4
+        assert not out.exists()
 
 
 class TestCliPlot:

@@ -1,0 +1,118 @@
+"""Golden documents: the exact bytes of CLI check output and witness files.
+
+`tests/golden/check_machine.json` pins the exit code, stdout and stderr of
+``paretostar check <profile> <tag> --format machine`` for every shipped
+profile and every condition tag; the ``witness_*.json`` files pin three
+witness documents, one per construction.  A change that alters any
+certificate, margin or report byte fails here.
+
+Regenerate (only when a document change is intended, and say so in the
+change log) with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from paretostar.cli import main
+from paretostar.documents import profile_to_dict, save_json
+from paretostar.harness import GenParams, random_profile
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+PROFILES = pathlib.Path(__file__).resolve().parent.parent / "profiles"
+
+CHECK_TAGS = (
+    "thm1",
+    "thm2",
+    "eq1",
+    "eq4",
+    "lemma1",
+    "corollary2",
+    "prop1",
+    "prop2",
+    "seu-existence",
+)
+PROFILE_NAMES = tuple(sorted(p.stem for p in PROFILES.glob("*.profile")))
+
+# The seeded profile is the only one of these whose thm1 failure yields a
+# lemma-1 witness; no shipped profile does.
+SEEDED = GenParams(seed=0, n=2, m=2, d=2, max_vertices=2, society_rule="minkowski")
+WITNESSES = (
+    ("example2_p08", "ct-pareto-star"),
+    ("example1", "spurious-unanimity"),
+    ("seeded", "lemma1"),
+)
+
+
+def run_check(profile_name: str, tag: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    path = PROFILES / f"{profile_name}.profile"
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path), tag, "--format", "machine"])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def profile_path(name: str, tmp: pathlib.Path) -> pathlib.Path:
+    if name == "seeded":
+        path = tmp / "seeded.profile"
+        save_json(path, profile_to_dict(random_profile(SEEDED)))
+        return path
+    return PROFILES / f"{name}.profile"
+
+
+def build_witness(name: str, kind: str, tmp: pathlib.Path) -> str:
+    out = tmp / "witness.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["witness", str(profile_path(name, tmp)), kind, "--out", str(out)])
+    if code != 0:
+        raise AssertionError(f"witness {kind} on {name} exited {code}")
+    return out.read_text(encoding="utf-8")
+
+
+def witness_file(name: str, kind: str) -> pathlib.Path:
+    return GOLDEN / f"witness_{kind}_{name}.json"
+
+
+@pytest.fixture(scope="module")
+def check_golden() -> dict:
+    return json.loads((GOLDEN / "check_machine.json").read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_profile_and_tag(check_golden):
+    assert sorted(check_golden) == sorted(
+        f"{name} {tag}" for name in PROFILE_NAMES for tag in CHECK_TAGS
+    )
+
+
+@pytest.mark.parametrize("name", PROFILE_NAMES)
+def test_check_output_is_byte_identical(check_golden, name):
+    for tag in CHECK_TAGS:
+        assert run_check(name, tag) == check_golden[f"{name} {tag}"], tag
+
+
+@pytest.mark.parametrize("name,kind", WITNESSES)
+def test_witness_file_is_byte_identical(name, kind, tmp_path):
+    expected = witness_file(name, kind).read_text(encoding="utf-8")
+    assert build_witness(name, kind, tmp_path) == expected
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    checks = {
+        f"{name} {tag}": run_check(name, tag) for name in PROFILE_NAMES for tag in CHECK_TAGS
+    }
+    (GOLDEN / "check_machine.json").write_text(
+        json.dumps(checks, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kind in WITNESSES:
+            text = build_witness(name, kind, pathlib.Path(tmp))
+            witness_file(name, kind).write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

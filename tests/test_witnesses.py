@@ -20,8 +20,10 @@ from paretostar import (
     witness_spurious_unanimity,
 )
 from paretostar.axioms import AXIOM_CHECKS
-from paretostar.characterizations import distinct_priors
+from paretostar.characterizations import check_thm1_condition, distinct_priors
+from paretostar.errors import InternalError
 from paretostar.geometry import Hyperplane
+from paretostar.harness import GenParams, random_profile
 from paretostar.witnesses import revalidate
 
 from helpers import interval, scenario1, scenario2, singleton
@@ -202,3 +204,25 @@ class TestSpuriousUnanimity:
             prof, dec, 0, 1, vec(["0.3", "0.7"]), vec(["0.7", "0.3"])
         )
         assert_certified(prof, cert)
+
+
+class TestEveryModeChecks:
+    """Builders re-check their margins in every run mode, python -O too."""
+
+    def test_lemma1_epsilon_past_its_bound_raises(self):
+        prof = random_profile(
+            GenParams(seed=0, n=2, m=2, d=2, max_vertices=2, society_rule="minkowski")
+        )
+        det = check_thm1_condition(prof).details
+        assert det["failure"] == "belief-outside-society"
+        args = (prof, det["decomposition"], det["agent"], det["prior"])
+        assert_certified(prof, witness_lemma1(*args))
+        with pytest.raises(InternalError, match="re-check"):
+            witness_lemma1(*args, epsilon=F(1000))
+
+    def test_spurious_epsilon_past_its_spread_bound_raises(self):
+        prof = scenario1()
+        dec = utilitarian_decompose(prof)
+        p1, p2 = distinct_priors(prof.agents[0].beliefs, prof.agents[1].beliefs)
+        with pytest.raises(InternalError, match="re-check"):
+            witness_spurious_unanimity(prof, dec, 0, 1, p1, p2, epsilon=F(100))
