@@ -22,6 +22,7 @@ from .preferences import (
     Agent,
     Profile,
     bewley_geq,
+    min_margin,
     no_taste_disagreement,
     strict_prior_against,
     utility_profile,
@@ -81,8 +82,7 @@ def _society_conclusion_not_weak(prof: Profile, f: Act, g: Act, certs: dict) -> 
     if witness is not None:
         certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
         return True
-    diff = vsub(utility_profile(soc.utility, f), utility_profile(soc.utility, g))
-    certs["society_weak_margin"] = min(dot(v, diff) for v in soc.beliefs.vertices)
+    certs["society_weak_margin"] = min_margin(soc, f, g)
     return False
 
 

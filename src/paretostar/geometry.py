@@ -61,10 +61,30 @@ def vec(entries) -> Vec:
     return v
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
+def dot_parts(u: Vec, v: Vec) -> tuple[int, int]:
+    """u·v as an unreduced (numerator, denominator) pair, denominator > 0.
+
+    One integer numerator accumulates over a running common denominator (the
+    lcm of the products' denominators); entries may be Fractions or ints.
+    """
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        n = a.numerator * b.numerator
+        if n:
+            d = a.denominator * b.denominator
+            if den % d:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+            else:
+                num += n * (den // d)
+    return num, den
+
+
+def dot(u: Vec, v: Vec) -> Fraction:
+    return Fraction(*dot_parts(u, v))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -478,12 +498,6 @@ def support(P: Polytope, direction: Vec) -> Fraction:
     if is_zero(direction):
         raise ValueError("support direction must be nonzero")
     return max(dot(direction, v) for v in P.vertices)
-
-
-def argmax_vertex(P: Polytope, direction: Vec) -> Vec:
-    """First vertex (in canonical order) attaining the support value."""
-    best = support(P, direction)
-    return next(v for v in P.vertices if dot(direction, v) == best)
 
 
 def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:

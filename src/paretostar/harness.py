@@ -322,9 +322,11 @@ def cross_validate(
         )
 
     cert = witness_for(prof, report, witness_builder)
-    ok = revalidate(prof, cert) and AXIOM_CHECKS[cert.axiom_tag](
-        prof, cert.act_x, cert.act_f
-    ).violation
+    # The built-in builders return only through `revalidate`; a supplied
+    # builder's certificate is re-checked here.
+    ok = (witness_builder is None or revalidate(prof, cert)) and AXIOM_CHECKS[
+        cert.axiom_tag
+    ](prof, cert.act_x, cert.act_f).violation
     if not ok:
         return CrossValidation(
             condition,

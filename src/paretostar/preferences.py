@@ -5,6 +5,12 @@ belief polytope of priors over states.  It weakly prefers act f to act g iff
 the expected utility of f is at least that of g under *every* prior in the
 belief set; since the expected-utility difference is linear in the prior,
 checking the belief vertices is exact and sufficient.
+
+Act evaluation runs on integers.  The gaps u(f(s)) - u(g(s)) of two acts are
+cleared to integers over one denominator (the utility constant cancels), each
+belief vertex's weighted sum of them is one integer numerator whose sign
+decides dominance, and a `Fraction` is built only for a margin that is
+returned.  `utility_profile` and `expected_utility` still return `Fraction`s.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatchError
 from .geometry import (
@@ -19,6 +26,7 @@ from .geometry import (
     Polytope,
     Vec,
     dot,
+    dot_parts,
     frac,
     is_simplex_point,
     is_zero,
@@ -26,7 +34,6 @@ from .geometry import (
     nullspace,
     rref,
     vec,
-    vsub,
     zero_vec,
 )
 
@@ -78,17 +85,6 @@ def act(rows) -> Act:
 def constant_act(outcome, states: int) -> Act:
     row = vec(outcome)
     return Act((row,) * states)
-
-
-def mix_acts(alpha: Fraction, f: Act, g: Act) -> Act:
-    """Statewise convex combination alpha*f + (1-alpha)*g."""
-    beta = _ONE - alpha
-    return Act(
-        tuple(
-            tuple(alpha * a + beta * b for a, b in zip(rf, rg))
-            for rf, rg in zip(f.rows, g.rows)
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -149,15 +145,35 @@ def utility_profile(u: AffineUtility, f: Act) -> Vec:
     return tuple(dot(u.coeffs, row) + u.constant for row in f.rows)
 
 
+def _gaps(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
+    """u(f(s)) - u(g(s)) for every state s, as integers over one denominator.
+
+    The difference is coeffs·(f(s) - g(s)); the utility constant cancels
+    exactly, so it never enters.
+    """
+    if f.states != g.states:
+        raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
+    parts = [dot_parts(u.coeffs, row) for row in f.rows + g.rows]
+    den = lcm(*(d for _, d in parts))
+    scaled = [n * (den // d) for n, d in parts]
+    m = f.states
+    return [a - b for a, b in zip(scaled[:m], scaled[m:])], den
+
+
+def _vertex_gaps(a: Agent, f: Act, g: Act):
+    """(v, n, d) for each belief vertex v, where EU_v(f) - EU_v(g) = n / d, d > 0."""
+    gaps, den = _gaps(a.utility, f, g)
+    for v in a.beliefs.vertices:
+        n, d = dot_parts(v, gaps)
+        yield v, n, d * den
+
+
 def bewley_geq(a: Agent, f: Act, g: Act) -> bool:
     """f weakly dominates g for the agent: EU(f) >= EU(g) under every prior.
 
     The difference is linear in the prior, so the belief vertices decide it.
     """
-    uf = utility_profile(a.utility, f)
-    ug = utility_profile(a.utility, g)
-    diff = vsub(uf, ug)
-    return all(dot(v, diff) >= 0 for v in a.beliefs.vertices)
+    return all(n >= 0 for _, n, _ in _vertex_gaps(a, f, g))
 
 
 def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | None:
@@ -166,14 +182,19 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
     Existence is exactly the failure of ``bewley_geq(a, f, g)``; the first
     such vertex in canonical order is returned.
     """
-    uf = utility_profile(a.utility, f)
-    ug = utility_profile(a.utility, g)
-    diff = vsub(ug, uf)
-    for v in a.beliefs.vertices:
-        margin = dot(v, diff)
-        if margin > 0:
-            return v, margin
+    for v, n, d in _vertex_gaps(a, g, f):
+        if n > 0:
+            return v, Fraction(n, d)
     return None
+
+
+def min_margin(a: Agent, f: Act, g: Act) -> Fraction:
+    """The least EU(f) - EU(g) over the agent's belief vertices."""
+    best_n, best_d = None, 1
+    for _, n, d in _vertex_gaps(a, f, g):
+        if best_n is None or n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return Fraction(best_n, best_d)
 
 
 def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
@@ -184,14 +205,12 @@ def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
 # Taste agreement and profile structure
 # ---------------------------------------------------------------------------
 
-def _span_basis(points: list[Vec]) -> list[Vec]:
-    """RREF basis of span{p - points[0]}."""
-    if len(points) < 2:
-        return []
-    base = points[0]
-    diffs = [list(vsub(p, base)) for p in points[1:]]
-    rows, _ = rref(diffs)
-    return [tuple(r) for r in rows]
+def _taste_on_span(coeffs: Vec, points: tuple[Vec, ...]) -> list[int]:
+    """coeffs·(p - points[0]) for every later point, times one positive integer."""
+    parts = [dot_parts(coeffs, p) for p in points]
+    den = lcm(*(d for _, d in parts))
+    base = parts[0][0] * (den // parts[0][1])
+    return [n * (den // d) - base for n, d in parts[1:]]
 
 
 def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
@@ -199,17 +218,16 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
 
     Restrict every agent's utility gradient to the span of outcome
     differences; the rankings agree iff the restrictions are all zero or all
-    positive multiples of one common nonzero functional.
+    positive multiples of one common nonzero functional.  A functional on the
+    span is fixed by its values on any spanning set, so each restriction is
+    compared through its values on the differences p - p_0 of the acts' rows,
+    cleared to integers: by sign, and by integer cross-products.
     """
     if f.outcome_dim != prof.outcome_dim or g.outcome_dim != prof.outcome_dim:
         raise DimensionMismatchError("acts live in a different outcome space")
-    basis = _span_basis(list(f.rows) + list(g.rows))
-    if not basis:
-        return True
-    restricted = [
-        tuple(dot(a.utility.coeffs, b) for b in basis) for a in prof.agents
-    ]
-    nonzero = [r for r in restricted if not is_zero(r)]
+    points = f.rows + g.rows
+    restricted = [_taste_on_span(a.utility.coeffs, points) for a in prof.agents]
+    nonzero = [r for r in restricted if any(r)]
     if not nonzero:
         return True
     if len(nonzero) < len(restricted):
@@ -217,8 +235,7 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
     ref = nonzero[0]
     k = next(i for i, x in enumerate(ref) if x != 0)
     for r in nonzero[1:]:
-        ratio = r[k] / ref[k]
-        if ratio <= 0 or r != tuple(ratio * x for x in ref):
+        if r[k] * ref[k] <= 0 or any(x * ref[k] != y * r[k] for x, y in zip(r, ref)):
             return False
     return True
 

@@ -23,7 +23,6 @@ from paretostar import (
 from paretostar import geometry
 from paretostar.geometry import (
     LPResult,
-    argmax_vertex,
     convex_weights,
     dot,
     intersect_polytopes,
@@ -100,11 +99,6 @@ class TestSupport:
 
     def test_single_vertex(self):
         assert support(P(["0.3", "0.7"]), vec([2, -1])) == F(-1, 10)
-
-    def test_argmax_vertex_attains_support(self):
-        poly = P(["0.2", "0.8"], ["0.8", "0.2"], ["0.5", "0.5"])
-        d = vec([3, 1])
-        assert dot(d, argmax_vertex(poly, d)) == support(poly, d)
 
 
 class TestLpSolve:

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
 from paretostar import (
     Act,
     Agent,
+    DimensionMismatchError,
     Polytope,
     SplitMix64,
     act,
@@ -21,7 +24,12 @@ from paretostar import (
     vec,
 )
 from paretostar.geometry import dot
-from paretostar.preferences import AffineUtility, utility_rank
+from paretostar.preferences import (
+    AffineUtility,
+    strict_prior_against,
+    utility_profile,
+    utility_rank,
+)
 
 from helpers import REFORM, REFORM_COMMON, STATUS_QUO, interval, scenario1, scenario2, singleton
 
@@ -238,12 +246,34 @@ class TestValidate:
 
 
 class TestActs:
-    def test_mixture_is_entrywise(self):
-        from paretostar.preferences import mix_acts
-
-        mixed = mix_acts(F(1, 4), REFORM, STATUS_QUO)
-        assert mixed.rows[0] == (F(30, 4), F(-70, 4))
-
     def test_translate(self):
         shifted = REFORM.translate((F(1), F(2)))
         assert shifted.rows[1] == (F(-69), F(32))
+
+
+class TestDimensionErrors:
+    """Mismatched shapes raise instead of being truncated by a `zip`."""
+
+    def test_bewley_geq_on_different_state_counts(self):
+        three_states = constant_act([0, 0], 3)
+        with pytest.raises(DimensionMismatchError):
+            bewley_geq(scenario1().agents[0], REFORM, three_states)
+
+    def test_strict_prior_against_with_wrong_vertex_length(self):
+        agent = Agent(utility([1, 0]), Polytope.from_generators([("1/3", "1/3", "1/3")]))
+        with pytest.raises(DimensionMismatchError):
+            strict_prior_against(agent, REFORM, STATUS_QUO)
+
+    def test_rows_of_wrong_outcome_dimension(self):
+        agent = scenario1().agents[0]
+        wide = constant_act([0, 0, 0], 2)
+        with pytest.raises(DimensionMismatchError):
+            bewley_geq(agent, REFORM, wide)
+        with pytest.raises(DimensionMismatchError):
+            bewley_geq(agent, wide, REFORM)
+        with pytest.raises(DimensionMismatchError):
+            utility_profile(agent.utility, wide)
+
+    def test_dot_on_unequal_lengths(self):
+        with pytest.raises(DimensionMismatchError):
+            dot(vec([1, 2]), vec([1, 2, 3]))
