@@ -16,16 +16,16 @@ from fractions import Fraction
 from .errors import MissingSocietyError
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
 # wraps it in every module that binds it, and its smoke test checks this one.
-from .geometry import Vec, dot, lp_solve, max_margin, vsub  # noqa: F401
+from .geometry import Vec, lp_solve, max_margin  # noqa: F401
 from .preferences import (
     Act,
     Agent,
     Profile,
+    _vertex_gaps,
     bewley_geq,
     min_margin,
     no_taste_disagreement,
     strict_prior_against,
-    utility_profile,
 )
 
 _ZERO = Fraction(0)
@@ -142,35 +142,40 @@ def ct_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     return AxiomVerdict("ct-pareto-star", premise, conclusion, certs)
 
 
+def _exchange_gaps(prof: Profile, f: Act, g: Act) -> list[list[tuple[int, int]]]:
+    """Per taste, EU(f) - EU(g) as (n, d) under every agent's belief vertices.
+
+    Columns run holder by holder, each holder's vertices in canonical order;
+    every taste's per-state gaps are cleared to integers once.
+    """
+    vertices = [v for holder in prof.agents for v in holder.beliefs.vertices]
+    return [
+        [(n, d) for _, n, d in _vertex_gaps(a.utility, vertices, f, g)]
+        for a in prof.agents
+    ]
+
+
 def exchange_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """Weak dominance must survive evaluating every taste under every belief set."""
     _society(prof)
     certs: dict = {}
-    diffs = [
-        vsub(utility_profile(a.utility, f), utility_profile(a.utility, g))
-        for a in prof.agents
-    ]
-    premise = all(
-        dot(v, diff) >= 0
-        for holder in prof.agents
-        for v in holder.beliefs.vertices
-        for diff in diffs
-    )
+    premise = all(n >= 0 for row in _exchange_gaps(prof, f, g) for n, _ in row)
     conclusion = _society_conclusion_weak(prof, f, g, certs)
     return AxiomVerdict("exchange-pareto", premise, conclusion, certs)
 
 
-def _exchange_star_prior(agent_diffs: list[Vec], holder: Agent) -> tuple[Vec, Fraction] | None:
+def _exchange_star_prior(
+    values: list[list[Fraction]], holder: Agent
+) -> tuple[Vec, Fraction] | None:
     """A prior in the holder's belief set that strictly favors g for every taste.
 
-    Margin LP over the hull weights mu: maximize t subject to
-    sum_v mu_v * diff_i(v) >= t for every taste i and sum_v mu_v = 1.
+    values[i][k] is taste i's EU(g) - EU(f) under the holder's k-th belief
+    vertex.  Margin LP over the hull weights mu: maximize t subject to
+    sum_k mu_k * values[i][k] >= t for every taste i and sum_k mu_k = 1.
     """
     verts = holder.beliefs.vertices
     nv = len(verts)
-    found = max_margin(
-        [[dot(v, diff) for v in verts] for diff in agent_diffs], [[_ONE] * nv], [_ONE]
-    )
+    found = max_margin(values, [[_ONE] * nv], [_ONE])
     if found is None:
         return None
     mu, margin = found
@@ -189,14 +194,14 @@ def exchange_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """
     _society(prof)
     certs: dict = {}
-    agent_diffs = [
-        vsub(utility_profile(a.utility, g), utility_profile(a.utility, f))
-        for a in prof.agents
-    ]
+    table = [[Fraction(n, d) for n, d in row] for row in _exchange_gaps(prof, g, f)]
     exchange_certs = {}
     premise = True
+    start = 0
     for j, holder in enumerate(prof.agents):
-        found = _exchange_star_prior(agent_diffs, holder)
+        stop = start + len(holder.beliefs.vertices)
+        found = _exchange_star_prior([row[start:stop] for row in table], holder)
+        start = stop
         if found is None:
             premise = False
         else:

@@ -25,6 +25,7 @@ from .errors import (
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
 # wraps it in every module that binds it, and its smoke test checks this one.
 from .geometry import (  # noqa: F401
+    DEFAULT_DIM_CAP,
     Polytope,
     Vec,
     convex_weights,
@@ -35,7 +36,6 @@ from .geometry import (  # noqa: F401
     max_margin,
     separate,
     simplex_standard,
-    solve_linear,
     vadd,
     vscale,
     zero_vec,
@@ -149,26 +149,6 @@ def utilitarian_decompose(
     return Decomposition(alpha, beta)
 
 
-def _unique_decomposition(prof: Profile) -> Decomposition | None:
-    """The only candidate alpha when agent gradients are linearly independent."""
-    soc = _society(prof)
-    d = prof.outcome_dim
-    rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(d)]
-    rhs = [soc.utility.coeffs[k] for k in range(d)]
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    alpha, kernel = sol
-    if kernel:
-        raise InternalError("independent gradients leave no degrees of freedom")
-    if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
-        return None
-    beta = soc.utility.constant - sum(
-        (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
-    )
-    return Decomposition(tuple(alpha), beta)
-
-
 def _subsets(n: int):
     for size in range(1, n + 1):
         yield from itertools.combinations(range(n), size)
@@ -267,7 +247,8 @@ def check_thm1_condition(prof: Profile) -> ConditionReport:
     soc = _society(prof)
     if check_c_diversity(prof) is None:
         raise PreconditionError("profile is not c-diverse; the condition is undefined")
-    dec = _unique_decomposition(prof)
+    # Independent gradients admit at most one alpha, so the LP's is the one.
+    dec = utilitarian_decompose(prof)
     if dec is None:
         return ConditionReport("thm1", False, {"reason": "no-decomposition"})
     support = dec.support
@@ -418,7 +399,7 @@ def check_thm2_condition(
     )
 
 
-def check_corollary2(prof: Profile, dim_cap: int = 6) -> ConditionReport:
+def check_corollary2(prof: Profile, dim_cap: int = DEFAULT_DIM_CAP) -> ConditionReport:
     """(a) the exact intersection of agent beliefs sits inside P0;
     (b) when all agents share one belief set, P0 equals it (mutual inclusion)."""
     soc = _society(prof)

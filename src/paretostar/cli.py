@@ -44,7 +44,8 @@ from .errors import (
     ParetoStarError,
     PreconditionError,
 )
-from .harness import fuzz_axiom
+from .geometry import DEFAULT_DIM_CAP
+from .harness import SAMPLER_TAGS, fuzz_axiom
 from .preferences import expected_utility
 from .witnesses import witness_for
 
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("what", help="axiom or condition tag")
     p_check.add_argument("--acts", help="acts document (f, g) for axiom checks")
     p_check.add_argument("--combo-cap", type=int, default=DEFAULT_COMBO_CAP)
-    p_check.add_argument("--dim-cap", type=int, default=6)
+    p_check.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("axiom", choices=sorted(AXIOM_CHECKS))
     p_fuzz.add_argument("--trials", type=int, default=1000)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--sampler", choices=("general", "common-taste"), default="general")
+    p_fuzz.add_argument("--sampler", choices=SAMPLER_TAGS, default="general")
     p_fuzz.add_argument("--acts", help="acts document planted as trial 0")
     p_fuzz.add_argument("--out", help="write the machine-readable report here")
     common(p_fuzz)

@@ -157,13 +157,10 @@ def profile_from_dict(data) -> Profile:
 
 
 def profile_to_dict(prof: Profile) -> dict:
-    out = {
-        "states": prof.states,
-        "outcome_dim": prof.outcome_dim,
-        "agents": [jsonable(a) for a in prof.agents],
-    }
-    if prof.society is not None:
-        out["society"] = jsonable(prof.society)
+    """The profile document: `jsonable(prof)` without a missing society."""
+    out = jsonable(prof)
+    if prof.society is None:
+        del out["society"]
     return out
 
 

@@ -103,6 +103,11 @@ def vscale(c: Fraction, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
+def segment_point(t: Fraction, high: Vec, low: Vec) -> Vec:
+    """low + t (high - low), entrywise; high and low have the same length."""
+    return tuple(lo + t * (hi - lo) for hi, lo in zip(high, low))
+
+
 def zero_vec(n: int) -> Vec:
     return (_ZERO,) * n
 
@@ -432,6 +437,29 @@ def lp_solve(objective: Vec, constraints: HRep) -> LPResult:
     return LPResult("optimal", point, value)
 
 
+def box_margin(rows: list[Vec], boxed: int) -> tuple[Vec, Fraction] | None:
+    """Maximize t over free x with row·x >= t per row and |x_j| <= 1 for j < boxed.
+
+    Returns (x, t) when the largest margin t is positive, None otherwise.
+    Solved by `lp_solve` over the inequalities -row·x + t <= 0, one per row
+    in order, then x_j <= 1 and -x_j <= 1 for each boxed coordinate j; with
+    Bland's rule that order fixes the optimal vertex returned.
+    """
+    width = len(rows[0]) + 1
+    ineqs: list[tuple[Vec, Fraction]] = [
+        ((*(-x for x in r), _ONE), _ZERO) for r in rows
+    ]
+    for j in range(boxed):
+        for sign in (_ONE, -_ONE):
+            e = [_ZERO] * width
+            e[j] = sign
+            ineqs.append((tuple(e), _ONE))
+    res = lp_solve((_ZERO,) * (width - 1) + (_ONE,), HRep(tuple(ineqs)))
+    if res.status != "optimal" or res.value <= 0:
+        return None
+    return res.point[:-1], res.value
+
+
 # ---------------------------------------------------------------------------
 # Polytopes
 # ---------------------------------------------------------------------------
@@ -515,25 +543,13 @@ def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:
     for p in points:
         if len(p) != d:
             raise DimensionMismatchError("point and polytope dimension differ")
-    # Variables (lam_1..lam_d, kappa, t).
-    ineqs: list[tuple[Vec, Fraction]] = []
-    for v in points:
-        ineqs.append((tuple([*(-x for x in v), _ONE, _ONE]), _ZERO))
-    for w in P.vertices:
-        ineqs.append((tuple([*w, -_ONE, _ONE]), _ZERO))
-    for j in range(d):
-        e = [_ZERO] * (d + 2)
-        e[j] = _ONE
-        ineqs.append((tuple(e), _ONE))
-        e2 = [_ZERO] * (d + 2)
-        e2[j] = -_ONE
-        ineqs.append((tuple(e2), _ONE))
-    objective = tuple([_ZERO] * (d + 1) + [_ONE])
-    res = lp_solve(objective, HRep(tuple(ineqs)))
-    if res.status != "optimal" or res.value <= 0:
+    # Variables (lam_1..lam_d, kappa): lam·v - kappa >= t, kappa - lam·w >= t.
+    found = box_margin(
+        [(*v, -_ONE) for v in points] + [(*(-x for x in w), _ONE) for w in P.vertices], d
+    )
+    if found is None:
         return None
-    lam = res.point[:d]
-    kappa = res.point[d]
+    lam, kappa = found[0][:d], found[0][d]
     h = Hyperplane(lam, kappa)
     # Re-checked by direct evaluation in every run mode, python -O included.
     if not (

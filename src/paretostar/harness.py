@@ -20,7 +20,7 @@ from .characterizations import (
     check_thm2_condition,
 )
 from .errors import MissingSocietyError, PreconditionError
-from .geometry import Polytope, Vec
+from .geometry import Polytope, Vec, segment_point
 from .preferences import (
     Act,
     AffineUtility,
@@ -162,6 +162,11 @@ def random_profile(params: GenParams) -> Profile:
 
 SAMPLER_TAGS = ("general", "common-taste")
 
+# Sampled acts: general outcomes lie in the box [-FUZZ_BOX, FUZZ_BOX], and every
+# sampled entry and segment position has a denominator at most FUZZ_DENOM_BOUND.
+FUZZ_BOX = 5
+FUZZ_DENOM_BOUND = 6
+
 
 def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) -> Act:
     rows = []
@@ -174,11 +179,10 @@ def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) 
 
 def _segment_act(rng: SplitMix64, prof: Profile, pair, denom_bound: int) -> Act:
     x_star, x_low = pair
-    rows = []
-    for _ in range(prof.states):
-        t = rng.unit_fraction(denom_bound)
-        rows.append(tuple(lo + t * (hi - lo) for hi, lo in zip(x_star, x_low)))
-    return Act(tuple(rows))
+    return Act(tuple(
+        segment_point(rng.unit_fraction(denom_bound), x_star, x_low)
+        for _ in range(prof.states)
+    ))
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,6 @@ def fuzz_axiom(
     sampler: str = "general",
     seed: int = 0,
     planted: tuple[tuple[Act, Act], ...] = (),
-    box: int = 5,
-    denom_bound: int = 6,
 ) -> FuzzReport:
     """Sample act pairs, evaluate the axiom, and accumulate a certified report.
 
@@ -243,11 +245,11 @@ def fuzz_axiom(
         if idx < len(planted):
             f, g = planted[idx]
         elif sampler == "general":
-            f = _sample_general(rng, prof, box, denom_bound)
-            g = _sample_general(rng, prof, box, denom_bound)
+            f = _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND)
+            g = _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND)
         else:
-            f = _segment_act(rng, prof, cmin, denom_bound)
-            g = _segment_act(rng, prof, cmin, denom_bound)
+            f = _segment_act(rng, prof, cmin, FUZZ_DENOM_BOUND)
+            g = _segment_act(rng, prof, cmin, FUZZ_DENOM_BOUND)
         verdict = check(prof, f, g)
         if verdict.premise_holds:
             premise_hits += 1

@@ -22,15 +22,14 @@ from math import lcm
 
 from .errors import DimensionMismatchError
 from .geometry import (
-    HRep,
     Polytope,
     Vec,
+    box_margin,
     dot,
     dot_parts,
     frac,
     is_simplex_point,
     is_zero,
-    lp_solve,
     nullspace,
     rref,
     vec,
@@ -145,6 +144,13 @@ def utility_profile(u: AffineUtility, f: Act) -> Vec:
     return tuple(dot(u.coeffs, row) + u.constant for row in f.rows)
 
 
+def _on_rows(coeffs: Vec, rows) -> tuple[list[int], int]:
+    """coeffs·row for every row, as integers over one positive denominator."""
+    parts = [dot_parts(coeffs, row) for row in rows]
+    den = lcm(*(d for _, d in parts))
+    return [n * (den // d) for n, d in parts], den
+
+
 def _gaps(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
     """u(f(s)) - u(g(s)) for every state s, as integers over one denominator.
 
@@ -153,17 +159,15 @@ def _gaps(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
     """
     if f.states != g.states:
         raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
-    parts = [dot_parts(u.coeffs, row) for row in f.rows + g.rows]
-    den = lcm(*(d for _, d in parts))
-    scaled = [n * (den // d) for n, d in parts]
+    values, den = _on_rows(u.coeffs, f.rows + g.rows)
     m = f.states
-    return [a - b for a, b in zip(scaled[:m], scaled[m:])], den
+    return [a - b for a, b in zip(values[:m], values[m:])], den
 
 
-def _vertex_gaps(a: Agent, f: Act, g: Act):
-    """(v, n, d) for each belief vertex v, where EU_v(f) - EU_v(g) = n / d, d > 0."""
-    gaps, den = _gaps(a.utility, f, g)
-    for v in a.beliefs.vertices:
+def _vertex_gaps(u: AffineUtility, vertices, f: Act, g: Act):
+    """(v, n, d) for each prior v, where EU_v(f) - EU_v(g) under u is n / d, d > 0."""
+    gaps, den = _gaps(u, f, g)
+    for v in vertices:
         n, d = dot_parts(v, gaps)
         yield v, n, d * den
 
@@ -173,7 +177,7 @@ def bewley_geq(a: Agent, f: Act, g: Act) -> bool:
 
     The difference is linear in the prior, so the belief vertices decide it.
     """
-    return all(n >= 0 for _, n, _ in _vertex_gaps(a, f, g))
+    return all(n >= 0 for _, n, _ in _vertex_gaps(a.utility, a.beliefs.vertices, f, g))
 
 
 def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | None:
@@ -182,7 +186,7 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
     Existence is exactly the failure of ``bewley_geq(a, f, g)``; the first
     such vertex in canonical order is returned.
     """
-    for v, n, d in _vertex_gaps(a, g, f):
+    for v, n, d in _vertex_gaps(a.utility, a.beliefs.vertices, g, f):
         if n > 0:
             return v, Fraction(n, d)
     return None
@@ -191,7 +195,7 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
 def min_margin(a: Agent, f: Act, g: Act) -> Fraction:
     """The least EU(f) - EU(g) over the agent's belief vertices."""
     best_n, best_d = None, 1
-    for _, n, d in _vertex_gaps(a, f, g):
+    for _, n, d in _vertex_gaps(a.utility, a.beliefs.vertices, f, g):
         if best_n is None or n * best_d < best_n * d:
             best_n, best_d = n, d
     return Fraction(best_n, best_d)
@@ -207,10 +211,9 @@ def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
 
 def _taste_on_span(coeffs: Vec, points: tuple[Vec, ...]) -> list[int]:
     """coeffs·(p - points[0]) for every later point, times one positive integer."""
-    parts = [dot_parts(coeffs, p) for p in points]
-    den = lcm(*(d for _, d in parts))
-    base = parts[0][0] * (den // parts[0][1])
-    return [n * (den // d) - base for n, d in parts[1:]]
+    values, _ = _on_rows(coeffs, points)
+    base = values[0]
+    return [x - base for x in values[1:]]
 
 
 def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
@@ -247,23 +250,10 @@ def check_c_minimal_agreement(prof: Profile) -> tuple[Vec, Vec] | None:
     Found by maximizing the worst agent's gain along a direction in the
     [-1, 1] box; a pair exists iff the optimal margin is positive.
     """
-    d = prof.outcome_dim
-    ineqs: list[tuple[Vec, Fraction]] = []
-    # Variables (delta_1..delta_d, t): maximize t s.t. coeffs_i·delta >= t.
-    for a in prof.agents:
-        ineqs.append((tuple([*(-c for c in a.utility.coeffs), _ONE]), _ZERO))
-    for j in range(d):
-        e = [_ZERO] * (d + 1)
-        e[j] = _ONE
-        ineqs.append((tuple(e), _ONE))
-        e2 = [_ZERO] * (d + 1)
-        e2[j] = -_ONE
-        ineqs.append((tuple(e2), _ONE))
-    res = lp_solve(tuple([_ZERO] * d + [_ONE]), HRep(tuple(ineqs)))
-    if res.status != "optimal" or res.value <= 0:
+    found = box_margin([a.utility.coeffs for a in prof.agents], prof.outcome_dim)
+    if found is None:
         return None
-    direction = res.point[:d]
-    return direction, zero_vec(d)
+    return found[0], zero_vec(prof.outcome_dim)
 
 
 @functools.lru_cache(maxsize=256)

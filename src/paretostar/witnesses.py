@@ -25,6 +25,7 @@ from .geometry import (
     delta,
     dot,
     membership,
+    segment_point,
     separate,
     vadd,
     vscale,
@@ -131,10 +132,6 @@ def _rescale_unit(h: Hyperplane) -> tuple[Vec, Fraction]:
     return lam, kappa
 
 
-def _segment_point(t: Fraction, high: Vec, low: Vec) -> Vec:
-    return vadd(low, vscale(t, vsub(high, low)))
-
-
 # ---------------------------------------------------------------------------
 # Common-taste witness from a failing vertex combo
 # ---------------------------------------------------------------------------
@@ -173,8 +170,8 @@ def witness_ct_pareto_star(
         )
 
     lam, kappa = _rescale_unit(h)
-    act_f = Act(tuple(_segment_point(ls, x_star, x_low) for ls in lam))
-    act_x = constant_act(_segment_point(kappa, x_star, x_low), prof.states)
+    act_f = Act(tuple(segment_point(ls, x_star, x_low) for ls in lam))
+    act_x = constant_act(segment_point(kappa, x_star, x_low), prof.states)
     if not no_taste_disagreement(prof, act_f, act_x):
         raise InternalError("acts on one commonly ranked segment split the agents' tastes")
 
@@ -219,7 +216,7 @@ def _outcome(pairs, ts) -> Vec:
     weight = Fraction(1, len(pairs))
     out = zero_vec(len(pairs[0][0]))
     for (hi, lo), t in zip(pairs, ts):
-        out = vadd(out, vscale(weight, _segment_point(t, hi, lo)))
+        out = vadd(out, vscale(weight, segment_point(t, hi, lo)))
     return out
 
 

@@ -6,14 +6,28 @@ before `dot` moved to one integer numerator over a running common
 denominator and Bewley dominance and taste agreement moved to an integer
 kernel.  They are kept verbatim; the fast path must return the same bool,
 the same vertex and an equal `Fraction` margin on every input.
+
+`exchange_pareto_check`, `_exchange_star_prior` and
+`exchange_pareto_star_check` are the exchange axioms of
+`paretostar.axioms` as they evaluated every taste through
+`utility_profile` in `Fraction`s, before they moved to the integer kernel.
+They are kept verbatim (the society's conclusion still comes from
+`axioms`); the fast path must return an equal `AxiomVerdict`.
 """
 
 from fractions import Fraction
 
+from paretostar.axioms import (
+    AxiomVerdict,
+    _society,
+    _society_conclusion_not_weak,
+    _society_conclusion_weak,
+)
 from paretostar.errors import DimensionMismatchError
-from paretostar.geometry import Vec, is_zero, rref, vsub
+from paretostar.geometry import Vec, is_zero, max_margin, rref, vsub
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -91,3 +105,67 @@ def no_taste_disagreement(prof, f, g) -> bool:
         if ratio <= 0 or r != tuple(ratio * x for x in ref):
             return False
     return True
+
+
+def exchange_pareto_check(prof, f, g) -> AxiomVerdict:
+    """Weak dominance must survive evaluating every taste under every belief set."""
+    _society(prof)
+    certs: dict = {}
+    diffs = [
+        vsub(utility_profile(a.utility, f), utility_profile(a.utility, g))
+        for a in prof.agents
+    ]
+    premise = all(
+        dot(v, diff) >= 0
+        for holder in prof.agents
+        for v in holder.beliefs.vertices
+        for diff in diffs
+    )
+    conclusion = _society_conclusion_weak(prof, f, g, certs)
+    return AxiomVerdict("exchange-pareto", premise, conclusion, certs)
+
+
+def _exchange_star_prior(agent_diffs: list[Vec], holder) -> tuple[Vec, Fraction] | None:
+    """A prior in the holder's belief set that strictly favors g for every taste.
+
+    Margin LP over the hull weights mu: maximize t subject to
+    sum_v mu_v * diff_i(v) >= t for every taste i and sum_v mu_v = 1.
+    """
+    verts = holder.beliefs.vertices
+    nv = len(verts)
+    found = max_margin(
+        [[dot(v, diff) for v in verts] for diff in agent_diffs], [[_ONE] * nv], [_ONE]
+    )
+    if found is None:
+        return None
+    mu, margin = found
+    prior = tuple(
+        sum((mu[j] * verts[j][s] for j in range(nv)), _ZERO)
+        for s in range(len(verts[0]))
+    )
+    return prior, margin
+
+
+def exchange_pareto_star_check(prof, f, g) -> AxiomVerdict:
+    """Society must withhold judgment when a belief exchange makes everyone do so.
+
+    Premise: from every agent's belief set one can pick a prior under which
+    every agent's utility strictly favors g over f.
+    """
+    _society(prof)
+    certs: dict = {}
+    agent_diffs = [
+        vsub(utility_profile(a.utility, g), utility_profile(a.utility, f))
+        for a in prof.agents
+    ]
+    exchange_certs = {}
+    premise = True
+    for j, holder in enumerate(prof.agents):
+        found = _exchange_star_prior(agent_diffs, holder)
+        if found is None:
+            premise = False
+        else:
+            exchange_certs[j] = {"prior": found[0], "margin": found[1]}
+    certs["exchange"] = exchange_certs
+    conclusion = _society_conclusion_not_weak(prof, f, g, certs)
+    return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs)

@@ -13,12 +13,30 @@ representation.
 `lp_solve` (free variables split u - v, explicit -x <= 0 rows), before both
 moved to `geometry.max_margin`.  They are kept verbatim
 (`tests/test_margin_lp.py`).
+
+`separate` and `check_c_minimal_agreement` are those two functions as they
+built their box-bounded margin LPs row by row before both moved to
+`geometry.box_margin` (`check_c_minimal_agreement` without its
+`lru_cache`).  `unique_decomposition` is `characterizations.
+_unique_decomposition`, the linear solve thm1 used for its taste weights
+before it moved to `utilitarian_decompose`.  All three are kept verbatim
+(`tests/test_margin_lp.py`, `tests/test_characterizations.py`).
 """
 
 from fractions import Fraction
 
-from paretostar.errors import DimensionMismatchError
-from paretostar.geometry import HRep, Vec, dot, lp_solve
+from paretostar.characterizations import Decomposition, _society
+from paretostar.errors import DimensionMismatchError, InternalError
+from paretostar.geometry import (
+    HRep,
+    Hyperplane,
+    Polytope,
+    Vec,
+    dot,
+    lp_solve,
+    solve_linear,
+    zero_vec,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -186,3 +204,92 @@ def support_decompose_alpha(prof, support_constraint) -> tuple[Fraction, ...] | 
     for j, i in enumerate(members):
         alpha_list[i] = res.point[j]
     return tuple(alpha_list)
+
+
+def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:
+    """Strictly separating hyperplane (normal, threshold) or None.
+
+    Returns (lam, kappa) with lam·v > kappa for every input point and
+    kappa > lam·w for every vertex w of P, which exists iff the hulls are
+    disjoint.  Decided by maximizing the margin t subject to
+    lam·v >= kappa + t, lam·w <= kappa - t and the box |lam_j| <= 1;
+    separation succeeds iff the optimum is positive.
+    """
+    if not points:
+        raise ValueError("no points to separate")
+    d = P.ambient_dim
+    for p in points:
+        if len(p) != d:
+            raise DimensionMismatchError("point and polytope dimension differ")
+    # Variables (lam_1..lam_d, kappa, t).
+    ineqs: list[tuple[Vec, Fraction]] = []
+    for v in points:
+        ineqs.append((tuple([*(-x for x in v), _ONE, _ONE]), _ZERO))
+    for w in P.vertices:
+        ineqs.append((tuple([*w, -_ONE, _ONE]), _ZERO))
+    for j in range(d):
+        e = [_ZERO] * (d + 2)
+        e[j] = _ONE
+        ineqs.append((tuple(e), _ONE))
+        e2 = [_ZERO] * (d + 2)
+        e2[j] = -_ONE
+        ineqs.append((tuple(e2), _ONE))
+    objective = tuple([_ZERO] * (d + 1) + [_ONE])
+    res = lp_solve(objective, HRep(tuple(ineqs)))
+    if res.status != "optimal" or res.value <= 0:
+        return None
+    lam = res.point[:d]
+    kappa = res.point[d]
+    h = Hyperplane(lam, kappa)
+    # Re-checked by direct evaluation in every run mode, python -O included.
+    if not (
+        all(h.value(v) > kappa for v in points)
+        and all(h.value(w) < kappa for w in P.vertices)
+    ):
+        raise InternalError(f"LP separator {h} does not strictly separate the point sets")
+    return h
+
+
+def check_c_minimal_agreement(prof) -> tuple[Vec, Vec] | None:
+    """A pair (x_star, x_low) every agent strictly prefers in that order.
+
+    Found by maximizing the worst agent's gain along a direction in the
+    [-1, 1] box; a pair exists iff the optimal margin is positive.
+    """
+    d = prof.outcome_dim
+    ineqs: list[tuple[Vec, Fraction]] = []
+    # Variables (delta_1..delta_d, t): maximize t s.t. coeffs_i·delta >= t.
+    for a in prof.agents:
+        ineqs.append((tuple([*(-c for c in a.utility.coeffs), _ONE]), _ZERO))
+    for j in range(d):
+        e = [_ZERO] * (d + 1)
+        e[j] = _ONE
+        ineqs.append((tuple(e), _ONE))
+        e2 = [_ZERO] * (d + 1)
+        e2[j] = -_ONE
+        ineqs.append((tuple(e2), _ONE))
+    res = lp_solve(tuple([_ZERO] * d + [_ONE]), HRep(tuple(ineqs)))
+    if res.status != "optimal" or res.value <= 0:
+        return None
+    direction = res.point[:d]
+    return direction, zero_vec(d)
+
+
+def unique_decomposition(prof) -> Decomposition | None:
+    """The only candidate alpha when agent gradients are linearly independent."""
+    soc = _society(prof)
+    d = prof.outcome_dim
+    rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(d)]
+    rhs = [soc.utility.coeffs[k] for k in range(d)]
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        return None
+    alpha, kernel = sol
+    if kernel:
+        raise InternalError("independent gradients leave no degrees of freedom")
+    if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
+        return None
+    beta = soc.utility.constant - sum(
+        (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
+    )
+    return Decomposition(tuple(alpha), beta)

@@ -2,21 +2,27 @@
 
 `geometry.dot` accumulates one integer numerator over a running common
 denominator; `preferences` decides Bewley dominance on integer per-state
-gaps and compares tastes by integer cross-products.  `act_oracle` holds the
+gaps and compares tastes by integer cross-products, and the exchange axioms
+take their per-vertex gaps from the same kernel.  `act_oracle` holds the
 `Fraction` code they replaced.  Every answer must agree exactly: the same
-bool, the same vertex, and an equal `Fraction` margin.
+bool, the same vertex, an equal `Fraction` margin and an equal verdict.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import act_oracle
 from paretostar import Act, Agent, AffineUtility, Polytope, Profile
+from paretostar.axioms import exchange_pareto_check, exchange_pareto_star_check
+from paretostar.documents import dumps
 from paretostar.geometry import dot
+from paretostar.harness import GenParams, SplitMix64, _segment_act, random_profile
 from paretostar.preferences import (
     bewley_geq,
+    check_c_minimal_agreement,
     min_margin,
     no_taste_disagreement,
     strict_prior_against,
@@ -101,9 +107,9 @@ def _check_profile(prof, f, g):
         _check_agent(a, f, g)
 
 
-def test_seeded_sweep_matches_oracle():
+def _sweep():
+    """400 seeded (profile without society, f, g, u, v) cases."""
     rng = random.Random(20251018)
-    agreements = 0
     for _ in range(400):
         m, d, n = rng.randint(2, 4), rng.randint(1, 4), rng.randint(2, 4)
         agents = tuple(_agent(rng, m, d, c) for c in _tastes(rng, n, d))
@@ -111,12 +117,57 @@ def test_seeded_sweep_matches_oracle():
         shape = rng.choice(("general", "segment", "plane"))
         f = _act(rng, m, d, shape)
         g = _act(rng, m, d, shape) if rng.random() < 0.5 else Act(f.rows[::-1])
+        u, v = tuple(_frac(rng) for _ in range(d)), tuple(_frac(rng) for _ in range(d))
+        yield prof, f, g, u, v
+
+
+def test_seeded_sweep_matches_oracle():
+    agreements = 0
+    for prof, f, g, u, v in _sweep():
         _check_profile(prof, f, g)
         agreements += act_oracle.no_taste_disagreement(prof, f, g)
-        u, v = tuple(_frac(rng) for _ in range(d)), tuple(_frac(rng) for _ in range(d))
         assert dot(u, v) == act_oracle.dot(u, v) and type(dot(u, v)) is Fraction
     # The sweep reaches both answers of the taste check.
     assert 40 < agreements < 360
+
+
+def _check_exchange(prof, f, g):
+    """Both exchange verdicts on (f, g) and (g, f) equal the oracle's, bytes included."""
+    premises = []
+    for x, y in ((f, g), (g, f)):
+        for new, old in (
+            (exchange_pareto_check, act_oracle.exchange_pareto_check),
+            (exchange_pareto_star_check, act_oracle.exchange_pareto_star_check),
+        ):
+            got, want = new(prof, x, y), old(prof, x, y)
+            assert got == want and dumps(got) == dumps(want)
+            premises.append((got.axiom, want.premise_holds))
+    return premises
+
+
+def test_exchange_axioms_match_oracle():
+    premises = Counter()
+    society_rng = random.Random(20251019)
+    for prof, f, g, _, _ in _sweep():
+        society = _agent(society_rng, prof.states, prof.outcome_dim)
+        prof = Profile(prof.states, prof.outcome_dim, prof.agents, society)
+        premises.update(_check_exchange(prof, f, g))
+    # Acts on a commonly ranked segment, where the exchange premises hold often.
+    for seed in range(120):
+        prof = random_profile(GenParams(
+            seed=seed, n=2 + seed % 3, m=2 + (seed // 3) % 2, d=1 + (seed // 7) % 4,
+            max_vertices=1 + (seed // 2) % 3,
+            society_rule=("minkowski", "hull-union", "perturbed")[seed % 3],
+        ))
+        pair = check_c_minimal_agreement(prof)
+        if pair is None:
+            continue
+        rng = SplitMix64(seed)
+        for _ in range(3):
+            f, g = _segment_act(rng, prof, pair, 6), _segment_act(rng, prof, pair, 6)
+            premises.update(_check_exchange(prof, f, g))
+    for axiom in ("exchange-pareto", "exchange-pareto-star"):
+        assert premises[axiom, True] > 150 and premises[axiom, False] > 500, premises
 
 
 _fractions = st.builds(

@@ -1,5 +1,6 @@
 """Representation-level conditions and society construction rules."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from paretostar import (
     Agent,
     Polytope,
     PreconditionError,
+    Profile,
     SplitMix64,
     aggregate_society,
     check_corollary2,
@@ -32,9 +34,11 @@ from paretostar.characterizations import (
     enumerate_combos,
     verify_decomposition,
 )
-from paretostar.geometry import dot, intersect_polytopes
+from paretostar.documents import dumps
+from paretostar.geometry import dot, intersect_polytopes, solve_linear
 from paretostar.harness import GenParams, random_profile
 
+import lp_oracle
 from helpers import interior_point, interval, scenario1, scenario2, singleton
 
 F = Fraction
@@ -377,13 +381,67 @@ class TestInternalChecks:
         with pytest.raises(RuntimeError):
             check_thm2_condition(scenario2(singleton("0.8")))
 
-    def test_leftover_kernel_raises(self, monkeypatch):
-        solve = characterizations.solve_linear
 
-        def with_kernel(rows, rhs):
-            alpha, _ = solve(rows, rhs)
-            return alpha, [tuple(F(1) for _ in alpha)]
+class TestThm1Decomposition:
+    """thm1 takes its taste weights from `utilitarian_decompose`; under
+    c-diversity they must equal the linear solve it used before
+    (`lp_oracle.unique_decomposition`), whatever the society's taste."""
 
-        monkeypatch.setattr(characterizations, "solve_linear", with_kernel)
-        with pytest.raises(RuntimeError):
-            check_thm1_condition(scenario1())
+    @staticmethod
+    def _societies(prof, rng):
+        """The drawn society, then arbitrary, negative-weight and dictator tastes."""
+        yield prof.society
+        d, n = prof.outcome_dim, prof.n
+        coeffs = [a.utility.coeffs for a in prof.agents]
+        pooled = Polytope.from_generators([v for a in prof.agents for v in a.beliefs.vertices])
+        tastes = [tuple(rng.signed_fraction(4, 6) for _ in range(d))]
+        alpha = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+        alpha[rng.randint(0, n - 1)] *= -1
+        tastes.append(tuple(sum(a * c[k] for a, c in zip(alpha, coeffs)) for k in range(d)))
+        dictator = rng.randint(0, n - 1)
+        tastes.append(tuple(F(rng.randint(1, 4)) * x for x in coeffs[dictator]))
+        for taste in tastes:
+            if any(taste):
+                for beliefs in (prof.society.beliefs, pooled):
+                    yield Agent(utility(taste, F(1, 3)), beliefs, "society")
+
+    def test_matches_unique_decomposition(self):
+        outcomes = Counter()
+        rng = SplitMix64(77)
+        for seed in range(400):
+            n = 2 + seed % 2
+            params = GenParams(
+                seed=seed, n=n, m=2 + (seed // 2) % 2, d=n + (seed // 4) % 2,
+                max_vertices=1 + (seed // 8) % 3,
+                society_rule=("minkowski", "hull-union", "perturbed")[seed % 3],
+            )
+            base = random_profile(params)
+            if seed % 5 == 0:
+                # Every agent on one shared single prior.
+                shared = base.agents[0].beliefs.vertices[:1]
+                base = profile(
+                    [Agent(a.utility, Polytope(shared), a.name) for a in base.agents],
+                    Agent(base.society.utility, Polytope(shared), "society"),
+                )
+            for society in self._societies(base, rng):
+                prof = Profile(base.states, base.outcome_dim, base.agents, society)
+                try:
+                    report = check_thm1_condition(prof)
+                except PreconditionError:
+                    break
+                want = lp_oracle.unique_decomposition(prof)
+                assert utilitarian_decompose(prof) == want
+                if want is None:
+                    assert not report.holds and report.details == {"reason": "no-decomposition"}
+                    rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(prof.outcome_dim)]
+                    spanned = solve_linear(rows, list(society.utility.coeffs)) is not None
+                    outcomes["negative-weight" if spanned else "outside-span"] += 1
+                else:
+                    got = report.details["decomposition"]
+                    assert got == want and dumps(got) == dumps(want)
+                    outcomes[report.details.get("clause") or report.details["failure"]] += 1
+        floors = {
+            "negative-weight": 500, "outside-span": 300, "two-positive-weights": 50,
+            "belief-outside-society": 50, "common-single-prior": 50, "taste-dictator": 5,
+        }
+        assert all(outcomes[kind] > floor for kind, floor in floors.items()), outcomes

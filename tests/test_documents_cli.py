@@ -11,6 +11,7 @@ from paretostar.cli import main
 from paretostar.documents import (
     dumps,
     format_decimal,
+    jsonable,
     load_acts,
     load_profile,
     profile_from_dict,
@@ -45,6 +46,29 @@ class TestDocuments:
     def test_profile_document_reloads(self, profiles_dir, name):
         prof = load_profile(profiles_dir / f"{name}.profile")
         assert profile_from_dict(json.loads(dumps(prof), parse_float=Fraction)) == prof
+
+    def test_profile_document_is_unchanged(self, profiles_dir):
+        """`profile_to_dict` writes what it wrote as a hand-built dict."""
+
+        def hand_built(prof):
+            out = {
+                "states": prof.states,
+                "outcome_dim": prof.outcome_dim,
+                "agents": [jsonable(a) for a in prof.agents],
+            }
+            if prof.society is not None:
+                out["society"] = jsonable(prof.society)
+            return out
+
+        profs = [load_profile(profiles_dir / f"{name}.profile") for name in SHIPPED_PROFILES]
+        for seed in range(40):
+            rule = ("minkowski", "hull-union", "perturbed", "none")[seed % 4]
+            profs.append(random_profile(GenParams(seed=seed, n=2 + seed % 3, society_rule=rule)))
+        assert sum(prof.society is None for prof in profs) >= 10
+        for prof in profs:
+            doc = profile_to_dict(prof)
+            assert doc == hand_built(prof) and dumps(doc) == dumps(hand_built(prof))
+            assert ("society" in doc) == (prof.society is not None)
 
     def test_decimal_strings_parse_exactly(self, profiles_dir):
         prof = load_profile(profiles_dir / "example1.profile")

@@ -23,12 +23,14 @@ from paretostar import (
 from paretostar import geometry
 from paretostar.geometry import (
     LPResult,
+    box_margin,
     convex_weights,
     dot,
     intersect_polytopes,
     nullspace,
     rank,
     rref,
+    segment_point,
     solve_linear,
 )
 
@@ -87,6 +89,30 @@ class TestSeparate:
         monkeypatch.setattr(geometry, "lp_solve", lambda objective, constraints: bad)
         with pytest.raises(RuntimeError, match="does not strictly separate"):
             separate([vec(["0.9", "0.1"])], P(["0.2", "0.8"], ["0.8", "0.2"]))
+
+
+class TestBoxMargin:
+    def test_known_margin(self):
+        # x1 >= t and x2 - x1 >= t give x2 >= 2t; the box caps x2 at 1, so
+        # t = 1/2, attained only at x = (1/2, 1).
+        x, t = box_margin([(F(1), F(0)), (F(-1), F(1))], 2)
+        assert (x, t) == ((F(1, 2), F(1)), F(1, 2))
+
+    def test_opposed_rows_have_no_margin(self):
+        assert box_margin([(F(1),), (F(-1),)], 1) is None
+
+    def test_unboxed_coordinate_stays_free(self):
+        # x1 - x2 >= t and x2 >= t with only x1 boxed: t = 1/2 at (1, 1/2).
+        x, t = box_margin([(F(1), F(-1)), (F(0), F(1))], 1)
+        assert (x, t) == ((F(1), F(1, 2)), F(1, 2))
+
+
+class TestSegmentPoint:
+    def test_ends_and_midpoint(self):
+        high, low = vec([3, "1/2"]), vec([-1, 0])
+        assert segment_point(F(0), high, low) == low
+        assert segment_point(F(1), high, low) == high
+        assert segment_point(F(1, 4), high, low) == (F(0), F(1, 8))
 
 
 class TestSupport:

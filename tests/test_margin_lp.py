@@ -1,14 +1,17 @@
-"""Differential tests: `geometry.max_margin` callers against the old `lp_solve` LPs.
+"""Differential tests: the margin-LP builders against the old hand-built LPs.
 
 `axioms._exchange_star_prior` and the support branch of
 `utilitarian_decompose` used to build their margin LPs over free variables
 through `lp_solve`; both now run `max_margin` over nonnegative columns.
-The old formulations are kept verbatim in `tests/lp_oracle.py`, and every
-certificate must come out exactly equal: the same prior and margin, the same
-alpha, the same None.
+`separate` and `check_c_minimal_agreement` built their box-bounded margin
+LPs row by row; both now call `geometry.box_margin`.  The old formulations
+are kept verbatim in `tests/lp_oracle.py`, and every certificate must come
+out exactly equal: the same prior and margin, the same alpha, the same
+hyperplane and direction pair, the same None.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,8 @@ import lp_oracle
 from paretostar import Agent, Polytope, profile, utility
 from paretostar.axioms import _exchange_star_prior
 from paretostar.characterizations import utilitarian_decompose
-from paretostar.geometry import max_margin, vsub
+from paretostar.documents import dumps
+from paretostar.geometry import max_margin, separate, vsub
 from paretostar.harness import (
     GenParams,
     SplitMix64,
@@ -25,7 +29,7 @@ from paretostar.harness import (
     _segment_act,
     random_profile,
 )
-from paretostar.preferences import check_c_minimal_agreement, utility_profile
+from paretostar.preferences import _vertex_gaps, check_c_minimal_agreement, utility_profile
 
 F = Fraction
 RULES = ("minkowski", "hull-union", "perturbed")
@@ -77,13 +81,38 @@ def test_exchange_star_priors_match_oracle():
                 for a in prof.agents
             ]
             for holder in (*prof.agents, prof.society):
-                new = _exchange_star_prior(diffs, holder)
+                values = [
+                    [F(n, d) for _, n, d in _vertex_gaps(a.utility, holder.beliefs.vertices, g, f)]
+                    for a in prof.agents
+                ]
+                new = _exchange_star_prior(values, holder)
                 old = lp_oracle.exchange_star_prior(diffs, holder)
                 assert new == old, (seed, f, g)
                 compared += 1
                 positive += old is not None
     assert compared > 2000
     assert positive > 300
+
+
+def test_box_margin_lps_match_oracle():
+    """`separate` and `check_c_minimal_agreement` give the old hyperplanes and pairs."""
+    separations = Counter()
+    pairs = Counter()
+    for seed, prof in seeded_profiles(240):
+        want = lp_oracle.check_c_minimal_agreement(prof)
+        assert check_c_minimal_agreement.__wrapped__(prof) == want, seed
+        pairs[want is not None] += 1
+        soc = prof.society.beliefs
+        cases = [(list(a.beliefs.vertices), soc) for a in prof.agents]
+        cases += [([v], soc) for a in prof.agents for v in a.beliefs.vertices]
+        cases += [(list(soc.vertices), a.beliefs) for a in prof.agents]
+        cases.append(([v for a in prof.agents for v in a.beliefs.vertices], soc))
+        for points, P in cases:
+            got, want = separate(points, P), lp_oracle.separate(points, P)
+            assert got == want and dumps(got) == dumps(want), (seed, points)
+            separations[want is not None] += 1
+    assert pairs[True] > 100 and pairs[False] > 30, pairs
+    assert separations[True] > 1000 and separations[False] > 1000, separations
 
 
 def test_support_boundary_cases_match_oracle():
