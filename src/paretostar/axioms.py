@@ -21,11 +21,11 @@ from .preferences import (
     Act,
     Agent,
     Profile,
+    _least_margin,
+    _on_pair,
+    _strict_prior,
+    _tastes_agree,
     _vertex_gaps,
-    bewley_geq,
-    min_margin,
-    no_taste_disagreement,
-    strict_prior_against,
 )
 
 _ZERO = Fraction(0)
@@ -65,33 +65,43 @@ def _society(prof: Profile) -> Agent:
     return prof.society
 
 
-def _society_conclusion_weak(prof: Profile, f: Act, g: Act, certs: dict) -> bool:
+def _evaluations(prof: Profile, f: Act, g: Act) -> list[tuple[list[int], int]]:
+    """Every agent's taste, then the society's, on the rows of f and g, once per
+    check; every premise and conclusion below reads these values."""
+    return [_on_pair(a.utility, f, g) for a in (*prof.agents, _society(prof))]
+
+
+def _unanimous_weak(prof: Profile, tastes) -> bool:
+    """Every agent weakly prefers f to g."""
+    return all(_strict_prior(a.beliefs.vertices, t) is None for a, t in zip(prof.agents, tastes))
+
+
+def _society_conclusion_weak(prof: Profile, values, certs: dict) -> bool:
     """Conclusion 'f >=_0 g'. On failure stores the society's strict witness."""
-    soc = _society(prof)
-    witness = strict_prior_against(soc, f, g)
+    witness = _strict_prior(prof.society.beliefs.vertices, values)
     if witness is None:
         return True
     certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
     return False
 
 
-def _society_conclusion_not_weak(prof: Profile, f: Act, g: Act, certs: dict) -> bool:
+def _society_conclusion_not_weak(prof: Profile, values, certs: dict) -> bool:
     """Conclusion 'not f >=_0 g'. Stores the strict witness or the weak margin."""
-    soc = _society(prof)
-    witness = strict_prior_against(soc, f, g)
+    vertices = prof.society.beliefs.vertices
+    witness = _strict_prior(vertices, values)
     if witness is not None:
         certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
         return True
-    certs["society_weak_margin"] = min_margin(soc, f, g)
+    certs["society_weak_margin"] = _least_margin(vertices, values)
     return False
 
 
-def _star_premise(prof: Profile, f: Act, g: Act, certs: dict) -> bool:
+def _star_premise(prof: Profile, tastes, certs: dict) -> bool:
     """Every agent declines to rank f weakly above g, each with a certificate."""
     agent_certs = {}
     ok = True
-    for i, a in enumerate(prof.agents):
-        witness = strict_prior_against(a, f, g)
+    for i, (a, values) in enumerate(zip(prof.agents, tastes)):
+        witness = _strict_prior(a.beliefs.vertices, values)
         if witness is None:
             ok = False
         else:
@@ -102,65 +112,61 @@ def _star_premise(prof: Profile, f: Act, g: Act, certs: dict) -> bool:
 
 def pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """If every agent weakly prefers f to g, society must as well."""
-    _society(prof)
+    *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    premise = all(bewley_geq(a, f, g) for a in prof.agents)
-    conclusion = _society_conclusion_weak(prof, f, g, certs)
+    premise = _unanimous_weak(prof, tastes)
+    conclusion = _society_conclusion_weak(prof, soc, certs)
     return AxiomVerdict("pareto", premise, conclusion, certs)
 
 
 def pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """If no agent weakly prefers f to g, society must not either."""
-    _society(prof)
+    *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    premise = _star_premise(prof, f, g, certs)
-    conclusion = _society_conclusion_not_weak(prof, f, g, certs)
+    premise = _star_premise(prof, tastes, certs)
+    conclusion = _society_conclusion_not_weak(prof, soc, certs)
     return AxiomVerdict("pareto-star", premise, conclusion, certs)
 
 
 def ct_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """Unanimous weak preference binds society only without taste disagreement."""
-    _society(prof)
+    *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    taste_ok = no_taste_disagreement(prof, f, g)
+    taste_ok = _tastes_agree(tastes)
     certs["taste_agreement"] = taste_ok
-    premise = taste_ok and all(bewley_geq(a, f, g) for a in prof.agents)
-    conclusion = _society_conclusion_weak(prof, f, g, certs)
+    premise = taste_ok and _unanimous_weak(prof, tastes)
+    conclusion = _society_conclusion_weak(prof, soc, certs)
     return AxiomVerdict("ct-pareto", premise, conclusion, certs)
 
 
 def ct_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """Unanimous withheld judgment binds society only without taste disagreement."""
-    _society(prof)
+    *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    taste_ok = no_taste_disagreement(prof, f, g)
+    taste_ok = _tastes_agree(tastes)
     certs["taste_agreement"] = taste_ok
-    premise = _star_premise(prof, f, g, certs) if taste_ok else False
+    premise = _star_premise(prof, tastes, certs) if taste_ok else False
     if not taste_ok:
         certs["agents"] = {}
-    conclusion = _society_conclusion_not_weak(prof, f, g, certs)
+    conclusion = _society_conclusion_not_weak(prof, soc, certs)
     return AxiomVerdict("ct-pareto-star", premise, conclusion, certs)
 
 
-def _exchange_gaps(prof: Profile, f: Act, g: Act) -> list[list[tuple[int, int]]]:
+def _exchange_gaps(prof: Profile, tastes) -> list[list[tuple[int, int]]]:
     """Per taste, EU(f) - EU(g) as (n, d) under every agent's belief vertices.
 
-    Columns run holder by holder, each holder's vertices in canonical order;
-    every taste's per-state gaps are cleared to integers once.
+    Columns run holder by holder, each holder's vertices in canonical order.
     """
     vertices = [v for holder in prof.agents for v in holder.beliefs.vertices]
-    return [
-        [(n, d) for _, n, d in _vertex_gaps(a.utility, vertices, f, g)]
-        for a in prof.agents
-    ]
+    return [[(n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
 
 
 def exchange_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """Weak dominance must survive evaluating every taste under every belief set."""
-    _society(prof)
+    *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    premise = all(n >= 0 for row in _exchange_gaps(prof, f, g) for n, _ in row)
-    conclusion = _society_conclusion_weak(prof, f, g, certs)
+    premise = all(n >= 0 for row in _exchange_gaps(prof, tastes) for n, _ in row)
+    conclusion = _society_conclusion_weak(prof, soc, certs)
     return AxiomVerdict("exchange-pareto", premise, conclusion, certs)
 
 
@@ -192,9 +198,9 @@ def exchange_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     Premise: from every agent's belief set one can pick a prior under which
     every agent's utility strictly favors g over f.
     """
-    _society(prof)
+    *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    table = [[Fraction(n, d) for n, d in row] for row in _exchange_gaps(prof, g, f)]
+    table = [[Fraction(-n, d) for n, d in row] for row in _exchange_gaps(prof, tastes)]
     exchange_certs = {}
     premise = True
     start = 0
@@ -207,7 +213,7 @@ def exchange_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
         else:
             exchange_certs[j] = {"prior": found[0], "margin": found[1]}
     certs["exchange"] = exchange_certs
-    conclusion = _society_conclusion_not_weak(prof, f, g, certs)
+    conclusion = _society_conclusion_not_weak(prof, soc, certs)
     return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs)
 
 

@@ -11,6 +11,7 @@ single-prior-society existence check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,6 +218,8 @@ def check_eq1_dght1(prof: Profile) -> ConditionReport:
     """Some decomposition puts its support inside agents whose belief sets all
     contain the social one (vertex memberships, enumerated over supports)."""
     soc = _society(prof)
+    # Each agent's memberships are computed at most once per call.
+    hull = functools.cache(lambda i: _hull_weights(soc.beliefs.vertices, prof.agents[i].beliefs))
     tried = []
     for M in _subsets(prof.n):
         dec = utilitarian_decompose(prof, M)
@@ -225,7 +228,7 @@ def check_eq1_dght1(prof: Profile) -> ConditionReport:
         memberships = {}
         ok = True
         for i in M:
-            weights, outside = _hull_weights(soc.beliefs.vertices, prof.agents[i].beliefs)
+            weights, outside = hull(i)
             if outside is not None:
                 ok = False
                 break

@@ -104,8 +104,17 @@ def vscale(c: Fraction, u: Vec) -> Vec:
 
 
 def segment_point(t: Fraction, high: Vec, low: Vec) -> Vec:
-    """low + t (high - low), entrywise; high and low have the same length."""
-    return tuple(lo + t * (hi - lo) for hi, lo in zip(high, low))
+    """low + t (high - low), entrywise; high and low have the same length.
+
+    Each entry is one `Fraction` built from integers (entries may be ints).
+    """
+    tn, td = t.numerator, t.denominator
+    return tuple(
+        Fraction(lo.numerator * hi.denominator * td
+                 + tn * (hi.numerator * lo.denominator - lo.numerator * hi.denominator),
+                 lo.denominator * hi.denominator * td)
+        for hi, lo in zip(high, low)
+    )
 
 
 def zero_vec(n: int) -> Vec:

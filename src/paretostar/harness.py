@@ -195,12 +195,8 @@ class FuzzReport:
     digest: str
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def _fmt_act(f: Act) -> str:
-    return ";".join(",".join(_fmt_fraction(v) for v in row) for row in f.rows)
+    return ";".join(",".join(map(str, row)) for row in f.rows)
 
 
 def fuzz_axiom(

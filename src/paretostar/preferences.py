@@ -151,25 +151,43 @@ def _on_rows(coeffs: Vec, rows) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in parts], den
 
 
-def _gaps(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
-    """u(f(s)) - u(g(s)) for every state s, as integers over one denominator.
-
-    The difference is coeffs·(f(s) - g(s)); the utility constant cancels
-    exactly, so it never enters.
-    """
+def _on_pair(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
+    """u's gradient on every row of f, then of g: the one evaluation of a taste."""
     if f.states != g.states:
         raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
-    values, den = _on_rows(u.coeffs, f.rows + g.rows)
-    m = f.states
-    return [a - b for a, b in zip(values[:m], values[m:])], den
+    if f.outcome_dim != u.dim or g.outcome_dim != u.dim:
+        raise DimensionMismatchError("acts live in a different outcome space")
+    return _on_rows(u.coeffs, f.rows + g.rows)
 
 
-def _vertex_gaps(u: AffineUtility, vertices, f: Act, g: Act):
-    """(v, n, d) for each prior v, where EU_v(f) - EU_v(g) under u is n / d, d > 0."""
-    gaps, den = _gaps(u, f, g)
+def _vertex_gaps(vertices, values: tuple[list[int], int]):
+    """(v, n, d) per prior v, EU_v(f) - EU_v(g) = n / d with d > 0, from `_on_pair`.
+
+    The per-state gap is coeffs·(f(s) - g(s)); the utility constant cancels.
+    """
+    nums, den = values
+    m = len(nums) // 2
+    gaps = [a - b for a, b in zip(nums[:m], nums[m:])]
     for v in vertices:
         n, d = dot_parts(v, gaps)
         yield v, n, d * den
+
+
+def _strict_prior(vertices, values) -> tuple[Vec, Fraction] | None:
+    """The first vertex under which g strictly beats f, with its margin."""
+    for v, n, d in _vertex_gaps(vertices, values):
+        if n < 0:
+            return v, Fraction(-n, d)
+    return None
+
+
+def _least_margin(vertices, values) -> Fraction:
+    """The least EU(f) - EU(g) over the vertices."""
+    best_n, best_d = None, 1
+    for _, n, d in _vertex_gaps(vertices, values):
+        if best_n is None or n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return Fraction(best_n, best_d)
 
 
 def bewley_geq(a: Agent, f: Act, g: Act) -> bool:
@@ -177,7 +195,7 @@ def bewley_geq(a: Agent, f: Act, g: Act) -> bool:
 
     The difference is linear in the prior, so the belief vertices decide it.
     """
-    return all(n >= 0 for _, n, _ in _vertex_gaps(a.utility, a.beliefs.vertices, f, g))
+    return _strict_prior(a.beliefs.vertices, _on_pair(a.utility, f, g)) is None
 
 
 def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | None:
@@ -186,19 +204,12 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
     Existence is exactly the failure of ``bewley_geq(a, f, g)``; the first
     such vertex in canonical order is returned.
     """
-    for v, n, d in _vertex_gaps(a.utility, a.beliefs.vertices, g, f):
-        if n > 0:
-            return v, Fraction(n, d)
-    return None
+    return _strict_prior(a.beliefs.vertices, _on_pair(a.utility, f, g))
 
 
 def min_margin(a: Agent, f: Act, g: Act) -> Fraction:
     """The least EU(f) - EU(g) over the agent's belief vertices."""
-    best_n, best_d = None, 1
-    for _, n, d in _vertex_gaps(a.utility, a.beliefs.vertices, f, g):
-        if best_n is None or n * best_d < best_n * d:
-            best_n, best_d = n, d
-    return Fraction(best_n, best_d)
+    return _least_margin(a.beliefs.vertices, _on_pair(a.utility, f, g))
 
 
 def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
@@ -209,11 +220,20 @@ def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
 # Taste agreement and profile structure
 # ---------------------------------------------------------------------------
 
-def _taste_on_span(coeffs: Vec, points: tuple[Vec, ...]) -> list[int]:
-    """coeffs·(p - points[0]) for every later point, times one positive integer."""
-    values, _ = _on_rows(coeffs, points)
-    base = values[0]
-    return [x - base for x in values[1:]]
+def _tastes_agree(evaluations) -> bool:
+    """Taste agreement from each taste's `_on_rows` values on the rows of f, then g."""
+    restricted = [[x - nums[0] for x in nums[1:]] for nums, _ in evaluations]
+    nonzero = [r for r in restricted if any(r)]
+    if not nonzero:
+        return True
+    if len(nonzero) < len(restricted):
+        return False
+    ref = nonzero[0]
+    k = next(i for i, x in enumerate(ref) if x != 0)
+    for r in nonzero[1:]:
+        if r[k] * ref[k] <= 0 or any(x * ref[k] != y * r[k] for x, y in zip(r, ref)):
+            return False
+    return True
 
 
 def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
@@ -229,18 +249,7 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
     if f.outcome_dim != prof.outcome_dim or g.outcome_dim != prof.outcome_dim:
         raise DimensionMismatchError("acts live in a different outcome space")
     points = f.rows + g.rows
-    restricted = [_taste_on_span(a.utility.coeffs, points) for a in prof.agents]
-    nonzero = [r for r in restricted if any(r)]
-    if not nonzero:
-        return True
-    if len(nonzero) < len(restricted):
-        return False
-    ref = nonzero[0]
-    k = next(i for i, x in enumerate(ref) if x != 0)
-    for r in nonzero[1:]:
-        if r[k] * ref[k] <= 0 or any(x * ref[k] != y * r[k] for x, y in zip(r, ref)):
-            return False
-    return True
+    return _tastes_agree([_on_rows(a.utility.coeffs, points) for a in prof.agents])
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,18 +11,25 @@ the same vertex and an equal `Fraction` margin on every input.
 `exchange_pareto_star_check` are the exchange axioms of
 `paretostar.axioms` as they evaluated every taste through
 `utility_profile` in `Fraction`s, before they moved to the integer kernel.
-They are kept verbatim (the society's conclusion still comes from
-`axioms`); the fast path must return an equal `AxiomVerdict`.
+They are kept verbatim; the fast path must return an equal `AxiomVerdict`.
+
+`pareto_check`, `pareto_star_check`, `ct_pareto_check`,
+`ct_pareto_star_check` and their helpers `_society_conclusion_weak`,
+`_society_conclusion_not_weak` and `_star_premise` are those of
+`paretostar.axioms` as they called one `preferences` function per quantity,
+evaluating each taste on the acts once per call of it, before every check
+evaluated each taste once.  Their bodies are kept verbatim (the type
+annotations are dropped), bound here to the `Fraction` functions above
+(`min_margin` is the least `dot(v, diff)` over the belief vertices, as it
+was computed before the integer kernel), so all six verdicts have an
+oracle that shares no act evaluation with the package.
+`segment_point` is `paretostar.geometry.segment_point` as it was written
+with three `Fraction` operations per entry.
 """
 
 from fractions import Fraction
 
-from paretostar.axioms import (
-    AxiomVerdict,
-    _society,
-    _society_conclusion_not_weak,
-    _society_conclusion_weak,
-)
+from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
 from paretostar.geometry import Vec, is_zero, max_margin, rref, vsub
 
@@ -68,6 +75,17 @@ def strict_prior_against(a, f, g) -> tuple[Vec, Fraction] | None:
     return None
 
 
+def min_margin(a, f, g) -> Fraction:
+    """The least EU(f) - EU(g) over the agent's belief vertices."""
+    diff = vsub(utility_profile(a.utility, f), utility_profile(a.utility, g))
+    return min(dot(v, diff) for v in a.beliefs.vertices)
+
+
+def segment_point(t: Fraction, high: Vec, low: Vec) -> Vec:
+    """low + t (high - low), entrywise; high and low have the same length."""
+    return tuple(lo + t * (hi - lo) for hi, lo in zip(high, low))
+
+
 def _span_basis(points: list[Vec]) -> list[Vec]:
     """RREF basis of span{p - points[0]}."""
     if len(points) < 2:
@@ -105,6 +123,83 @@ def no_taste_disagreement(prof, f, g) -> bool:
         if ratio <= 0 or r != tuple(ratio * x for x in ref):
             return False
     return True
+
+
+def _society_conclusion_weak(prof, f, g, certs: dict) -> bool:
+    """Conclusion 'f >=_0 g'. On failure stores the society's strict witness."""
+    soc = _society(prof)
+    witness = strict_prior_against(soc, f, g)
+    if witness is None:
+        return True
+    certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
+    return False
+
+
+def _society_conclusion_not_weak(prof, f, g, certs: dict) -> bool:
+    """Conclusion 'not f >=_0 g'. Stores the strict witness or the weak margin."""
+    soc = _society(prof)
+    witness = strict_prior_against(soc, f, g)
+    if witness is not None:
+        certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
+        return True
+    certs["society_weak_margin"] = min_margin(soc, f, g)
+    return False
+
+
+def _star_premise(prof, f, g, certs: dict) -> bool:
+    """Every agent declines to rank f weakly above g, each with a certificate."""
+    agent_certs = {}
+    ok = True
+    for i, a in enumerate(prof.agents):
+        witness = strict_prior_against(a, f, g)
+        if witness is None:
+            ok = False
+        else:
+            agent_certs[i] = {"prior": witness[0], "margin": witness[1]}
+    certs["agents"] = agent_certs
+    return ok
+
+
+def pareto_check(prof, f, g) -> AxiomVerdict:
+    """If every agent weakly prefers f to g, society must as well."""
+    _society(prof)
+    certs: dict = {}
+    premise = all(bewley_geq(a, f, g) for a in prof.agents)
+    conclusion = _society_conclusion_weak(prof, f, g, certs)
+    return AxiomVerdict("pareto", premise, conclusion, certs)
+
+
+def pareto_star_check(prof, f, g) -> AxiomVerdict:
+    """If no agent weakly prefers f to g, society must not either."""
+    _society(prof)
+    certs: dict = {}
+    premise = _star_premise(prof, f, g, certs)
+    conclusion = _society_conclusion_not_weak(prof, f, g, certs)
+    return AxiomVerdict("pareto-star", premise, conclusion, certs)
+
+
+def ct_pareto_check(prof, f, g) -> AxiomVerdict:
+    """Unanimous weak preference binds society only without taste disagreement."""
+    _society(prof)
+    certs: dict = {}
+    taste_ok = no_taste_disagreement(prof, f, g)
+    certs["taste_agreement"] = taste_ok
+    premise = taste_ok and all(bewley_geq(a, f, g) for a in prof.agents)
+    conclusion = _society_conclusion_weak(prof, f, g, certs)
+    return AxiomVerdict("ct-pareto", premise, conclusion, certs)
+
+
+def ct_pareto_star_check(prof, f, g) -> AxiomVerdict:
+    """Unanimous withheld judgment binds society only without taste disagreement."""
+    _society(prof)
+    certs: dict = {}
+    taste_ok = no_taste_disagreement(prof, f, g)
+    certs["taste_agreement"] = taste_ok
+    premise = _star_premise(prof, f, g, certs) if taste_ok else False
+    if not taste_ok:
+        certs["agents"] = {}
+    conclusion = _society_conclusion_not_weak(prof, f, g, certs)
+    return AxiomVerdict("ct-pareto-star", premise, conclusion, certs)
 
 
 def exchange_pareto_check(prof, f, g) -> AxiomVerdict:
@@ -169,3 +264,13 @@ def exchange_pareto_star_check(prof, f, g) -> AxiomVerdict:
     certs["exchange"] = exchange_certs
     conclusion = _society_conclusion_not_weak(prof, f, g, certs)
     return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs)
+
+
+AXIOM_CHECKS = {
+    "pareto": pareto_check,
+    "pareto-star": pareto_star_check,
+    "ct-pareto": ct_pareto_check,
+    "ct-pareto-star": ct_pareto_star_check,
+    "exchange-pareto": exchange_pareto_check,
+    "exchange-pareto-star": exchange_pareto_star_check,
+}

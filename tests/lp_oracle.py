@@ -21,11 +21,23 @@ built their box-bounded margin LPs row by row before both moved to
 _unique_decomposition`, the linear solve thm1 used for its taste weights
 before it moved to `utilitarian_decompose`.  All three are kept verbatim
 (`tests/test_margin_lp.py`, `tests/test_characterizations.py`).
+
+`check_eq1_dght1` is `characterizations.check_eq1_dght1` as it computed an
+agent's hull weights again for every support containing the agent, before
+it computed them once per call; kept verbatim
+(`tests/test_characterizations.py`).
 """
 
 from fractions import Fraction
 
-from paretostar.characterizations import Decomposition, _society
+from paretostar.characterizations import (
+    ConditionReport,
+    Decomposition,
+    _hull_weights,
+    _society,
+    _subsets,
+    utilitarian_decompose,
+)
 from paretostar.errors import DimensionMismatchError, InternalError
 from paretostar.geometry import (
     HRep,
@@ -37,6 +49,7 @@ from paretostar.geometry import (
     solve_linear,
     zero_vec,
 )
+from paretostar.preferences import Profile
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -293,3 +306,30 @@ def unique_decomposition(prof) -> Decomposition | None:
         (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
     )
     return Decomposition(tuple(alpha), beta)
+
+
+def check_eq1_dght1(prof: Profile) -> ConditionReport:
+    """Some decomposition puts its support inside agents whose belief sets all
+    contain the social one (vertex memberships, enumerated over supports)."""
+    soc = _society(prof)
+    tried = []
+    for M in _subsets(prof.n):
+        dec = utilitarian_decompose(prof, M)
+        if dec is None:
+            continue
+        memberships = {}
+        ok = True
+        for i in M:
+            weights, outside = _hull_weights(soc.beliefs.vertices, prof.agents[i].beliefs)
+            if outside is not None:
+                ok = False
+                break
+            memberships.update(((i, w), mu) for w, mu in weights.items())
+        if ok:
+            return ConditionReport(
+                "eq1",
+                True,
+                {"support": M, "decomposition": dec, "memberships": memberships},
+            )
+        tried.append(M)
+    return ConditionReport("eq1", False, {"feasible_supports": tried})

@@ -3,9 +3,11 @@
 `geometry.dot` accumulates one integer numerator over a running common
 denominator; `preferences` decides Bewley dominance on integer per-state
 gaps and compares tastes by integer cross-products, and the exchange axioms
-take their per-vertex gaps from the same kernel.  `act_oracle` holds the
-`Fraction` code they replaced.  Every answer must agree exactly: the same
-bool, the same vertex, an equal `Fraction` margin and an equal verdict.
+take their per-vertex gaps from the same kernel; every axiom check
+evaluates each taste on the two acts once.  `geometry.segment_point` builds
+each entry from integers.  `act_oracle` holds the `Fraction` code they
+replaced.  Every answer must agree exactly: the same bool, the same vertex,
+an equal `Fraction` margin and an equal verdict, dumped bytes included.
 """
 
 import random
@@ -16,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import act_oracle
 from paretostar import Act, Agent, AffineUtility, Polytope, Profile
-from paretostar.axioms import exchange_pareto_check, exchange_pareto_star_check
+from paretostar.axioms import AXIOM_CHECKS
 from paretostar.documents import dumps
-from paretostar.geometry import dot
+from paretostar.geometry import dot, segment_point
 from paretostar.harness import GenParams, SplitMix64, _segment_act, random_profile
 from paretostar.preferences import (
     bewley_geq,
@@ -86,18 +88,12 @@ def _same_margin(new, old):
     assert new[1] == old[1] and type(new[1]) is Fraction
 
 
-def _oracle_min_margin(a, f, g):
-    diff = [x - y for x, y in zip(act_oracle.utility_profile(a.utility, f),
-                                  act_oracle.utility_profile(a.utility, g))]
-    return min(act_oracle.dot(v, diff) for v in a.beliefs.vertices)
-
-
 def _check_agent(a, f, g):
     for x, y in ((f, g), (g, f)):
         assert bewley_geq(a, x, y) == act_oracle.bewley_geq(a, x, y)
         _same_margin(strict_prior_against(a, x, y), act_oracle.strict_prior_against(a, x, y))
         margin = min_margin(a, x, y)
-        assert margin == _oracle_min_margin(a, x, y) and type(margin) is Fraction
+        assert margin == act_oracle.min_margin(a, x, y) and type(margin) is Fraction
     assert utility_profile(a.utility, f) == act_oracle.utility_profile(a.utility, f)
 
 
@@ -131,28 +127,16 @@ def test_seeded_sweep_matches_oracle():
     assert 40 < agreements < 360
 
 
-def _check_exchange(prof, f, g):
-    """Both exchange verdicts on (f, g) and (g, f) equal the oracle's, bytes included."""
-    premises = []
-    for x, y in ((f, g), (g, f)):
-        for new, old in (
-            (exchange_pareto_check, act_oracle.exchange_pareto_check),
-            (exchange_pareto_star_check, act_oracle.exchange_pareto_star_check),
-        ):
-            got, want = new(prof, x, y), old(prof, x, y)
-            assert got == want and dumps(got) == dumps(want)
-            premises.append((got.axiom, want.premise_holds))
-    return premises
-
-
-def test_exchange_axioms_match_oracle():
-    premises = Counter()
+def _sweep_with_society():
+    """The seeded sweep's cases, each profile given a drawn society."""
     society_rng = random.Random(20251019)
     for prof, f, g, _, _ in _sweep():
         society = _agent(society_rng, prof.states, prof.outcome_dim)
-        prof = Profile(prof.states, prof.outcome_dim, prof.agents, society)
-        premises.update(_check_exchange(prof, f, g))
-    # Acts on a commonly ranked segment, where the exchange premises hold often.
+        yield Profile(prof.states, prof.outcome_dim, prof.agents, society), f, g
+
+
+def _segment_cases():
+    """Acts on a commonly ranked segment, where the unanimity premises hold often."""
     for seed in range(120):
         prof = random_profile(GenParams(
             seed=seed, n=2 + seed % 3, m=2 + (seed // 3) % 2, d=1 + (seed // 7) % 4,
@@ -164,10 +148,56 @@ def test_exchange_axioms_match_oracle():
             continue
         rng = SplitMix64(seed)
         for _ in range(3):
-            f, g = _segment_act(rng, prof, pair, 6), _segment_act(rng, prof, pair, 6)
-            premises.update(_check_exchange(prof, f, g))
-    for axiom in ("exchange-pareto", "exchange-pareto-star"):
-        assert premises[axiom, True] > 150 and premises[axiom, False] > 500, premises
+            yield prof, _segment_act(rng, prof, pair, 6), _segment_act(rng, prof, pair, 6)
+
+
+def _check_axioms(prof, f, g, seen):
+    """All six verdicts on (f, g) and (g, f) equal the oracle's, bytes included."""
+    for x, y in ((f, g), (g, f)):
+        for tag, check in AXIOM_CHECKS.items():
+            got, want = check(prof, x, y), act_oracle.AXIOM_CHECKS[tag](prof, x, y)
+            assert got == want and dumps(got) == dumps(want), (tag, x, y)
+            seen[tag, "premise", want.premise_holds] += 1
+            if "taste_agreement" in want.certificates:
+                seen[tag, "taste", want.certificates["taste_agreement"]] += 1
+
+
+def test_all_axioms_match_oracle():
+    seen = Counter()
+    for prof, f, g in _sweep_with_society():
+        _check_axioms(prof, f, g, seen)
+        # Acts that differ in the first row only: the taste restriction must
+        # keep that row's difference from the others.
+        _check_axioms(prof, f, Act(g.rows[:1] + f.rows[1:]), seen)
+    for prof, f, g in _segment_cases():
+        _check_axioms(prof, f, g, seen)
+    for tag in AXIOM_CHECKS:
+        assert seen[tag, "premise", True] > 150 and seen[tag, "premise", False] > 500, seen
+    for tag in ("ct-pareto", "ct-pareto-star"):
+        assert seen[tag, "taste", True] > 400 and seen[tag, "taste", False] > 400, seen
+
+
+def test_segment_point_matches_old_formula():
+    rng = random.Random(20251020)
+    cases = [
+        (F(0), (F(3), F(-1, 2)), (F(-7, 3), F(5))),
+        (F(1), (F(3), F(-1, 2)), (F(-7, 3), F(5))),
+        (F(2, 3), (4, -2, 0), (-1, 5, 0)),
+        (F(5, 6), (F(1, 4), 2), (F(1, 4), 2)),
+        (F(1, 2), (F(-9, 4), F(-1, 6)), (F(-9, 4), F(-1, 6))),
+    ]
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        high = tuple(_frac(rng) if rng.random() < 0.7 else rng.randint(-9, 9) for _ in range(d))
+        low = high if rng.random() < 0.1 else tuple(_frac(rng) for _ in range(d))
+        t = F(rng.randint(0, 6), rng.randint(1, 6))
+        cases.append((t, high, low))
+    for t, high, low in cases:
+        got = segment_point(t, high, low)
+        assert got == act_oracle.segment_point(t, high, low), (t, high, low)
+        assert all(type(x) is Fraction for x in got)
+    assert segment_point(F(0), (F(3), 1), (F(-2), 4)) == (F(-2), F(4))
+    assert segment_point(F(1), (F(3), 1), (F(-2), 4)) == (F(3), F(1))
 
 
 _fractions = st.builds(

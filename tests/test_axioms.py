@@ -6,6 +6,7 @@ import pytest
 
 from paretostar import (
     Agent,
+    DimensionMismatchError,
     MissingSocietyError,
     SplitMix64,
     act,
@@ -239,3 +240,27 @@ class TestInvariants:
             g = act([[rng.randint(-4, 4), rng.randint(-4, 4)] for _ in range(2)])
             for checkfn in AXIOM_CHECKS.values():
                 revalidate_certs(prof, f, g, checkfn(prof, f, g))
+
+
+class TestDimensionErrors:
+    """Mismatched act shapes raise from every check instead of being truncated."""
+
+    WIDE = constant_act([0, 0, 0], 2)
+    THREE_STATES = constant_act([0, 0], 3)
+
+    @pytest.mark.parametrize("tag", sorted(AXIOM_CHECKS))
+    def test_every_check_rejects_mismatched_acts(self, tag):
+        check = AXIOM_CHECKS[tag]
+        pairs = (
+            (REFORM, self.WIDE),
+            (self.WIDE, REFORM),
+            (self.WIDE, self.WIDE),
+            (REFORM, self.THREE_STATES),
+            (self.THREE_STATES, REFORM),
+            (REFORM_COMMON, self.THREE_STATES),
+        )
+        # Conflicting tastes and one common taste: both taste-agreement answers.
+        for prof in (scenario1(), scenario2(interval("0.2", "0.8"))):
+            for f, g in pairs:
+                with pytest.raises(DimensionMismatchError):
+                    check(prof, f, g)

@@ -91,6 +91,47 @@ class TestEq1:
             )
             assert recon == w
 
+    def test_matches_oracle_with_each_agents_hull_once(self, monkeypatch):
+        """Reports equal the old per-support computation
+        (`lp_oracle.check_eq1_dght1`), and each agent's hull weights are
+        computed at most once per call."""
+        new_calls, old_calls = Counter(), Counter()
+
+        def counting(calls, original):
+            def wrapper(points, P):
+                calls[id(P)] += 1
+                return original(points, P)
+            return wrapper
+
+        monkeypatch.setattr(
+            characterizations, "_hull_weights", counting(new_calls, characterizations._hull_weights)
+        )
+        monkeypatch.setattr(lp_oracle, "_hull_weights", counting(old_calls, lp_oracle._hull_weights))
+        holds = Counter()
+        repeated = 0
+        for seed in range(90):
+            # d < n often: several supports decompose the society's taste.
+            base = random_profile(GenParams(
+                seed=seed, n=2 + seed % 3, m=2 + (seed // 3) % 2, d=1 + seed % 3,
+                max_vertices=1 + (seed // 2) % 3,
+                society_rule=("minkowski", "hull-union", "perturbed")[seed % 3],
+            ))
+            # The drawn society, then one sharing a vertex of one agent's set.
+            vertex = Polytope(base.agents[seed % base.n].beliefs.vertices[:1])
+            for beliefs in (base.society.beliefs, vertex):
+                society = Agent(base.society.utility, beliefs, "society")
+                prof = Profile(base.states, base.outcome_dim, base.agents, society)
+                new_calls.clear()
+                old_calls.clear()
+                got, want = check_eq1_dght1(prof), lp_oracle.check_eq1_dght1(prof)
+                assert got == want and dumps(got) == dumps(want), seed
+                assert all(count == 1 for count in new_calls.values()), seed
+                assert set(new_calls) == set(old_calls)
+                repeated += sum(old_calls.values()) > len(old_calls)
+                holds[got.holds] += 1
+        # Both answers, and many calls where the old route repeated an agent.
+        assert holds[True] > 15 and holds[False] > 50 and repeated > 60, (holds, repeated)
+
 
 class TestThm1:
     def test_common_singleton_prior_passes(self):

@@ -3,8 +3,11 @@
 `tests/golden/check_machine.json` pins the exit code, stdout and stderr of
 ``paretostar check <profile> <tag> --format machine`` for every shipped
 profile and every condition tag; the ``witness_*.json`` files pin three
-witness documents, one per construction.  A change that alters any
-certificate, margin or report byte fails here.
+witness documents, one per construction; `tests/golden/fuzz_reports.json`
+pins the dumped `fuzz_axiom` report (digest, premise hits and every
+certified violation) of 300 seeded trials for every shipped profile with a
+society, every axiom and every sampler the profile admits.  A change that
+alters any certificate, margin, report byte or fuzz digest fails here.
 
 Regenerate (only when a document change is intended, and say so in the
 change log) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -15,12 +18,15 @@ import io
 import json
 import pathlib
 import tempfile
+import warnings
 
 import pytest
 
+from paretostar.axioms import AXIOM_CHECKS
 from paretostar.cli import main
-from paretostar.documents import profile_to_dict, save_json
-from paretostar.harness import GenParams, random_profile
+from paretostar.documents import dumps, load_profile, profile_to_dict, save_json
+from paretostar.harness import SAMPLER_TAGS, GenParams, fuzz_axiom, random_profile
+from paretostar.preferences import check_c_minimal_agreement
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 PROFILES = pathlib.Path(__file__).resolve().parent.parent / "profiles"
@@ -73,6 +79,30 @@ def build_witness(name: str, kind: str, tmp: pathlib.Path) -> str:
     return out.read_text(encoding="utf-8")
 
 
+FUZZ_TRIALS = 300
+FUZZ_SEED = 7
+
+
+def fuzz_reports(name: str) -> dict:
+    """Dumped fuzz reports of one shipped profile, keyed "axiom sampler"."""
+    prof = load_profile(PROFILES / f"{name}.profile")
+    if prof.society is None:
+        return {}
+    samplers = [
+        s for s in SAMPLER_TAGS
+        if s != "common-taste" or check_c_minimal_agreement(prof) is not None
+    ]
+    reports = {}
+    with warnings.catch_warnings():
+        # The general sampler warns on the common-taste axioms; pinned anyway.
+        warnings.simplefilter("ignore")
+        for axiom in AXIOM_CHECKS:
+            for sampler in samplers:
+                report = fuzz_axiom(prof, axiom, FUZZ_TRIALS, sampler, seed=FUZZ_SEED)
+                reports[f"{axiom} {sampler}"] = dumps(report)
+    return reports
+
+
 def witness_file(name: str, kind: str) -> pathlib.Path:
     return GOLDEN / f"witness_{kind}_{name}.json"
 
@@ -94,6 +124,24 @@ def test_check_output_is_byte_identical(check_golden, name):
         assert run_check(name, tag) == check_golden[f"{name} {tag}"], tag
 
 
+@pytest.fixture(scope="module")
+def fuzz_golden() -> dict:
+    return json.loads((GOLDEN / "fuzz_reports.json").read_text(encoding="utf-8"))
+
+
+def test_fuzz_golden_covers_every_profile_with_a_society(fuzz_golden):
+    with_society = [
+        name for name in PROFILE_NAMES
+        if load_profile(PROFILES / f"{name}.profile").society is not None
+    ]
+    assert with_society and sorted(fuzz_golden) == with_society
+
+
+@pytest.mark.parametrize("name", PROFILE_NAMES)
+def test_fuzz_reports_are_byte_identical(fuzz_golden, name):
+    assert fuzz_reports(name) == fuzz_golden.get(name, {})
+
+
 @pytest.mark.parametrize("name,kind", WITNESSES)
 def test_witness_file_is_byte_identical(name, kind, tmp_path):
     expected = witness_file(name, kind).read_text(encoding="utf-8")
@@ -107,6 +155,10 @@ def regenerate() -> None:
     }
     (GOLDEN / "check_machine.json").write_text(
         json.dumps(checks, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    fuzz = {name: reports for name in PROFILE_NAMES if (reports := fuzz_reports(name))}
+    (GOLDEN / "fuzz_reports.json").write_text(
+        json.dumps(fuzz, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     with tempfile.TemporaryDirectory() as tmp:
         for name, kind in WITNESSES:

@@ -29,7 +29,12 @@ from paretostar.harness import (
     _segment_act,
     random_profile,
 )
-from paretostar.preferences import _vertex_gaps, check_c_minimal_agreement, utility_profile
+from paretostar.preferences import (
+    _on_pair,
+    _vertex_gaps,
+    check_c_minimal_agreement,
+    utility_profile,
+)
 
 F = Fraction
 RULES = ("minkowski", "hull-union", "perturbed")
@@ -81,8 +86,9 @@ def test_exchange_star_priors_match_oracle():
                 for a in prof.agents
             ]
             for holder in (*prof.agents, prof.society):
+                verts = holder.beliefs.vertices
                 values = [
-                    [F(n, d) for _, n, d in _vertex_gaps(a.utility, holder.beliefs.vertices, g, f)]
+                    [F(n, d) for _, n, d in _vertex_gaps(verts, _on_pair(a.utility, g, f))]
                     for a in prof.agents
                 ]
                 new = _exchange_star_prior(values, holder)
