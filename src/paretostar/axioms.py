@@ -29,7 +29,6 @@ from .preferences import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def _exchange_star_prior(
     """
     verts = holder.beliefs.vertices
     nv = len(verts)
-    found = max_margin(values, [[_ONE] * nv], [_ONE])
+    found = max_margin(values, [[1] * nv], [1])
     if found is None:
         return None
     mu, margin = found

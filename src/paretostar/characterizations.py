@@ -30,7 +30,6 @@ from .geometry import (  # noqa: F401
     Polytope,
     Vec,
     convex_weights,
-    delta,
     feasible_nonneg,
     intersect_polytopes,
     lp_solve,
@@ -50,7 +49,6 @@ from .preferences import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_COMBO_CAP = 100_000
 
@@ -118,7 +116,7 @@ def utilitarian_decompose(
     if support_constraint is None:
         rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(d)]
         rhs = [soc.utility.coeffs[k] for k in range(d)]
-        status, z, _ = simplex_standard(rows, rhs, [-_ONE] * n)
+        status, z, _ = simplex_standard(rows, rhs, [-1] * n)
         if status != "optimal" or all(x == 0 for x in z):
             return None
         alpha = tuple(z)
@@ -130,14 +128,11 @@ def utilitarian_decompose(
         # alpha_i >= t and w >= t, so t is capped at 1.
         nm = len(members)
         eqs = [
-            [prof.agents[i].utility.coeffs[k] for i in members] + [_ZERO]
+            [prof.agents[i].utility.coeffs[k] for i in members] + [0]
             for k in range(d)
         ]
-        found = max_margin(
-            [delta(j, nm + 1) for j in range(nm + 1)],
-            eqs + [delta(nm, nm + 1)],
-            [*soc.utility.coeffs, _ONE],
-        )
+        units = [[int(j == k) for k in range(nm + 1)] for j in range(nm + 1)]
+        found = max_margin(units, eqs + units[-1:], [*soc.utility.coeffs, 1])
         if found is None:
             return None
         alpha_list = [_ZERO] * n
@@ -186,9 +181,9 @@ def combo_meets(combo: tuple[Vec, ...], P0: Polytope) -> tuple[Vec, ...] | None:
     rows = []
     for s in range(m):
         rows.append([c[s] for c in combo] + [-v[s] for v in w])
-    rows.append([_ONE] * n + [_ZERO] * len(w))
-    rows.append([_ZERO] * n + [_ONE] * len(w))
-    z = feasible_nonneg(rows, [_ZERO] * m + [_ONE, _ONE])
+    rows.append([1] * n + [0] * len(w))
+    rows.append([0] * n + [1] * len(w))
+    z = feasible_nonneg(rows, [0] * m + [1, 1])
     if z is None:
         return None
     return tuple(z[:n]), tuple(z[n:])
@@ -457,17 +452,17 @@ def check_seu_existence(
     for c_idx, combo in enumerate(combos):
         off = m + n * c_idx
         for s in range(m):
-            row = [_ZERO] * nvars
-            row[s] = -_ONE
+            row = [0] * nvars
+            row[s] = -1
             for i in range(n):
                 row[off + i] = combo[i][s]
             rows.append(row)
-            rhs.append(_ZERO)
-        row = [_ZERO] * nvars
+            rhs.append(0)
+        row = [0] * nvars
         for i in range(n):
-            row[off + i] = _ONE
+            row[off + i] = 1
         rows.append(row)
-        rhs.append(_ONE)
+        rhs.append(1)
     z = feasible_nonneg(rows, rhs)
     if z is None:
         return None

@@ -2,11 +2,12 @@
 
 Everything in this module is exact rational arithmetic; there are no
 tolerances and no floating point anywhere.  Values in and out are
-`fractions.Fraction`s.  The simplex pivots an integer tableau over one
-positive common denominator and builds `Fraction`s only for the point and
-value it returns.  Strict conditions ("is there a point strictly on one
-side?") are decided by margin-maximization LPs: the strict system is
-feasible iff the optimal margin is positive, which is an exact comparison.
+`fractions.Fraction`s.  The simplex and `rref` share one integer pivot:
+each row keeps its own positive denominator, a pivot rewrites only the rows
+it changes, and `Fraction`s are built only for what is returned.  Strict
+conditions ("is there a point strictly on one side?") are decided by
+margin-maximization LPs: the strict system is feasible iff the optimal
+margin is positive, which is an exact comparison.
 
 Conventions
 -----------
@@ -149,29 +150,33 @@ def delta(s: int, m: int) -> Vec:
 # ---------------------------------------------------------------------------
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns).
+
+    Each row is scaled to integers and Gauss-Jordan runs through `_pivot`;
+    a pivoted row over its own denominator has pivot entry 1.
+    """
+    if not rows:
         return [], []
-    width = len(mat[0])
+    mat = []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        mat.append([s * x.numerator // x.denominator for x in row])
+    dens = [1] * len(mat)
+    d = 1
     pivots: list[int] = []
     r = 0
-    for col in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+    for col in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = _ONE / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        dens[r], dens[pivot_row] = dens[pivot_row], dens[r]
+        d = _pivot(mat, dens, d, r, col)
         pivots.append(col)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [[Fraction(a, q) for a in row] for row, q in zip(mat[:r], dens)], pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
@@ -252,40 +257,41 @@ class LPResult:
     value: Fraction | None = None
 
 
-def _pivot(tab, basis, d, row, col):
-    """Pivot on tab[row][col] and return the new common denominator.
+def _pivot(tab, dens, d, row, col):
+    """Pivot on tab[row][col] and return the new denominator `d`.
 
-    Every row of `tab` (the constraint rows with their rhs as last entry, then
-    the reduced-cost row) holds integers over the positive common denominator
-    `d`.  Integer-preserving update (Edmonds 1967; Bareiss 1968): every other
-    row becomes (p*a - f*r) // d, an exact division; the pivot row stays as it
-    is and the pivot p becomes the denominator.  A negative p negates every
-    row, so the denominator stays positive and signs keep their meaning.
+    Row i of `tab` holds integers over its own positive denominator dens[i],
+    that of the pivot which last rewrote it; `d` is that of the last pivot.
+    Integer-preserving update (Edmonds 1967; Bareiss 1968), done lazily: the
+    pivot row is first brought up to `d` and negated if its pivot p is
+    negative, then every row with a nonzero entry f in `col` becomes
+    (p*a - f*r) // dens[i], an exact division equal to the row an eager
+    update over one common denominator would hold.  Rows with f = 0 keep
+    their values and are not rewritten.  The pivot becomes the denominator
+    of every row it rewrote.
     """
     pr = tab[row]
-    p = pr[col]
+    if dens[row] != d:
+        pr = [a * d // dens[row] for a in pr]
+    if pr[col] < 0:
+        pr = [-a for a in pr]
+    tab[row] = pr
+    p = dens[row] = pr[col]
     for i, r in enumerate(tab):
-        if i == row:
-            continue
         f = r[col]
-        if f:
-            tab[i] = [(p * a - f * b) // d for a, b in zip(r, pr)]
-        elif p != d:
-            tab[i] = [p * a // d for a in r]
-    basis[row] = col
-    if p < 0:
-        tab[:] = [[-a for a in r] for r in tab]
-        return -p
+        if f and i != row:
+            tab[i] = [(p * a - f * b) // dens[i] for a, b in zip(r, pr)]
+            dens[i] = p
     return p
 
 
-def _bland_loop(tab, basis, d, n):
+def _bland_loop(tab, dens, basis, d, n):
     """Maximize until no structural column has positive reduced cost.
 
     Returns ("optimal" | "unbounded", denominator).  Bland's rule: entering =
     smallest eligible column index, leaving = smallest basis index among
     ratio ties.  Ratios rhs/coef are compared by cross-multiplication; both
-    sides share the denominator, which cancels.
+    entries of a ratio share their row's denominator, which cancels.
     """
     while True:
         zrow = tab[-1]
@@ -305,7 +311,8 @@ def _bland_loop(tab, basis, d, n):
                     best, num, den = i, r[-1], coef
         if best is None:
             return "unbounded", d
-        d = _pivot(tab, basis, d, best, enter)
+        d = _pivot(tab, dens, d, best, enter)
+        basis[best] = enter
 
 
 def simplex_standard(
@@ -315,12 +322,13 @@ def simplex_standard(
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Maximize objective·z subject to rows·z = rhs, z >= 0 (exact, two-phase).
 
-    The tableau is kept in integers over one common denominator.  Rows with a
-    negative rhs are negated, then every row and the rhs are multiplied by
-    the lcm of all their denominators: one scale for all rows, so the
-    phase-1 reduced costs keep their signs and Bland's rule picks the pivots
-    a `Fraction` tableau would.  Only the returned point and value are
-    `Fraction`s.
+    The tableau is kept in integers, each row over its own positive
+    denominator (see `_pivot`).  Rows with a negative rhs are negated, then
+    every row and the rhs are multiplied by the lcm of all their
+    denominators: one scale for all rows, so the phase-1 reduced costs keep
+    their signs and Bland's rule picks the pivots a `Fraction` tableau
+    would.  Entries may be ints or `Fraction`s; only the returned point and
+    value are `Fraction`s.
     """
     m = len(rows)
     n = len(objective)
@@ -339,9 +347,11 @@ def simplex_standard(
     # columns never enter, so only their basis indices are kept.
     basis = [n + i for i in range(m)]
     tab.append([sum(c) for c in zip(*tab)] if m else [0] * (n + 1))
-    _, d = _bland_loop(tab, basis, 1, n)
+    dens = [1] * (m + 1)
+    _, d = _bland_loop(tab, dens, basis, 1, n)
     tab.pop()
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) != 0:
+    dens.pop()
+    if any(tab[i][-1] for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
 
     # Pivot surviving artificials out; rows that cannot pivot are redundant.
@@ -351,29 +361,34 @@ def simplex_standard(
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is None:
                 continue
-            d = _pivot(tab, basis, d, i, col)
+            d = _pivot(tab, dens, d, i, col)
+            basis[i] = col
         keep.append(i)
     if len(keep) < m:
         tab = [tab[i] for i in keep]
+        dens = [dens[i] for i in keep]
         basis = [basis[i] for i in keep]
 
-    # Phase 2 with the real objective, scaled to integers.
+    # Phase 2 with the real objective, scaled to integers, over `d`: the
+    # rows it is built from are first brought up to `d`.
     oscale = lcm(*{c.denominator for c in objective})
     obj = [oscale * c.numerator // c.denominator for c in objective]
     zrow = [d * c for c in obj] + [0]
-    for r, bi in zip(tab, basis):
+    for i, bi in enumerate(basis):
         f = obj[bi]
         if f:
+            r = [a * d // dens[i] for a in tab[i]]
             zrow = [z - f * a for z, a in zip(zrow, r)]
     tab.append(zrow)
-    status, d = _bland_loop(tab, basis, d, n)
+    dens.append(d)
+    status, d = _bland_loop(tab, dens, basis, d, n)
     if status == "unbounded":
         return "unbounded", None, None
     z = [_ZERO] * n
-    for r, bi in zip(tab, basis):
-        z[bi] = Fraction(r[-1], d)
-    value = Fraction(sum(obj[bi] * r[-1] for r, bi in zip(tab, basis)), oscale * d)
-    return "optimal", z, value
+    for r, q, bi in zip(tab, dens, basis):
+        z[bi] = Fraction(r[-1], q)
+    # The cost row's rhs, over its own denominator, is -oscale·value.
+    return "optimal", z, Fraction(-tab[-1][-1], oscale * dens[-1])
 
 
 def feasible_nonneg(
@@ -381,7 +396,7 @@ def feasible_nonneg(
 ) -> list[Fraction] | None:
     """Some z >= 0 with rows·z = rhs, or None. Phase 1 of the simplex only."""
     n = len(rows[0]) if rows else 0
-    status, z, _ = simplex_standard(rows, rhs, [_ZERO] * n)
+    status, z, _ = simplex_standard(rows, rhs, [0] * n)
     return z if status == "optimal" else None
 
 
@@ -400,12 +415,12 @@ def max_margin(
     k = len(rows)
     lp_rows = []
     for i, r in enumerate(rows):
-        surplus = [_ZERO] * k
-        surplus[i] = -_ONE
-        lp_rows.append([*r, -_ONE, *surplus])
-    lp_rows += [[*a, _ZERO] + [_ZERO] * k for a in eqs]
-    rhs = [_ZERO] * k + list(eq_rhs)
-    status, z, value = simplex_standard(lp_rows, rhs, [_ZERO] * n + [_ONE] + [_ZERO] * k)
+        surplus = [0] * k
+        surplus[i] = -1
+        lp_rows.append([*r, -1, *surplus])
+    lp_rows += [[*a, 0] + [0] * k for a in eqs]
+    rhs = [0] * k + list(eq_rhs)
+    status, z, value = simplex_standard(lp_rows, rhs, [0] * n + [1] + [0] * k)
     if status == "unbounded":
         raise ValueError("margin LP is unbounded")
     if status != "optimal" or value <= 0:
@@ -431,14 +446,14 @@ def lp_solve(objective: Vec, constraints: HRep) -> LPResult:
     rows = []
     rhs = []
     for k, (a, bound) in enumerate(ineqs):
-        row = [*a, *(-x for x in a)] + [_ZERO] * nslack
-        row[2 * d + k] = _ONE
+        row = [*a, *(-x for x in a)] + [0] * nslack
+        row[2 * d + k] = 1
         rows.append(row)
         rhs.append(bound)
     for a, bound in eqs:
-        rows.append([*a, *(-x for x in a)] + [_ZERO] * nslack)
+        rows.append([*a, *(-x for x in a)] + [0] * nslack)
         rhs.append(bound)
-    obj = [*objective, *(-x for x in objective)] + [_ZERO] * nslack
+    obj = [*objective, *(-x for x in objective)] + [0] * nslack
     status, z, value = simplex_standard(rows, rhs, obj)
     if status != "optimal":
         return LPResult(status)
@@ -455,15 +470,13 @@ def box_margin(rows: list[Vec], boxed: int) -> tuple[Vec, Fraction] | None:
     Bland's rule that order fixes the optimal vertex returned.
     """
     width = len(rows[0]) + 1
-    ineqs: list[tuple[Vec, Fraction]] = [
-        ((*(-x for x in r), _ONE), _ZERO) for r in rows
-    ]
+    ineqs: list[tuple[Vec, Fraction]] = [((*(-x for x in r), 1), 0) for r in rows]
     for j in range(boxed):
-        for sign in (_ONE, -_ONE):
-            e = [_ZERO] * width
+        for sign in (1, -1):
+            e = [0] * width
             e[j] = sign
-            ineqs.append((tuple(e), _ONE))
-    res = lp_solve((_ZERO,) * (width - 1) + (_ONE,), HRep(tuple(ineqs)))
+            ineqs.append((tuple(e), 1))
+    res = lp_solve((0,) * (width - 1) + (1,), HRep(tuple(ineqs)))
     if res.status != "optimal" or res.value <= 0:
         return None
     return res.point[:-1], res.value
@@ -516,8 +529,8 @@ def convex_weights(p: Vec, points: list[Vec]) -> list[Fraction] | None:
         if len(q) != d:
             raise DimensionMismatchError("point dimension differs from target")
     rows = [[q[k] for q in points] for k in range(d)]
-    rows.append([_ONE] * len(points))
-    rhs = list(p) + [_ONE]
+    rows.append([1] * len(points))
+    rhs = list(p) + [1]
     return feasible_nonneg(rows, rhs)
 
 
@@ -554,7 +567,7 @@ def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:
             raise DimensionMismatchError("point and polytope dimension differ")
     # Variables (lam_1..lam_d, kappa): lam·v - kappa >= t, kappa - lam·w >= t.
     found = box_margin(
-        [(*v, -_ONE) for v in points] + [(*(-x for x in w), _ONE) for w in P.vertices], d
+        [(*v, -1) for v in points] + [(*(-x for x in w), 1) for w in P.vertices], d
     )
     if found is None:
         return None

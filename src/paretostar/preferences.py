@@ -246,6 +246,8 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
     compared through its values on the differences p - p_0 of the acts' rows,
     cleared to integers: by sign, and by integer cross-products.
     """
+    if f.states != g.states:
+        raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
     if f.outcome_dim != prof.outcome_dim or g.outcome_dim != prof.outcome_dim:
         raise DimensionMismatchError("acts live in a different outcome space")
     points = f.rows + g.rows

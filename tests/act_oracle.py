@@ -24,14 +24,16 @@ annotations are dropped), bound here to the `Fraction` functions above
 was computed before the integer kernel), so all six verdicts have an
 oracle that shares no act evaluation with the package.
 `segment_point` is `paretostar.geometry.segment_point` as it was written
-with three `Fraction` operations per entry.
+with three `Fraction` operations per entry.  `rref` is the `Fraction`
+elimination kept in `lp_oracle.py`.
 """
 
 from fractions import Fraction
 
+from lp_oracle import rref
 from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
-from paretostar.geometry import Vec, is_zero, max_margin, rref, vsub
+from paretostar.geometry import Vec, is_zero, max_margin, vsub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

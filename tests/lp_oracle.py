@@ -26,6 +26,12 @@ before it moved to `utilitarian_decompose`.  All three are kept verbatim
 agent's hull weights again for every support containing the agent, before
 it computed them once per call; kept verbatim
 (`tests/test_characterizations.py`).
+
+`rref`, `rank`, `_kernel`, `nullspace`, `solve_linear`, `_affine_basis` and
+`_coords` are the `Fraction` Gauss-Jordan routines `geometry` used before
+`rref` moved onto the simplex's integer pivot.  They are kept verbatim so
+the oracles here, in `vh_oracle.py` and in `act_oracle.py` do not share the
+kernel they check (`tests/test_lp_kernel.py`).
 """
 
 from fractions import Fraction
@@ -46,13 +52,105 @@ from paretostar.geometry import (
     Vec,
     dot,
     lp_solve,
-    solve_linear,
+    vadd,
+    vscale,
+    vsub,
     zero_vec,
 )
 from paretostar.preferences import Profile
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    width = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(width):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = _ONE / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    return len(rref(rows)[1])
+
+
+def _kernel(red: list[list[Fraction]], pivots: list[int], width: int) -> list[Vec]:
+    """Kernel basis read off the first `width` columns of an RREF."""
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for f in free:
+        x = [_ZERO] * width
+        x[f] = _ONE
+        for i, p in enumerate(pivots):
+            x[p] = -red[i][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def nullspace(rows: list[list[Fraction]], width: int) -> list[Vec]:
+    """Basis of {x : R x = 0} for the row system, one vector per free column."""
+    return _kernel(*rref(rows), width)
+
+
+def solve_linear(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[Vec, list[Vec]] | None:
+    """Solve R x = rhs exactly.
+
+    Returns (particular solution with free variables at 0, homogeneous basis),
+    or None when the system is inconsistent.  One RREF of the augmented
+    system serves both: its first `width` columns are the RREF of R.
+    """
+    if not rows:
+        return (), []
+    width = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = rref(aug)
+    if width in pivots:
+        return None
+    x = [_ZERO] * width
+    for i, p in enumerate(pivots):
+        x[p] = red[i][width]
+    return tuple(x), _kernel(red, pivots, width)
+
+
+def _affine_basis(points: list[Vec]) -> tuple[Vec, list[Vec], list[int]]:
+    """Base point, RREF basis of the direction span, and its pivot columns."""
+    base = points[0]
+    diffs = [list(vsub(p, base)) for p in points[1:]]
+    basis_rows, pivots = rref(diffs)
+    return base, [tuple(r) for r in basis_rows], pivots
+
+
+def _coords(p: Vec, base: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
+    """Coordinates of p in the affine frame (exact; asserts p lies in it)."""
+    diff = vsub(p, base)
+    t = tuple(diff[c] for c in pivots)
+    recon = zero_vec(len(base))
+    for tk, bk in zip(t, basis):
+        recon = vadd(recon, vscale(tk, bk))
+    if recon != diff:
+        raise ValueError("point lies outside the affine hull")
+    return t
 
 
 def _pivot(tab, rhs, basis, zrow, row, col):

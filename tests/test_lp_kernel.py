@@ -1,11 +1,16 @@
-"""The integer-preserving simplex kernel against the `Fraction` oracle.
+"""The integer-preserving pivot kernel against the `Fraction` oracles.
 
-`geometry.simplex_standard` pivots an integer tableau over one common
-denominator; `lp_oracle.simplex_standard` is the `Fraction` tableau it
-replaced.  Bland's rule reads only signs, zero tests and ratio comparisons,
-so both must return exactly the same `(status, z, value)`.
+`geometry.simplex_standard` pivots an integer tableau whose rows each keep
+their own denominator; `lp_oracle.simplex_standard` is the `Fraction`
+tableau it replaced.  Bland's rule reads only signs, zero tests and ratio
+comparisons, so both must return exactly the same `(status, z, value)`.
+`geometry.rref` runs Gauss-Jordan on the same pivot; RREF is unique, so it
+and everything built on it must equal `lp_oracle`'s `Fraction` elimination.
 """
 
+import collections
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -13,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
-from paretostar import DimensionMismatchError, geometry
-from paretostar.geometry import simplex_standard
+from paretostar import DimensionMismatchError, characterizations, geometry
+from paretostar.geometry import nullspace, rank, rref, simplex_standard, solve_linear
+from paretostar.harness import GenParams, random_profile
+from paretostar.preferences import check_c_minimal_agreement, validate_profile
 
 F = Fraction
 
@@ -102,15 +109,15 @@ def spy(monkeypatch):
     seen = {"pivot": [], "basis": [], "first_tab": None}
     pivot, loop = geometry._pivot, geometry._bland_loop
 
-    def spy_pivot(tab, basis, d, row, col):
+    def spy_pivot(tab, dens, d, row, col):
         seen["pivot"].append(tab[row][col])
-        return pivot(tab, basis, d, row, col)
+        return pivot(tab, dens, d, row, col)
 
-    def spy_loop(tab, basis, d, n):
+    def spy_loop(tab, dens, basis, d, n):
         if seen["first_tab"] is None:
             seen["first_tab"] = [list(r) for r in tab]
         seen["basis"].append(len(basis))
-        return loop(tab, basis, d, n)
+        return loop(tab, dens, basis, d, n)
 
     monkeypatch.setattr(geometry, "_pivot", spy_pivot)
     monkeypatch.setattr(geometry, "_bland_loop", spy_loop)
@@ -174,3 +181,190 @@ def test_large_coprime_denominators():
 def test_mismatched_shapes_are_rejected(rows, rhs, objective):
     with pytest.raises(DimensionMismatchError):
         simplex_standard(rows, rhs, objective)
+
+
+# ---------------------------------------------------------------------------
+# rref and the linear algebra built on it
+# ---------------------------------------------------------------------------
+
+COPRIME = (991, 997, 1009, 1013, 1019, 1021)
+
+
+def _random_matrix(rng):
+    """Rows 0-6, width 1-7, with zero, dependent and int-typed entries."""
+
+    def num(kind):
+        if rng.random() < 0.3:
+            return 0 if kind == "int" else F(0)
+        if kind == "int":
+            return rng.randint(-9, 9)
+        if kind == "coprime":
+            return F(rng.randint(-9, 9), rng.choice(COPRIME))
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    kind = rng.choice(("int", "small", "small", "coprime"))
+    m, n = rng.randint(0, 6), rng.randint(1, 7)
+    rows = [[num(kind) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        a, b = rng.sample(range(m), 2)
+        c = rng.choice((0, 1, -2, F(3, 7)))
+        rows[a] = [c * x + y for x, y in zip(rows[b], rows[a])] if c else list(rows[b])
+    if m and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.2:
+        col = rng.randrange(n)
+        for r in rows:
+            r[col] = F(0)
+    if rng.random() < 0.5:
+        x0 = [num(kind) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(r, x0)), F(0)) for r in rows]
+    else:
+        rhs = [num(kind) for _ in range(m)]
+    return rows, rhs
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for v in values for x in v)
+
+
+def _check_linear_algebra(rows, rhs):
+    width = len(rows[0]) if rows else 0
+    red, pivots = rref(rows)
+    assert (red, pivots) == lp_oracle.rref(rows)
+    assert _all_fractions(red)
+    assert rank(rows) == lp_oracle.rank(rows) == len(pivots)
+    null = nullspace(rows, width)
+    assert null == lp_oracle.nullspace(rows, width) and _all_fractions(null)
+    sol = solve_linear(rows, rhs)
+    assert sol == lp_oracle.solve_linear(rows, rhs)
+    if sol is not None:
+        assert _all_fractions([sol[0], *sol[1]])
+    return pivots
+
+
+def test_rref_matches_oracle_on_seeded_matrices():
+    rng = random.Random(20261018)
+    negative_pivot = rank_deficient = 0
+    for _ in range(2500):
+        rows, rhs = _random_matrix(rng)
+        pivots = _check_linear_algebra(rows, rhs)
+        rank_deficient += len(pivots) < len(rows)
+        # The first pivot of the elimination is the first nonzero entry of
+        # the first nonzero column, in the first row that has one.
+        first = next((r[pivots[0]] for r in rows if r[pivots[0]]), None) if pivots else None
+        negative_pivot += first is not None and first < 0
+    assert rank_deficient >= 500 and negative_pivot >= 500
+
+
+ratios = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.builds(F, st.integers(-9, 9), st.sampled_from(COPRIME)),
+)
+
+
+@st.composite
+def matrices(draw):
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 6))
+    rows = [[draw(ratios) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        rows.append([a - b for a, b in zip(rows[0], rows[1])])
+    rhs = [draw(ratios) for _ in rows]
+    return rows, rhs
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(matrices())
+def test_rref_matches_oracle_property(system):
+    _check_linear_algebra(*system)
+
+
+# ---------------------------------------------------------------------------
+# Every LP of a seeded many-agent sweep
+# ---------------------------------------------------------------------------
+
+def _sweep_profiles(count=60):
+    """n = 3, m = 3 profiles with 1-12 vertex combos, each with a Minkowski society."""
+    rng = random.Random(20261019)
+    seed = 0
+    while count:
+        seed += 1
+        base = random_profile(GenParams(
+            seed=seed, n=3, m=3, d=2, max_vertices=3, denom_bound=6, society_rule="none",
+        ))
+        if characterizations.combo_count([a.beliefs for a in base.agents]) > 12:
+            continue
+        if validate_profile(base) or check_c_minimal_agreement(base) is None:
+            continue
+        alpha = tuple(F(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(3))
+        weights = [rng.randint(1, 6) for _ in range(3)]
+        gamma = tuple(F(w, sum(weights)) for w in weights)
+        count -= 1
+        yield base, alpha, F(rng.randint(-3, 3)), gamma
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_lps():
+    """Every LP the sweep solves, and the (pivot, row) pairs a pivot left lagging.
+
+    A row lags when its entry in the pivot column is 0, so the pivot does not
+    rewrite it, and its denominator then differs from the new one.
+    """
+    lps, lagging = [], [0]
+    solve, pivot = geometry.simplex_standard, geometry._pivot
+
+    def spy_solve(rows, rhs, objective):
+        lps.append(([list(r) for r in rows], list(rhs), list(objective)))
+        return solve(rows, rhs, objective)
+
+    def spy_pivot(tab, dens, d, row, col):
+        d = pivot(tab, dens, d, row, col)
+        lagging[0] += sum(1 for r, q in zip(tab, dens) if not r[col] and q != d)
+        return d
+
+    ch = characterizations
+    patched = [(geometry, "simplex_standard", spy_solve), (ch, "simplex_standard", spy_solve),
+               (geometry, "_pivot", spy_pivot)]
+    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patched]
+    try:
+        for mod, name, fn in patched:
+            setattr(mod, name, fn)
+        for base, alpha, beta, gamma in _sweep_profiles():
+            society = ch.aggregate_society(base, alpha, beta, "minkowski", gamma=gamma)
+            prof = dataclasses.replace(base, society=society)
+            # Minkowski societies meet both bounds (criterion 06).
+            thm2, eq4 = ch.check_thm2_condition(prof), ch.check_eq4_dght2(prof)
+            assert thm2.holds and eq4.holds
+            ch.check_eq1_dght1(prof)
+            ch.check_corollary2(prof)
+            ch.check_seu_existence([a.beliefs for a in prof.agents])
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+    return lps, lagging[0]
+
+
+def _as_fractions(values):
+    return [F(x) for x in values]
+
+
+def test_every_lp_of_a_many_agent_sweep_matches_oracle():
+    lps, _ = _sweep_lps()
+    assert len(lps) >= 1000
+    seen = collections.Counter()
+    for rows, rhs, objective in lps:
+        # The oracle gets the `Fraction` data it was written for.
+        want = lp_oracle.simplex_standard(
+            [_as_fractions(r) for r in rows], _as_fractions(rhs), _as_fractions(objective)
+        )
+        got = simplex_standard(rows, rhs, objective)
+        assert got == want
+        assert all(type(x) is Fraction for x in got[1] or ())
+        seen[got[0]] += 1
+    assert seen["optimal"] >= 100 and seen["infeasible"] >= 100, seen
+
+
+def test_rows_lag_behind_the_pivot_in_the_sweep():
+    _, lagging = _sweep_lps()
+    assert lagging >= 1000

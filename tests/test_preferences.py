@@ -274,6 +274,13 @@ class TestDimensionErrors:
         with pytest.raises(DimensionMismatchError):
             utility_profile(agent.utility, wide)
 
+    def test_taste_agreement_on_different_state_counts(self):
+        three_states = constant_act([0, 0], 3)
+        with pytest.raises(DimensionMismatchError):
+            no_taste_disagreement(scenario1(), REFORM, three_states)
+        with pytest.raises(DimensionMismatchError):
+            no_taste_disagreement(scenario1(), three_states, REFORM)
+
     def test_dot_on_unequal_lengths(self):
         with pytest.raises(DimensionMismatchError):
             dot(vec([1, 2]), vec([1, 2, 3]))
