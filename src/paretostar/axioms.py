@@ -72,12 +72,12 @@ def _evaluations(prof: Profile, f: Act, g: Act) -> list[tuple[list[int], int]]:
 
 def _unanimous_weak(prof: Profile, tastes) -> bool:
     """Every agent weakly prefers f to g."""
-    return all(_strict_prior(a.beliefs.vertices, t) is None for a, t in zip(prof.agents, tastes))
+    return all(_strict_prior(a.beliefs.cleared, t) is None for a, t in zip(prof.agents, tastes))
 
 
 def _society_conclusion_weak(prof: Profile, values, certs: dict) -> bool:
     """Conclusion 'f >=_0 g'. On failure stores the society's strict witness."""
-    witness = _strict_prior(prof.society.beliefs.vertices, values)
+    witness = _strict_prior(prof.society.beliefs.cleared, values)
     if witness is None:
         return True
     certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
@@ -86,7 +86,7 @@ def _society_conclusion_weak(prof: Profile, values, certs: dict) -> bool:
 
 def _society_conclusion_not_weak(prof: Profile, values, certs: dict) -> bool:
     """Conclusion 'not f >=_0 g'. Stores the strict witness or the weak margin."""
-    vertices = prof.society.beliefs.vertices
+    vertices = prof.society.beliefs.cleared
     witness = _strict_prior(vertices, values)
     if witness is not None:
         certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
@@ -100,7 +100,7 @@ def _star_premise(prof: Profile, tastes, certs: dict) -> bool:
     agent_certs = {}
     ok = True
     for i, (a, values) in enumerate(zip(prof.agents, tastes)):
-        witness = _strict_prior(a.beliefs.vertices, values)
+        witness = _strict_prior(a.beliefs.cleared, values)
         if witness is None:
             ok = False
         else:
@@ -156,7 +156,7 @@ def _exchange_gaps(prof: Profile, tastes) -> list[list[tuple[int, int]]]:
 
     Columns run holder by holder, each holder's vertices in canonical order.
     """
-    vertices = [v for holder in prof.agents for v in holder.beliefs.vertices]
+    vertices = [c for holder in prof.agents for c in holder.beliefs.cleared]
     return [[(n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import CapExceededError, DimensionMismatchError, InternalError
@@ -86,6 +87,12 @@ def dot_parts(u: Vec, v: Vec) -> tuple[int, int]:
 
 def dot(u: Vec, v: Vec) -> Fraction:
     return Fraction(*dot_parts(u, v))
+
+
+def vec_parts(entries) -> tuple[tuple[int, ...], int]:
+    """The entries as integers over their least common denominator (> 0)."""
+    den = lcm(*[x.denominator for x in entries])
+    return tuple([x.numerator * (den // x.denominator) for x in entries]), den
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -514,6 +521,11 @@ class Polytope:
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
+
+    @cached_property
+    def cleared(self) -> tuple[tuple[Vec, tuple[int, ...], int], ...]:
+        """(v, ints, den) per vertex v = ints / den, cached outside the fields."""
+        return tuple((v, *vec_parts(v)) for v in self.vertices)
 
     def contains(self, p: Vec) -> bool:
         return membership(p, self)

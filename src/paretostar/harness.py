@@ -177,12 +177,25 @@ def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) 
     return Act(tuple(rows))
 
 
+def _segment_rows(pair, denom_bound: int) -> list[tuple[Vec, ...]]:
+    """table[den][k] = segment_point(k/den, *pair), 1 <= den <= denom_bound, 0 <= k <= den:
+    every row the common-taste sampler can draw, built once per fuzz run."""
+    return [()] + [tuple(segment_point(Fraction(k, den), *pair) for k in range(den + 1))
+                   for den in range(1, denom_bound + 1)]
+
+
+def _table_act(rng: SplitMix64, states: int, table) -> Act:
+    """One row per state from `_segment_rows`, drawn as `unit_fraction` draws its
+    position: the denominator, then the numerator."""
+    rows = []
+    for _ in range(states):
+        den = rng.randint(1, len(table) - 1)
+        rows.append(table[den][rng.randint(0, den)])
+    return Act(tuple(rows))
+
+
 def _segment_act(rng: SplitMix64, prof: Profile, pair, denom_bound: int) -> Act:
-    x_star, x_low = pair
-    return Act(tuple(
-        segment_point(rng.unit_fraction(denom_bound), x_star, x_low)
-        for _ in range(prof.states)
-    ))
+    return _table_act(rng, prof.states, _segment_rows(pair, denom_bound))
 
 
 @dataclass(frozen=True)
@@ -225,13 +238,14 @@ def fuzz_axiom(
             "use the common-taste sampler for premise coverage",
             stacklevel=2,
         )
-    cmin = None
+    table = None
     if sampler == "common-taste":
         cmin = check_c_minimal_agreement(prof)
         if cmin is None:
             raise PreconditionError(
                 "common-taste sampler needs a commonly strictly ranked outcome pair"
             )
+        table = _segment_rows(cmin, FUZZ_DENOM_BOUND)
     check = AXIOM_CHECKS[axiom]
     rng = SplitMix64(seed)
     sha = hashlib.sha256()
@@ -244,8 +258,8 @@ def fuzz_axiom(
             f = _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND)
             g = _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND)
         else:
-            f = _segment_act(rng, prof, cmin, FUZZ_DENOM_BOUND)
-            g = _segment_act(rng, prof, cmin, FUZZ_DENOM_BOUND)
+            f = _table_act(rng, prof.states, table)
+            g = _table_act(rng, prof.states, table)
         verdict = check(prof, f, g)
         if verdict.premise_holds:
             premise_hits += 1

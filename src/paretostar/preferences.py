@@ -6,11 +6,14 @@ the expected utility of f is at least that of g under *every* prior in the
 belief set; since the expected-utility difference is linear in the prior,
 checking the belief vertices is exact and sufficient.
 
-Act evaluation runs on integers.  The gaps u(f(s)) - u(g(s)) of two acts are
-cleared to integers over one denominator (the utility constant cancels), each
-belief vertex's weighted sum of them is one integer numerator whose sign
-decides dominance, and a `Fraction` is built only for a margin that is
-returned.  `utility_profile` and `expected_utility` still return `Fraction`s.
+Act evaluation runs on integers.  Gradients, act rows and belief vertices
+are cleared to integers over one denominator on first use (`.cleared`,
+cached outside the dataclass fields, so equality, hashing and documents
+never see it).  A taste on two acts is plain `int` dot products (the utility
+constant cancels from every gap), each belief vertex's weighted sum of the
+gaps is one integer numerator whose sign decides dominance, and a `Fraction`
+is built only for a margin that is returned.  `utility_profile` and
+`expected_utility` still evaluate in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatchError
 from .geometry import (
@@ -26,13 +30,13 @@ from .geometry import (
     Vec,
     box_margin,
     dot,
-    dot_parts,
     frac,
     is_simplex_point,
     is_zero,
     nullspace,
     rref,
     vec,
+    vec_parts,
     zero_vec,
 )
 
@@ -54,6 +58,11 @@ class AffineUtility:
     def dim(self) -> int:
         return len(self.coeffs)
 
+    @functools.cached_property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """The gradient as integers over one denominator, computed on first use."""
+        return vec_parts(self.coeffs)
+
 
 def utility(coeffs, constant=0) -> AffineUtility:
     return AffineUtility(vec(coeffs), frac(constant))
@@ -72,6 +81,15 @@ class Act:
     @property
     def outcome_dim(self) -> int:
         return len(self.rows[0])
+
+    @functools.cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Every row as integers over one common denominator, computed on first use."""
+        if len(set(map(len, self.rows))) > 1:
+            raise DimensionMismatchError("act rows of mixed outcome dimension")
+        flat, den = vec_parts([x for r in self.rows for x in r])
+        w = len(self.rows[0])
+        return tuple([flat[i:i + w] for i in range(0, len(flat), w)]), den
 
     def translate(self, offset: Vec) -> "Act":
         return Act(tuple(tuple(a + b for a, b in zip(r, offset)) for r in self.rows))
@@ -144,33 +162,35 @@ def utility_profile(u: AffineUtility, f: Act) -> Vec:
     return tuple(dot(u.coeffs, row) + u.constant for row in f.rows)
 
 
-def _on_rows(coeffs: Vec, rows) -> tuple[list[int], int]:
-    """coeffs·row for every row, as integers over one positive denominator."""
-    parts = [dot_parts(coeffs, row) for row in rows]
-    den = lcm(*(d for _, d in parts))
-    return [n * (den // d) for n, d in parts], den
-
-
 def _on_pair(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
-    """u's gradient on every row of f, then of g: the one evaluation of a taste."""
+    """u's gradient on every row of f, then of g, over one denominator: the one
+    evaluation of a taste."""
     if f.states != g.states:
         raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
     if f.outcome_dim != u.dim or g.outcome_dim != u.dim:
         raise DimensionMismatchError("acts live in a different outcome space")
-    return _on_rows(u.coeffs, f.rows + g.rows)
+    coeffs, den_u = u.cleared
+    rows_f, den_f = f.cleared
+    rows_g, den_g = g.cleared
+    den = lcm(den_f, den_g)
+    sf, sg = den // den_f, den // den_g
+    nums = [sum(map(mul, coeffs, r)) * sf for r in rows_f]
+    nums += [sum(map(mul, coeffs, r)) * sg for r in rows_g]
+    return nums, den_u * den
 
 
 def _vertex_gaps(vertices, values: tuple[list[int], int]):
-    """(v, n, d) per prior v, EU_v(f) - EU_v(g) = n / d with d > 0, from `_on_pair`.
+    """(v, n, d) per `Polytope.cleared` vertex, EU_v(f) - EU_v(g) = n / d, d > 0.
 
     The per-state gap is coeffs·(f(s) - g(s)); the utility constant cancels.
     """
     nums, den = values
     m = len(nums) // 2
     gaps = [a - b for a, b in zip(nums[:m], nums[m:])]
-    for v in vertices:
-        n, d = dot_parts(v, gaps)
-        yield v, n, d * den
+    for v, ints, d in vertices:
+        if len(ints) != m:
+            raise DimensionMismatchError(f"prior has {len(ints)} entries for {m} states")
+        yield v, sum(map(mul, ints, gaps)), d * den
 
 
 def _strict_prior(vertices, values) -> tuple[Vec, Fraction] | None:
@@ -195,7 +215,7 @@ def bewley_geq(a: Agent, f: Act, g: Act) -> bool:
 
     The difference is linear in the prior, so the belief vertices decide it.
     """
-    return _strict_prior(a.beliefs.vertices, _on_pair(a.utility, f, g)) is None
+    return _strict_prior(a.beliefs.cleared, _on_pair(a.utility, f, g)) is None
 
 
 def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | None:
@@ -204,12 +224,12 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
     Existence is exactly the failure of ``bewley_geq(a, f, g)``; the first
     such vertex in canonical order is returned.
     """
-    return _strict_prior(a.beliefs.vertices, _on_pair(a.utility, f, g))
+    return _strict_prior(a.beliefs.cleared, _on_pair(a.utility, f, g))
 
 
 def min_margin(a: Agent, f: Act, g: Act) -> Fraction:
     """The least EU(f) - EU(g) over the agent's belief vertices."""
-    return _least_margin(a.beliefs.vertices, _on_pair(a.utility, f, g))
+    return _least_margin(a.beliefs.cleared, _on_pair(a.utility, f, g))
 
 
 def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
@@ -221,7 +241,7 @@ def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
 # ---------------------------------------------------------------------------
 
 def _tastes_agree(evaluations) -> bool:
-    """Taste agreement from each taste's `_on_rows` values on the rows of f, then g."""
+    """Taste agreement from each taste's `_on_pair` values on the rows of f, then g."""
     restricted = [[x - nums[0] for x in nums[1:]] for nums, _ in evaluations]
     nonzero = [r for r in restricted if any(r)]
     if not nonzero:
@@ -250,8 +270,7 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
         raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
     if f.outcome_dim != prof.outcome_dim or g.outcome_dim != prof.outcome_dim:
         raise DimensionMismatchError("acts live in a different outcome space")
-    points = f.rows + g.rows
-    return _tastes_agree([_on_rows(a.utility.coeffs, points) for a in prof.agents])
+    return _tastes_agree([_on_pair(a.utility, f, g) for a in prof.agents])
 
 
 @functools.lru_cache(maxsize=256)
@@ -297,10 +316,6 @@ def check_c_diversity(prof: Profile) -> tuple[tuple[Vec, Vec], ...] | None:
         direction = tuple(x / scale for x in direction)
         pairs.append((direction, zero_vec(d)))
     return tuple(pairs)
-
-
-def utility_rank(prof: Profile) -> int:
-    return len(rref([list(a.utility.coeffs) for a in prof.agents])[1])
 
 
 def validate_profile(prof: Profile) -> list[str]:

@@ -26,6 +26,12 @@ oracle that shares no act evaluation with the package.
 `segment_point` is `paretostar.geometry.segment_point` as it was written
 with three `Fraction` operations per entry.  `rref` is the `Fraction`
 elimination kept in `lp_oracle.py`.
+
+`segment_act` is `paretostar.harness._segment_act` as it drew each row's
+position with `unit_fraction` and built the row with `segment_point`, before
+the sampler drew its rows from a table built once per fuzz run; it is bound
+to the `segment_point` above.  The table route must draw equal acts and
+leave the generator in the same state.
 """
 
 from fractions import Fraction
@@ -34,6 +40,7 @@ from lp_oracle import rref
 from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
 from paretostar.geometry import Vec, is_zero, max_margin, vsub
+from paretostar.preferences import Act
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,6 +93,14 @@ def min_margin(a, f, g) -> Fraction:
 def segment_point(t: Fraction, high: Vec, low: Vec) -> Vec:
     """low + t (high - low), entrywise; high and low have the same length."""
     return tuple(lo + t * (hi - lo) for hi, lo in zip(high, low))
+
+
+def segment_act(rng, prof, pair, denom_bound: int) -> Act:
+    x_star, x_low = pair
+    return Act(tuple(
+        segment_point(rng.unit_fraction(denom_bound), x_star, x_low)
+        for _ in range(prof.states)
+    ))
 
 
 def _span_basis(points: list[Vec]) -> list[Vec]:

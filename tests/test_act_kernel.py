@@ -4,24 +4,37 @@
 denominator; `preferences` decides Bewley dominance on integer per-state
 gaps and compares tastes by integer cross-products, and the exchange axioms
 take their per-vertex gaps from the same kernel; every axiom check
-evaluates each taste on the two acts once.  `geometry.segment_point` builds
-each entry from integers.  `act_oracle` holds the `Fraction` code they
-replaced.  Every answer must agree exactly: the same bool, the same vertex,
-an equal `Fraction` margin and an equal verdict, dumped bytes included.
+evaluates each taste on the two acts once.  Utilities, acts and belief
+polytopes are cleared to integers once and cached outside their fields.
+`geometry.segment_point` builds each entry from integers, and the
+common-taste sampler draws its rows from a table built once per fuzz run.
+`act_oracle` holds the `Fraction` code they replaced.  Every answer must
+agree exactly: the same bool, the same vertex, an equal `Fraction` margin,
+an equal verdict (dumped bytes included) and an equal draw.
 """
 
+import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import act_oracle
-from paretostar import Act, Agent, AffineUtility, Polytope, Profile
+from paretostar import Act, Agent, AffineUtility, DimensionMismatchError, Polytope, Profile
 from paretostar.axioms import AXIOM_CHECKS
-from paretostar.documents import dumps
+from paretostar.documents import dumps, jsonable
 from paretostar.geometry import dot, segment_point
-from paretostar.harness import GenParams, SplitMix64, _segment_act, random_profile
+from paretostar.harness import (
+    GenParams,
+    SplitMix64,
+    _segment_act,
+    _segment_rows,
+    _table_act,
+    random_profile,
+)
 from paretostar.preferences import (
     bewley_geq,
     check_c_minimal_agreement,
@@ -271,8 +284,106 @@ class TestNamedCases:
         assert min_margin(a, f, g) == 0
         _check_agent(a, f, g)
 
+    def test_ragged_rows_raise_instead_of_truncating(self):
+        a = _two_state_agent([1, 0], "1/2")
+        ragged = Act(((F(1), F(2)), (F(3),)))
+        with pytest.raises(DimensionMismatchError):
+            bewley_geq(a, ragged, ragged)
+        with pytest.raises(DimensionMismatchError):
+            act_oracle.bewley_geq(a, ragged, ragged)
+
     def test_dot_on_plain_ints_returns_fraction(self):
         value = dot((2, -3, 0), (5, 1, 9))
         assert value == 7 and type(value) is Fraction
         assert type(dot((0,), (4,))) is Fraction
         assert dot((F(1, 3), 2), (3, F(1, 4))) == act_oracle.dot((F(1, 3), 2), (3, F(1, 4)))
+
+
+def _entry(rng):
+    """An int, a Fraction over one of the mixed denominators, or zero; negatives included."""
+    if rng.random() < 0.3:
+        return rng.randint(-9, 9)
+    return _frac(rng)
+
+
+def _equal_entries(ints, den, entries):
+    assert den > 0 and type(den) is int
+    assert len(ints) == len(entries)
+    for n, x in zip(ints, entries):
+        assert type(n) is int and F(n, den) == x, (ints, den, entries)
+
+
+def test_cleared_forms_equal_their_fractions():
+    rng = random.Random(20251021)
+    negative = mixed = 0
+    for _ in range(400):
+        m, d = rng.randint(2, 4), rng.randint(1, 4)
+        u = AffineUtility(tuple(_entry(rng) for _ in range(d)), _frac(rng))
+        _equal_entries(*u.cleared, u.coeffs)
+        f = Act(tuple(tuple(_entry(rng) for _ in range(d)) for _ in range(m)))
+        rows, den = f.cleared
+        assert len(rows) == m
+        for r, row in zip(rows, f.rows):
+            _equal_entries(r, den, row)
+        beliefs = Polytope.from_generators([_prior(rng, m) for _ in range(rng.randint(1, 4))])
+        assert [v for v, _, _ in beliefs.cleared] == list(beliefs.vertices)
+        for v, ints, vden in beliefs.cleared:
+            _equal_entries(ints, vden, v)
+        entries = [*u.coeffs, *(x for r in f.rows for x in r)]
+        negative += any(x < 0 for x in entries)
+        mixed += len({F(x).denominator for x in entries}) > 2
+    assert negative > 300 and mixed > 300
+    # Plain ints clear over 1; an all-zero row too.
+    assert AffineUtility((3, -2, 0)).cleared == ((3, -2, 0), 1)
+    assert Act(((0, 0), (F(-1, 2), F(1, 3)))).cleared == (((0, 0), (-3, 2)), 6)
+
+
+def _identity(obj):
+    return obj, hash(obj), repr(obj), jsonable(obj), dumps(obj), [
+        f.name for f in dataclasses.fields(obj)
+    ]
+
+
+def test_cache_changes_no_equality_hash_or_document():
+    for prof, f, g in itertools.islice(_sweep_with_society(), 100):
+        objects = [prof, f, g]
+        for a in (*prof.agents, prof.society):
+            objects += [a, a.utility, a.beliefs]
+        fresh = [dataclasses.replace(x) for x in objects]
+        before = [_identity(x) for x in objects]
+        for check in AXIOM_CHECKS.values():
+            check(prof, f, g)
+        assert all("cleared" in vars(x) for x in (f, g, prof.society.utility, prof.society.beliefs))
+        assert [_identity(x) for x in objects] == before
+        assert objects == fresh and all("cleared" not in vars(x) for x in fresh)
+        assert [hash(x) for x in objects] == [hash(x) for x in fresh]
+
+
+def test_table_draws_match_oracle_sampler():
+    """The row table draws the acts `unit_fraction` and `segment_point` drew,
+    and leaves the generator in the same state, draw by draw."""
+    draws = 0
+    for seed in range(40):
+        prof = random_profile(GenParams(
+            seed=seed, n=2 + seed % 2, m=2 + seed % 3, d=1 + seed % 4, society_rule="none",
+        ))
+        rng = random.Random(seed)
+        pairs = [
+            (tuple(_entry(rng) for _ in range(prof.outcome_dim)),
+             tuple(_entry(rng) for _ in range(prof.outcome_dim)))
+            for _ in range(2)
+        ]
+        if (cmin := check_c_minimal_agreement(prof)) is not None:
+            pairs.append(cmin)
+        for pair in pairs:
+            for bound in (1, 2, 6, 9):
+                table = _segment_rows(pair, bound)
+                fast, wrapped, slow = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+                for _ in range(15):
+                    want = act_oracle.segment_act(slow, prof, pair, bound)
+                    got = _table_act(fast, prof.states, table)
+                    assert got == want and _segment_act(wrapped, prof, pair, bound) == want
+                    assert fast.state == wrapped.state == slow.state
+                    assert all(type(x) is Fraction for row in got.rows for x in row)
+                    draws += 1
+    assert draws > 5000

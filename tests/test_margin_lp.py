@@ -86,7 +86,7 @@ def test_exchange_star_priors_match_oracle():
                 for a in prof.agents
             ]
             for holder in (*prof.agents, prof.society):
-                verts = holder.beliefs.vertices
+                verts = holder.beliefs.cleared
                 values = [
                     [F(n, d) for _, n, d in _vertex_gaps(verts, _on_pair(a.utility, g, f))]
                     for a in prof.agents
