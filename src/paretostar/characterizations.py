@@ -26,7 +26,6 @@ from .errors import (
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
 # wraps it in every module that binds it, and its smoke test checks this one.
 from .geometry import (  # noqa: F401
-    DEFAULT_DIM_CAP,
     Polytope,
     Vec,
     convex_weights,
@@ -50,6 +49,7 @@ from .preferences import (
 
 _ZERO = Fraction(0)
 
+# The most vertex combos any check enumerates; more raise CapExceededError.
 DEFAULT_COMBO_CAP = 100_000
 
 
@@ -161,11 +161,11 @@ def combo_count(belief_sets: list[Polytope]) -> int:
     return total
 
 
-def enumerate_combos(belief_sets: list[Polytope], combo_cap: int = DEFAULT_COMBO_CAP):
+def enumerate_combos(belief_sets: list[Polytope]):
     """All choices of one vertex per belief set, ascending-lexicographic order."""
     total = combo_count(belief_sets)
-    if total > combo_cap:
-        raise CapExceededError(f"{total} vertex combos exceed the cap {combo_cap}")
+    if total > DEFAULT_COMBO_CAP:
+        raise CapExceededError(f"{total} vertex combos exceed the cap {DEFAULT_COMBO_CAP}")
     return itertools.product(*(P.vertices for P in belief_sets))
 
 
@@ -363,9 +363,7 @@ def check_eq4_dght2(prof: Profile) -> ConditionReport:
     )
 
 
-def check_thm2_condition(
-    prof: Profile, combo_cap: int = DEFAULT_COMBO_CAP
-) -> ConditionReport:
+def check_thm2_condition(prof: Profile) -> ConditionReport:
     """A decomposition exists and every vertex combo's hull meets P0.
 
     On failure the report carries the first failing combo (ascending
@@ -380,7 +378,7 @@ def check_thm2_condition(
     if dec is None:
         return ConditionReport("thm2", False, {"reason": "no-decomposition"})
     combo_certs = []
-    for combo in enumerate_combos([a.beliefs for a in prof.agents], combo_cap):
+    for combo in enumerate_combos([a.beliefs for a in prof.agents]):
         met = combo_meets(combo, soc.beliefs)
         if met is None:
             h = separate(list(combo), soc.beliefs)
@@ -397,11 +395,11 @@ def check_thm2_condition(
     )
 
 
-def check_corollary2(prof: Profile, dim_cap: int = DEFAULT_DIM_CAP) -> ConditionReport:
+def check_corollary2(prof: Profile) -> ConditionReport:
     """(a) the exact intersection of agent beliefs sits inside P0;
     (b) when all agents share one belief set, P0 equals it (mutual inclusion)."""
     soc = _society(prof)
-    inter = intersect_polytopes([a.beliefs for a in prof.agents], dim_cap)
+    inter = intersect_polytopes([a.beliefs for a in prof.agents])
     details: dict = {}
     if inter is None:
         a_holds = True
@@ -431,9 +429,7 @@ def check_corollary2(prof: Profile, dim_cap: int = DEFAULT_DIM_CAP) -> Condition
     return ConditionReport("corollary2", holds, details)
 
 
-def check_seu_existence(
-    belief_sets: list[Polytope], combo_cap: int = DEFAULT_COMBO_CAP
-) -> Vec | None:
+def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
     """A single prior lying in the hull of every vertex combo, or None.
 
     One joint feasibility LP: the candidate prior p plus one simplex weight
@@ -445,7 +441,7 @@ def check_seu_existence(
     if any(P.ambient_dim != m for P in belief_sets):
         raise DimensionMismatchError("belief sets live on different state spaces")
     n = len(belief_sets)
-    combos = list(enumerate_combos(belief_sets, combo_cap))
+    combos = list(enumerate_combos(belief_sets))
     nvars = m + n * len(combos)
     rows = []
     rhs = []
@@ -480,9 +476,32 @@ def check_prop1(prof: Profile) -> ConditionReport:
     return _delegated("prop1", check_eq4_dght2(prof))
 
 
-def check_prop2(prof: Profile, combo_cap: int = DEFAULT_COMBO_CAP) -> ConditionReport:
+def check_prop2(prof: Profile) -> ConditionReport:
     """Same representation condition as the combo lower bound; delegated."""
-    return _delegated("prop2", check_thm2_condition(prof, combo_cap))
+    return _delegated("prop2", check_thm2_condition(prof))
+
+
+def required_decomposition(prof: Profile) -> Decomposition:
+    """The canonical taste decomposition; a precondition of the reports that read it."""
+    dec = utilitarian_decompose(prof)
+    if dec is None:
+        raise PreconditionError("no nonnegative taste decomposition exists")
+    return dec
+
+
+# Condition tag -> profile -> ConditionReport, read by the CLI and by
+# `harness.cross_validate`.  Each entry looks its checker up when called, so
+# rebinding a module name (as a tracer does) reaches every caller.
+CONDITION_CHECKS = {
+    "thm1": lambda prof: check_thm1_condition(prof),
+    "thm2": lambda prof: check_thm2_condition(prof),
+    "eq1": lambda prof: check_eq1_dght1(prof),
+    "eq4": lambda prof: check_eq4_dght2(prof),
+    "lemma1": lambda prof: check_lemma1_superset(prof, required_decomposition(prof)),
+    "corollary2": lambda prof: check_corollary2(prof),
+    "prop1": lambda prof: check_prop1(prof),
+    "prop2": lambda prof: check_prop2(prof),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +518,6 @@ def aggregate_society(
     rule: str,
     gamma=None,
     vertices=None,
-    combo_cap: int = DEFAULT_COMBO_CAP,
 ) -> Agent:
     """Build a society agent: utilitarian taste plus a rule-based belief set.
 
@@ -520,7 +538,7 @@ def aggregate_society(
         if len(gamma) != prof.n or any(g < 0 for g in gamma) or sum(gamma) != 1:
             raise ValueError("gamma must be a weight vector over the agents")
         points = []
-        for combo in enumerate_combos([a.beliefs for a in prof.agents], combo_cap):
+        for combo in enumerate_combos([a.beliefs for a in prof.agents]):
             p = zero_vec(prof.states)
             for g, v in zip(gamma, combo):
                 p = vadd(p, vscale(g, v))

@@ -15,27 +15,12 @@ from fractions import Fraction
 
 from .axioms import AXIOM_CHECKS
 from .characterizations import (
-    DEFAULT_COMBO_CAP,
-    check_corollary2,
-    check_eq1_dght1,
-    check_eq4_dght2,
-    check_lemma1_superset,
-    check_prop1,
-    check_prop2,
+    CONDITION_CHECKS,
     check_seu_existence,
-    check_thm1_condition,
-    check_thm2_condition,
     distinct_prior_pair,
-    utilitarian_decompose,
+    required_decomposition,
 )
-from .documents import (
-    dumps,
-    format_decimal,
-    fraction_str,
-    load_acts,
-    load_profile,
-    save_json,
-)
+from .documents import dumps, format_decimal, load_acts, load_profile, save_json
 from .errors import (
     CapExceededError,
     DocumentError,
@@ -44,7 +29,6 @@ from .errors import (
     ParetoStarError,
     PreconditionError,
 )
-from .geometry import DEFAULT_DIM_CAP
 from .harness import SAMPLER_TAGS, fuzz_axiom
 from .preferences import expected_utility
 from .witnesses import witness_for
@@ -56,36 +40,16 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def _decomposition(prof):
-    dec = utilitarian_decompose(prof)
-    if dec is None:
-        raise PreconditionError("no nonnegative taste decomposition exists")
-    return dec
-
-
-# Condition tag -> (profile, parsed args) -> ConditionReport.  Each entry looks
-# its checker up when called, so rebinding a module name reaches the CLI too.
-CONDITIONS = {
-    "thm1": lambda prof, args: check_thm1_condition(prof),
-    "thm2": lambda prof, args: check_thm2_condition(prof, combo_cap=args.combo_cap),
-    "eq1": lambda prof, args: check_eq1_dght1(prof),
-    "eq4": lambda prof, args: check_eq4_dght2(prof),
-    "lemma1": lambda prof, args: check_lemma1_superset(prof, _decomposition(prof)),
-    "corollary2": lambda prof, args: check_corollary2(prof, dim_cap=args.dim_cap),
-    "prop1": lambda prof, args: check_prop1(prof),
-    "prop2": lambda prof, args: check_prop2(prof, combo_cap=args.combo_cap),
-}
-
 # Witness kind -> (report producer, message when the report holds).  A failed
 # report is turned into its counterexample by `witness_for`.
 WITNESSES = {
-    "ct-pareto-star": (CONDITIONS["thm2"], "condition holds; nothing to witness"),
+    "ct-pareto-star": (CONDITION_CHECKS["thm2"], "condition holds; nothing to witness"),
     "lemma1": (
-        CONDITIONS["lemma1"],
+        CONDITION_CHECKS["lemma1"],
         "every weighted belief set sits inside the social one; nothing to witness",
     ),
     "spurious-unanimity": (
-        lambda prof, args: distinct_prior_pair(prof, _decomposition(prof)),
+        lambda prof: distinct_prior_pair(prof, required_decomposition(prof)),
         "no two positively weighted agents hold distinct priors; nothing to witness",
     ),
 }
@@ -97,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_vec(v) -> str:
-    return "(" + ", ".join(fraction_str(x) for x in v) + ")"
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -129,9 +93,7 @@ def cmd_check(args) -> int:
         return EXIT_FAIL if verdict.violation else EXIT_OK
 
     if what == "seu-existence":
-        prior = check_seu_existence(
-            [a.beliefs for a in prof.agents], combo_cap=args.combo_cap
-        )
+        prior = check_seu_existence([a.beliefs for a in prof.agents])
         holds = prior is not None
         payload = {"command": "check", "what": what, "holds": holds, "prior": prior}
         lines = [
@@ -140,9 +102,9 @@ def cmd_check(args) -> int:
         _emit(args, payload, lines)
         return EXIT_OK if holds else EXIT_FAIL
 
-    if what not in CONDITIONS:
+    if what not in CONDITION_CHECKS:
         raise DocumentError(f"unknown check tag {what!r}")
-    report = CONDITIONS[what](prof, args)
+    report = CONDITION_CHECKS[what](prof)
 
     payload = {"command": "check", "what": what, "report": report}
     lines = [f"{what}: {'holds' if report.holds else 'FAILS'}"]
@@ -156,7 +118,7 @@ def cmd_check(args) -> int:
             h = det["hyperplane"]
             lines.append(
                 f"separating hyperplane: normal={_fmt_vec(h.normal)}, "
-                f"threshold={fraction_str(h.threshold)}"
+                f"threshold={h.threshold}"
             )
         if "reason" in det:
             lines.append(f"reason: {det['reason']}")
@@ -168,7 +130,7 @@ def cmd_witness(args) -> int:
     prof = load_profile(args.profile)
     kind = args.kind
     produce, nothing = WITNESSES[kind]
-    report = produce(prof, args)
+    report = produce(prof)
     if report.holds:
         print(nothing, file=sys.stderr)
         return EXIT_PRECONDITION
@@ -178,9 +140,9 @@ def cmd_witness(args) -> int:
     payload = {"command": "witness", "kind": kind, "out": str(args.out), "witness": cert}
     lines = [
         f"wrote {kind} witness to {args.out}",
-        f"society margin: {fraction_str(cert.society_margin)}",
+        f"society margin: {cert.society_margin}",
     ] + [
-        f"agent {am.agent + 1}: prior {_fmt_vec(am.prior)}, margin {fraction_str(am.margin)}"
+        f"agent {am.agent + 1}: prior {_fmt_vec(am.prior)}, margin {am.margin}"
         for am in cert.per_agent
     ]
     _emit(args, payload, lines)
@@ -193,6 +155,8 @@ def cmd_plot_data(args) -> int:
         raise PreconditionError("plot data is defined for two-state profiles only")
     if args.grid < 2:
         raise DocumentError("--grid must be at least 2")
+    if args.precision < 0:
+        raise DocumentError("--precision must be nonnegative")
     acts = load_acts(args.acts, prof)
     evaluators = [
         (name, agent) for name, agent in zip(prof.agent_names(), prof.agents)
@@ -231,6 +195,8 @@ def cmd_plot_data(args) -> int:
 
 def cmd_fuzz(args) -> int:
     prof = load_profile(args.profile)
+    if args.trials < 0:
+        raise DocumentError("--trials must be nonnegative")
     planted = ()
     if args.acts:
         acts = load_acts(args.acts, prof)
@@ -271,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("profile")
     p_check.add_argument("what", help="axiom or condition tag")
     p_check.add_argument("--acts", help="acts document (f, g) for axiom checks")
-    p_check.add_argument("--combo-cap", type=int, default=DEFAULT_COMBO_CAP)
-    p_check.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -280,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("profile")
     p_wit.add_argument("kind", choices=tuple(WITNESSES))
     p_wit.add_argument("--out", required=True, help="path for the witness document")
-    p_wit.add_argument("--combo-cap", type=int, default=DEFAULT_COMBO_CAP)
     common(p_wit)
     p_wit.set_defaults(func=cmd_witness)
 

@@ -22,10 +22,6 @@ from .preferences import Act, AffineUtility, Agent, Profile, validate_profile
 from .witnesses import WitnessCertificate
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def format_decimal(x: Fraction, digits: int) -> str:
     """Exact decimal rendering with `digits` places (ties to even)."""
     scaled = round(x * 10**digits)
@@ -47,7 +43,7 @@ def jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return fraction_str(obj)
+        return str(obj)
     if isinstance(obj, float):
         raise DocumentError("floats must never appear in exact documents")
     if isinstance(obj, (list, tuple)):

@@ -623,6 +623,8 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
 # V-representation <-> H-representation (desk scale)
 # ---------------------------------------------------------------------------
 
+# The largest ambient dimension V<->H conversion accepts; more raise
+# CapExceededError.
 DEFAULT_DIM_CAP = 6
 
 
@@ -679,7 +681,7 @@ def _tight_vertices(
     return list(found) or None
 
 
-def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
+def vrep_to_hrep(P: Polytope) -> HRep:
     """Exact facet description of a vertex-represented polytope.
 
     Equalities pin the affine hull.  In the hull's coordinate frame, centred
@@ -690,8 +692,8 @@ def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
     Only sensible at desk scale, hence the ambient-dimension cap.
     """
     d = P.ambient_dim
-    if d > dim_cap:
-        raise CapExceededError(f"ambient dimension {d} exceeds cap {dim_cap}")
+    if d > DEFAULT_DIM_CAP:
+        raise CapExceededError(f"ambient dimension {d} exceeds cap {DEFAULT_DIM_CAP}")
     base, basis, pivots = _affine_basis(list(P.vertices))
     k = len(basis)
     # Normals vanishing on the direction span pin the affine hull; for a
@@ -725,7 +727,7 @@ def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
     return HRep(tuple(ineqs), tuple(sorted(eqs)))
 
 
-def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
+def hrep_vertices(H: HRep) -> Polytope | None:
     """Exact vertex set of an H-represented polytope; None when empty.
 
     The equalities are eliminated by an exact parametrization of their
@@ -740,8 +742,8 @@ def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
         d = len(H.equalities[0][0])
     else:
         raise ValueError("empty H-representation")
-    if d > dim_cap:
-        raise CapExceededError(f"ambient dimension {d} exceeds cap {dim_cap}")
+    if d > DEFAULT_DIM_CAP:
+        raise CapExceededError(f"ambient dimension {d} exceeds cap {DEFAULT_DIM_CAP}")
 
     if H.equalities:
         sol = solve_linear(
@@ -788,16 +790,14 @@ def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
     return Polytope(tuple(sorted(verts)))
 
 
-def intersect_polytopes(
-    polys: list[Polytope], dim_cap: int = DEFAULT_DIM_CAP
-) -> Polytope | None:
+def intersect_polytopes(polys: list[Polytope]) -> Polytope | None:
     """Exact intersection via stacked facet descriptions; None when empty."""
     if not polys:
         raise ValueError("nothing to intersect")
     ineqs: list[tuple[Vec, Fraction]] = []
     eqs: list[tuple[Vec, Fraction]] = []
     for P in polys:
-        h = vrep_to_hrep(P, dim_cap)
+        h = vrep_to_hrep(P)
         ineqs.extend(h.inequalities)
         eqs.extend(h.equalities)
-    return hrep_vertices(HRep(tuple(ineqs), tuple(eqs)), dim_cap)
+    return hrep_vertices(HRep(tuple(ineqs), tuple(eqs)))

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import AXIOM_CHECKS, AxiomVerdict
-from .characterizations import (
-    DEFAULT_COMBO_CAP,
-    aggregate_society,
-    check_thm1_condition,
-    check_thm2_condition,
-)
+from .characterizations import CONDITION_CHECKS, aggregate_society
 from .errors import MissingSocietyError, PreconditionError
 from .geometry import Polytope, Vec, segment_point
 from .preferences import (
@@ -228,6 +223,8 @@ def fuzz_axiom(
     """
     if prof.society is None:
         raise MissingSocietyError("fuzzing needs a society to test against")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     if axiom not in AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if sampler not in SAMPLER_TAGS:
@@ -295,7 +292,6 @@ def cross_validate(
     condition: str,
     trials: int = 1000,
     seed: int = 0,
-    combo_cap: int = DEFAULT_COMBO_CAP,
     checker=None,
     witness_builder=None,
 ) -> CrossValidation:
@@ -311,13 +307,7 @@ def cross_validate(
     if prof.society is None:
         raise MissingSocietyError("cross-validation needs a society")
     axiom, sampler = _CROSS_AXIOM[condition]
-    if checker is None:
-        checker = (
-            (lambda p: check_thm2_condition(p, combo_cap))
-            if condition == "thm2"
-            else check_thm1_condition
-        )
-    report = checker(prof)
+    report = (checker or CONDITION_CHECKS[condition])(prof)
 
     if report.holds:
         fz = fuzz_axiom(prof, axiom, trials, sampler, seed)

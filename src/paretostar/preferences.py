@@ -227,11 +227,6 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
     return _strict_prior(a.beliefs.cleared, _on_pair(a.utility, f, g))
 
 
-def min_margin(a: Agent, f: Act, g: Act) -> Fraction:
-    """The least EU(f) - EU(g) over the agent's belief vertices."""
-    return _least_margin(a.beliefs.cleared, _on_pair(a.utility, f, g))
-
-
 def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
     return not bewley_geq(a, f, g) and not bewley_geq(a, g, f)
 

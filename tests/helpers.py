@@ -51,6 +51,12 @@ def scenario2(society_beliefs: Polytope) -> Profile:
     return profile([ann, bob], soc)
 
 
+def wide_profile(n: int) -> Profile:
+    """n agents sharing one taste, each with a two-vertex belief interval: 2**n combos."""
+    agents = [Agent(utility([1, 0]), interval("0.2", "0.8"), f"agent{i + 1}") for i in range(n)]
+    return profile(agents, Agent(utility([1, 0]), interval("0.2", "0.8"), "society"))
+
+
 def random_simplex_point(rng: SplitMix64, m: int, denom_bound: int = 8):
     return rng.simplex_point(m, denom_bound)
 

@@ -36,9 +36,10 @@ from paretostar.harness import (
     random_profile,
 )
 from paretostar.preferences import (
+    _least_margin,
+    _on_pair,
     bewley_geq,
     check_c_minimal_agreement,
-    min_margin,
     no_taste_disagreement,
     strict_prior_against,
     utility_profile,
@@ -105,7 +106,7 @@ def _check_agent(a, f, g):
     for x, y in ((f, g), (g, f)):
         assert bewley_geq(a, x, y) == act_oracle.bewley_geq(a, x, y)
         _same_margin(strict_prior_against(a, x, y), act_oracle.strict_prior_against(a, x, y))
-        margin = min_margin(a, x, y)
+        margin = _least_margin(a.beliefs.cleared, _on_pair(a.utility, x, y))
         assert margin == act_oracle.min_margin(a, x, y) and type(margin) is Fraction
     assert utility_profile(a.utility, f) == act_oracle.utility_profile(a.utility, f)
 
@@ -281,7 +282,7 @@ class TestNamedCases:
         assert strict_prior_against(a, f, g) is None
         assert strict_prior_against(a, g, f) is None
         assert bewley_geq(a, f, g) and bewley_geq(a, g, f)
-        assert min_margin(a, f, g) == 0
+        assert _least_margin(a.beliefs.cleared, _on_pair(a.utility, f, g)) == 0
         _check_agent(a, f, g)
 
     def test_ragged_rows_raise_instead_of_truncating(self):

@@ -7,6 +7,7 @@ import pytest
 
 from paretostar import (
     Agent,
+    CapExceededError,
     Polytope,
     PreconditionError,
     Profile,
@@ -39,7 +40,7 @@ from paretostar.geometry import dot, intersect_polytopes, solve_linear
 from paretostar.harness import GenParams, random_profile
 
 import lp_oracle
-from helpers import interior_point, interval, scenario1, scenario2, singleton
+from helpers import interior_point, interval, scenario1, scenario2, singleton, wide_profile
 
 F = Fraction
 
@@ -345,6 +346,11 @@ class TestAggregateSociety:
             aggregate_society(prof, (0, 0), 0, "hull-union")
         with pytest.raises(ValueError):
             aggregate_society(prof, (1, 1), 0, "minkowski", gamma=("1/2", "1/4"))
+
+    def test_minkowski_over_the_combo_cap_raises(self):
+        prof = wide_profile(17)
+        with pytest.raises(CapExceededError, match="131072 vertex combos exceed the cap 100000"):
+            aggregate_society(prof, (1,) * 17, 0, "minkowski", gamma=(F(1, 17),) * 17)
 
 
 def _random_society_profile(seed, rule):

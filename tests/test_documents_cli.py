@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from paretostar import characterizations, pareto_star_check, witnesses
+from paretostar import (
+    Agent,
+    Polytope,
+    characterizations,
+    pareto_star_check,
+    profile,
+    utility,
+    witnesses,
+)
 from paretostar.axioms import AXIOM_CHECKS
 from paretostar.cli import main
 from paretostar.documents import (
@@ -22,7 +30,7 @@ from paretostar.errors import DocumentError
 from paretostar.harness import GenParams, cross_validate, random_profile
 from paretostar.witnesses import revalidate
 
-from helpers import scenario1
+from helpers import scenario1, wide_profile
 
 F = Fraction
 
@@ -251,6 +259,61 @@ class TestCliInternalError:
         assert not out.exists()
 
 
+class TestCliCaps:
+    """Size caps are fixed: over either one the CLI exits 2, and no option sets them."""
+
+    COMBOS = "131072 vertex combos exceed the cap 100000"
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        path = tmp_path / "wide.profile"
+        save_json(path, profile_to_dict(wide_profile(17)))
+        return str(path)
+
+    @pytest.mark.parametrize("what", ["thm2", "prop2", "seu-existence"])
+    def test_combo_cap_exit_2(self, wide, what, capsys):
+        assert main(["check", wide, what]) == 2
+        assert self.COMBOS in capsys.readouterr().err
+
+    def test_witness_combo_cap_exit_2(self, wide, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["witness", wide, "ct-pareto-star", "--out", str(out)]) == 2
+        assert self.COMBOS in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dimension_cap_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "seven.profile"
+        center = [F(1, 7)] * 7
+        corner = [F(1, 2)] + [F(1, 12)] * 6
+        agents = [Agent(utility([1]), Polytope.from_generators([center, corner]), "a"),
+                  Agent(utility([1]), Polytope.from_generators([center]), "b")]
+        soc = Agent(utility([1]), Polytope.from_generators([center]), "society")
+        save_json(path, profile_to_dict(profile(agents, soc)))
+        assert main(["check", str(path), "corollary2"]) == 2
+        assert "ambient dimension 7 exceeds cap 6" in capsys.readouterr().err
+
+    def test_cap_is_read_at_call_time(self, profiles_dir, monkeypatch, capsys):
+        monkeypatch.setattr(characterizations, "DEFAULT_COMBO_CAP", 3)
+        assert main(["check", str(profiles_dir / "example2.profile"), "thm2"]) == 2
+        assert "4 vertex combos exceed the cap 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "example2.profile", "thm2", "--combo-cap", "5"],
+            ["check", "example2.profile", "corollary2", "--dim-cap", "3"],
+            ["witness", "example2_p08.profile", "ct-pareto-star", "--out", "w.json",
+             "--combo-cap", "5"],
+        ],
+    )
+    def test_cap_options_are_gone(self, profiles_dir, tmp_path, argv, capsys):
+        argv = [str(profiles_dir / a) if a.endswith(".profile") else a for a in argv]
+        argv = [str(tmp_path / a) if a == "w.json" else a for a in argv]
+        assert main(argv) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "w.json").exists()
+
+
 class TestCliPlot:
     def test_golden_rows(self, profiles_dir, tmp_path):
         out = tmp_path / "p.csv"
@@ -298,6 +361,16 @@ class TestCliPlot:
         row = next(l for l in lines[1:] if l.startswith("0.30,,")).split(",")
         assert row[idx["Ann:reform"]] == "-40.00"
 
+    def test_negative_precision_exit_3(self, profiles_dir, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["plot-data", str(profiles_dir / "example1.profile"),
+             str(profiles_dir / "sq_vs_reform.acts"), "--out", str(out), "--precision", "-1"]
+        )
+        assert code == 3
+        assert "--precision must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_state_count_exit_2(self, tmp_path, profiles_dir):
         doc = tmp_path / "m3.profile"
         doc.write_text(
@@ -338,6 +411,14 @@ class TestCliFuzz:
             ["fuzz", str(profiles_dir / "example1.profile"), "pareto-star", "--trials", "0"]
         )
         assert code == 0
+
+    def test_negative_trials_exit_3(self, profiles_dir, capsys):
+        code = main(
+            ["fuzz", str(profiles_dir / "example1.profile"), "pareto-star", "--trials", "-5"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "--trials must be nonnegative" in captured.err and captured.out == ""
 
     def test_same_seed_byte_identical_reports(self, profiles_dir, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

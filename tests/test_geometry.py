@@ -210,6 +210,13 @@ class TestHRepConversion:
         with pytest.raises(CapExceededError):
             vrep_to_hrep(poly)
 
+    def test_vertex_enumeration_dimension_cap(self):
+        # The 7-cube [0, 1]^7: two bounds per coordinate.
+        rows = [(tuple(F(s * (i == j)) for i in range(7)), F(max(s, 0)))
+                for j in range(7) for s in (1, -1)]
+        with pytest.raises(CapExceededError, match="ambient dimension 7 exceeds cap 6"):
+            hrep_vertices(HRep(tuple(rows)))
+
     def test_four_state_round_trips(self):
         from paretostar import SplitMix64
 

@@ -51,6 +51,10 @@ class TestFuzz:
         assert report.trials == 0 and report.premise_hits == 0
         assert report.violations == ()
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be nonnegative"):
+            fuzz_axiom(scenario1(), "pareto-star", -5)
+
     def test_planted_pair_found(self):
         report = fuzz_axiom(
             scenario1(), "pareto-star", 50, seed=2, planted=(((STATUS_QUO, REFORM)),)
