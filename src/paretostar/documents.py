@@ -133,18 +133,19 @@ def profile_from_dict(data) -> Profile:
             raise DocumentError(f"profile document lacks '{key}'")
     states = data["states"]
     outcome_dim = data["outcome_dim"]
-    if not isinstance(states, int) or not isinstance(outcome_dim, int):
+    if any(type(x) is not int for x in (states, outcome_dim)):
         raise DocumentError("'states' and 'outcome_dim' must be integers")
     if not isinstance(data["agents"], list):
         raise DocumentError("'agents' must be a list")
     agents = tuple(
         _agent_from_dict(a, f"agents[{i}]") for i, a in enumerate(data["agents"])
     )
-    society = (
-        _agent_from_dict(data["society"], "society") if data.get("society") else None
-    )
-    if society is not None and not society.name:
-        society = Agent(society.utility, society.beliefs, name="society")
+    # Only an absent key or null means no society; {} or 0 is a malformed one.
+    society = None
+    if data.get("society") is not None:
+        society = _agent_from_dict(data["society"], "society")
+        if not society.name:
+            society = Agent(society.utility, society.beliefs, name="society")
     prof = Profile(states, outcome_dim, agents, society)
     problems = validate_profile(prof)
     if problems:

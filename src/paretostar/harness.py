@@ -7,10 +7,12 @@ bit-for-bit across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .axioms import AXIOM_CHECKS, AxiomVerdict
 from .characterizations import CONDITION_CHECKS, aggregate_society
@@ -21,6 +23,7 @@ from .preferences import (
     AffineUtility,
     Agent,
     Profile,
+    _cleared_act,
     check_c_minimal_agreement,
     validate_profile,
 )
@@ -163,34 +166,77 @@ FUZZ_BOX = 5
 FUZZ_DENOM_BOUND = 6
 
 
-def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) -> Act:
-    rows = []
-    for _ in range(prof.states):
-        rows.append(
-            tuple(rng.signed_fraction(box, denom_bound) for _ in range(prof.outcome_dim))
-        )
-    return Act(tuple(rows))
+def _draw(rng: SplitMix64, levels):
+    """One entry of a sampler table: its denominator's level first, then its
+    numerator's entry, as `unit_fraction` and `signed_fraction` draw."""
+    level = levels[rng.randint(1, len(levels) - 1)]
+    return level[rng.randint(0, len(level) - 1)]
 
 
-def _segment_rows(pair, denom_bound: int) -> list[tuple[Vec, ...]]:
-    """table[den][k] = segment_point(k/den, *pair), 1 <= den <= denom_bound, 0 <= k <= den:
-    every row the common-taste sampler can draw, built once per fuzz run."""
-    return [()] + [tuple(segment_point(Fraction(k, den), *pair) for k in range(den + 1))
-                   for den in range(1, denom_bound + 1)]
+def _entry_table(box: int, denom_bound: int):
+    """Every entry the general sampler can draw, built once per fuzz run.
+
+    `(levels, den)` with `levels[d][k + box*d] = (x, x * den, str(x))` for
+    `x = Fraction(k, d)`, 1 <= d <= denom_bound, |k| <= box*d, and
+    `den = lcm(1..denom_bound)`.
+    """
+    den = lcm(*range(1, denom_bound + 1))
+    levels = [()]
+    for d in range(1, denom_bound + 1):
+        level = []
+        for k in range(-box * d, box * d + 1):
+            x = Fraction(k, d)
+            level.append((x, k * (den // d), str(x)))
+        levels.append(level)
+    return levels, den
 
 
-def _table_act(rng: SplitMix64, states: int, table) -> Act:
-    """One row per state from `_segment_rows`, drawn as `unit_fraction` draws its
-    position: the denominator, then the numerator."""
-    rows = []
+def _general_act(rng: SplitMix64, states: int, dim: int, table) -> tuple[Act, str]:
+    """An act whose entries come from `_entry_table`, drawn row by row as
+    `signed_fraction` draws them, with its cleared cache filled, and its
+    digest text."""
+    levels, den = table
+    rows, ints, texts = [], [], []
     for _ in range(states):
-        den = rng.randint(1, len(table) - 1)
-        rows.append(table[den][rng.randint(0, den)])
-    return Act(tuple(rows))
+        row, row_ints, row_texts = zip(*[_draw(rng, levels) for _ in range(dim)])
+        rows.append(row)
+        ints.append(row_ints)
+        texts.append(",".join(row_texts))
+    return _cleared_act(tuple(rows), tuple(ints), den), ";".join(texts)
+
+
+def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) -> Act:
+    return _general_act(rng, prof.states, prof.outcome_dim, _entry_table(box, denom_bound))[0]
+
+
+def _segment_rows(pair, denom_bound: int):
+    """Every row the common-taste sampler can draw, built once per fuzz run.
+
+    `(levels, den)` with `levels[d][k] = (row, ints, text)` for
+    `row = segment_point(k/d, *pair)`, 1 <= d <= denom_bound, 0 <= k <= d:
+    `ints` is the row over `den`, the least common denominator of the whole
+    table, and `text` is `",".join(map(str, row))`.
+    """
+    rows = [[segment_point(Fraction(k, d), *pair) for k in range(d + 1)]
+            for d in range(1, denom_bound + 1)]
+    den = lcm(*[x.denominator for level in rows for row in level for x in row])
+    return [()] + [
+        [(row, tuple([x.numerator * (den // x.denominator) for x in row]),
+          ",".join(map(str, row))) for row in level]
+        for level in rows
+    ], den
+
+
+def _table_act(rng: SplitMix64, states: int, table) -> tuple[Act, str]:
+    """One row per state from `_segment_rows`, drawn as `unit_fraction` draws its
+    position, with its cleared cache filled, and its digest text."""
+    levels, den = table
+    rows, ints, texts = zip(*[_draw(rng, levels) for _ in range(states)])
+    return _cleared_act(rows, ints, den), ";".join(texts)
 
 
 def _segment_act(rng: SplitMix64, prof: Profile, pair, denom_bound: int) -> Act:
-    return _table_act(rng, prof.states, _segment_rows(pair, denom_bound))
+    return _table_act(rng, prof.states, _segment_rows(pair, denom_bound))[0]
 
 
 @dataclass(frozen=True)
@@ -235,35 +281,40 @@ def fuzz_axiom(
             "use the common-taste sampler for premise coverage",
             stacklevel=2,
         )
-    table = None
     if sampler == "common-taste":
         cmin = check_c_minimal_agreement(prof)
         if cmin is None:
             raise PreconditionError(
                 "common-taste sampler needs a commonly strictly ranked outcome pair"
             )
-        table = _segment_rows(cmin, FUZZ_DENOM_BOUND)
     check = AXIOM_CHECKS[axiom]
     rng = SplitMix64(seed)
+    # Each drawn act comes with its digest text; the table is built once per
+    # run, and only if some trial samples.
+    if trials <= len(planted):
+        draw = None
+    elif sampler == "general":
+        draw = functools.partial(_general_act, rng, prof.states, prof.outcome_dim,
+                                 _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND))
+    else:
+        draw = functools.partial(_table_act, rng, prof.states,
+                                 _segment_rows(cmin, FUZZ_DENOM_BOUND))
     sha = hashlib.sha256()
     premise_hits = 0
     violations = []
     for idx in range(trials):
         if idx < len(planted):
             f, g = planted[idx]
-        elif sampler == "general":
-            f = _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND)
-            g = _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND)
+            text_f, text_g = _fmt_act(f), _fmt_act(g)
         else:
-            f = _table_act(rng, prof.states, table)
-            g = _table_act(rng, prof.states, table)
+            (f, text_f), (g, text_g) = draw(), draw()
         verdict = check(prof, f, g)
         if verdict.premise_holds:
             premise_hits += 1
         if verdict.violation:
             violations.append((f, g, verdict))
         sha.update(
-            f"{idx}|{_fmt_act(f)}|{_fmt_act(g)}|{int(verdict.premise_holds)}{int(verdict.conclusion_holds)}\n".encode()
+            f"{idx}|{text_f}|{text_g}|{int(verdict.premise_holds)}{int(verdict.conclusion_holds)}\n".encode()
         )
     return FuzzReport(
         axiom, sampler, trials, premise_hits, tuple(violations), sha.hexdigest()

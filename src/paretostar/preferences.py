@@ -13,7 +13,9 @@ never see it).  A taste on two acts is plain `int` dot products (the utility
 constant cancels from every gap), each belief vertex's weighted sum of the
 gaps is one integer numerator whose sign decides dominance, and a `Fraction`
 is built only for a margin that is returned.  `utility_profile` and
-`expected_utility` still evaluate in `Fraction`s.
+`expected_utility` still evaluate in `Fraction`s.  The fuzz samplers build
+their acts with `_cleared_act`, whose rows arrive already cleared over a
+denominator shared by a whole table of draws.
 """
 
 from __future__ import annotations
@@ -93,6 +95,21 @@ class Act:
 
     def translate(self, offset: Vec) -> "Act":
         return Act(tuple(tuple(a + b for a, b in zip(r, offset)) for r in self.rows))
+
+
+def _cleared_act(rows: tuple[Vec, ...], ints: tuple[tuple[int, ...], ...], den: int) -> Act:
+    """An `Act` on `rows` whose `cleared` cache already holds `(ints, den)`.
+
+    `rows[s][j] == ints[s][j] / den` must hold; `den` need not be the least
+    common denominator (`_on_pair` rescales both acts to `lcm(den_f, den_g)`
+    and every margin leaves as a reduced `Fraction`), so a sampler can clear
+    a whole table of rows over one denominator once.  The value sits in the
+    instance `__dict__`, where `functools.cached_property` keeps it, so
+    equality, hashing, `repr` and documents see only `rows`.
+    """
+    f = Act(rows)
+    f.__dict__["cleared"] = (ints, den)
+    return f
 
 
 def act(rows) -> Act:

@@ -30,8 +30,14 @@ elimination kept in `lp_oracle.py`.
 `segment_act` is `paretostar.harness._segment_act` as it drew each row's
 position with `unit_fraction` and built the row with `segment_point`, before
 the sampler drew its rows from a table built once per fuzz run; it is bound
-to the `segment_point` above.  The table route must draw equal acts and
-leave the generator in the same state.
+to the `segment_point` above.  `_sample_general` is
+`paretostar.harness._sample_general` as it drew every entry with
+`signed_fraction`, before the general sampler drew its entries from a table
+built once per fuzz run; it is kept verbatim.  Both table routes must draw
+equal acts and leave the generator in the same state.  The table routes
+also hand each act over with its `cleared` cache filled over a table-wide
+denominator and with its digest text; neither has an oracle here, so they
+are checked against a fresh `Act` on the same rows and `harness._fmt_act`.
 """
 
 from fractions import Fraction
@@ -40,7 +46,8 @@ from lp_oracle import rref
 from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
 from paretostar.geometry import Vec, is_zero, max_margin, vsub
-from paretostar.preferences import Act
+from paretostar.harness import SplitMix64
+from paretostar.preferences import Act, Profile
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -101,6 +108,15 @@ def segment_act(rng, prof, pair, denom_bound: int) -> Act:
         segment_point(rng.unit_fraction(denom_bound), x_star, x_low)
         for _ in range(prof.states)
     ))
+
+
+def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) -> Act:
+    rows = []
+    for _ in range(prof.states):
+        rows.append(
+            tuple(rng.signed_fraction(box, denom_bound) for _ in range(prof.outcome_dim))
+        )
+    return Act(tuple(rows))
 
 
 def _span_basis(points: list[Vec]) -> list[Vec]:

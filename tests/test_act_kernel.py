@@ -6,8 +6,9 @@ gaps and compares tastes by integer cross-products, and the exchange axioms
 take their per-vertex gaps from the same kernel; every axiom check
 evaluates each taste on the two acts once.  Utilities, acts and belief
 polytopes are cleared to integers once and cached outside their fields.
-`geometry.segment_point` builds each entry from integers, and the
-common-taste sampler draws its rows from a table built once per fuzz run.
+`geometry.segment_point` builds each entry from integers, and both fuzz
+samplers draw from tables built once per fuzz run, whose acts arrive with
+their `cleared` cache filled and their digest text.
 `act_oracle` holds the `Fraction` code they replaced.  Every answer must
 agree exactly: the same bool, the same vertex, an equal `Fraction` margin,
 an equal verdict (dumped bytes included) and an equal draw.
@@ -28,8 +29,14 @@ from paretostar.axioms import AXIOM_CHECKS
 from paretostar.documents import dumps, jsonable
 from paretostar.geometry import dot, segment_point
 from paretostar.harness import (
+    FUZZ_BOX,
+    FUZZ_DENOM_BOUND,
     GenParams,
     SplitMix64,
+    _entry_table,
+    _fmt_act,
+    _general_act,
+    _sample_general,
     _segment_act,
     _segment_rows,
     _table_act,
@@ -345,8 +352,33 @@ def _identity(obj):
     ]
 
 
+def _table_drawn_cases():
+    """Profiles with a society, with act pairs drawn from both sampler tables."""
+    general = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)
+    for seed in range(60):
+        prof = random_profile(GenParams(
+            seed=seed, n=2 + seed % 3, m=2 + (seed // 3) % 3, d=1 + (seed // 5) % 4,
+            max_vertices=1 + (seed // 2) % 3,
+            society_rule=("minkowski", "hull-union", "perturbed")[seed % 3],
+        ))
+        rng = SplitMix64(seed)
+        tables = [(_general_act, (prof.states, prof.outcome_dim, general))]
+        if (pair := check_c_minimal_agreement(prof)) is not None:
+            tables.append((_table_act, (prof.states, _segment_rows(pair, FUZZ_DENOM_BOUND))))
+        for draw, args in tables:
+            for _ in range(3):
+                yield prof, draw(rng, *args)[0], draw(rng, *args)[0]
+
+
+def _fractions_of(values):
+    nums, den = values
+    return [F(n, den) for n in nums]
+
+
 def test_cache_changes_no_equality_hash_or_document():
-    for prof, f, g in itertools.islice(_sweep_with_society(), 100):
+    drawn = 0
+    cases = itertools.chain(itertools.islice(_sweep_with_society(), 100), _table_drawn_cases())
+    for prof, f, g in cases:
         objects = [prof, f, g]
         for a in (*prof.agents, prof.society):
             objects += [a, a.utility, a.beliefs]
@@ -358,6 +390,19 @@ def test_cache_changes_no_equality_hash_or_document():
         assert [_identity(x) for x in objects] == before
         assert objects == fresh and all("cleared" not in vars(x) for x in fresh)
         assert [hash(x) for x in objects] == [hash(x) for x in fresh]
+        # A table-drawn act, its cache filled over the table's denominator,
+        # against a fresh act on the same rows.
+        plain_f, plain_g = Act(f.rows), Act(g.rows)
+        assert _identity(f) == _identity(plain_f) and _identity(g) == _identity(plain_g)
+        for a in (*prof.agents, prof.society):
+            assert (_fractions_of(_on_pair(a.utility, f, g))
+                    == _fractions_of(_on_pair(a.utility, plain_f, plain_g)))
+        for tag, check in AXIOM_CHECKS.items():
+            got = check(prof, f, g)
+            assert got == act_oracle.AXIOM_CHECKS[tag](prof, plain_f, plain_g), tag
+        drawn += f.cleared[1] != plain_f.cleared[1]
+    # Most table draws carry a denominator larger than their least one.
+    assert drawn > 200
 
 
 def test_table_draws_match_oracle_sampler():
@@ -382,9 +427,79 @@ def test_table_draws_match_oracle_sampler():
                 fast, wrapped, slow = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
                 for _ in range(15):
                     want = act_oracle.segment_act(slow, prof, pair, bound)
-                    got = _table_act(fast, prof.states, table)
+                    got, _ = _table_act(fast, prof.states, table)
                     assert got == want and _segment_act(wrapped, prof, pair, bound) == want
                     assert fast.state == wrapped.state == slow.state
                     assert all(type(x) is Fraction for row in got.rows for x in row)
                     draws += 1
     assert draws > 5000
+
+
+def test_general_draws_match_oracle_sampler():
+    """The entry table draws the acts `signed_fraction` drew, and leaves the
+    generator in the same state, draw by draw."""
+    draws = 0
+    for seed in range(40):
+        prof = random_profile(GenParams(
+            seed=seed, n=2 + seed % 2, m=2 + seed % 3, d=1 + seed % 4, society_rule="none",
+        ))
+        for box, bound in ((FUZZ_BOX, FUZZ_DENOM_BOUND), (3, 4), (1, 1), (2, 9)):
+            table = _entry_table(box, bound)
+            fast, wrapped, slow = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+            for _ in range(10):
+                want = act_oracle._sample_general(slow, prof, box, bound)
+                got, _ = _general_act(fast, prof.states, prof.outcome_dim, table)
+                assert got == want and _sample_general(wrapped, prof, box, bound) == want
+                assert fast.state == wrapped.state == slow.state
+                assert all(type(x) is Fraction for row in got.rows for x in row)
+                draws += 1
+    assert draws == 1600
+
+
+def _check_table_act(act, text):
+    """The cached integers are the rows over one denominator that every entry
+    divides, and the text is the digest's rendering of the rows."""
+    ints, den = act.cleared
+    assert len(ints) == act.states
+    for r, row in zip(ints, act.rows):
+        _equal_entries(r, den, row)
+    assert all(den % x.denominator == 0 for row in act.rows for x in row)
+    assert text == _fmt_act(act)
+
+
+def _check_table(levels, den, bound):
+    """Every entry of a sampler table: its integers over the table's
+    denominator, and its text."""
+    assert levels[0] == () and len(levels) == bound + 1
+    count = 0
+    for level in levels[1:]:
+        for value, ints, text in level:
+            if not isinstance(value, tuple):  # an entry of the general table
+                value, ints = (value,), (ints,)
+            _equal_entries(ints, den, value)
+            assert text == ",".join(map(str, value))
+            count += 1
+    return count
+
+
+def test_table_acts_carry_their_cleared_rows_and_text():
+    entries = 0
+    for seed in range(40):
+        prof = random_profile(GenParams(
+            seed=seed, n=2 + seed % 2, m=2 + seed % 3, d=1 + seed % 4, society_rule="none",
+        ))
+        rng = SplitMix64(seed)
+        pair = check_c_minimal_agreement(prof)
+        for bound in (1, 2, FUZZ_DENOM_BOUND, 9):
+            general = _entry_table(FUZZ_BOX, bound)
+            entries += _check_table(*general, bound)
+            for _ in range(5):
+                _check_table_act(*_general_act(rng, prof.states, prof.outcome_dim, general))
+            if pair is not None:
+                table = _segment_rows(pair, bound)
+                entries += _check_table(*table, bound)
+                for _ in range(5):
+                    _check_table_act(*_table_act(rng, prof.states, table))
+    levels, den = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)
+    assert sum(map(len, levels)) == 216 and den == 60
+    assert entries > 10000

@@ -173,6 +173,44 @@ class TestCliCheck:
         assert payload["report"]["holds"] is False
 
 
+class TestCliMalformedProfile:
+    """A malformed profile document is an input error (exit 3), never read as
+    a smaller or society-less profile."""
+
+    @staticmethod
+    def _write(tmp_path, data):
+        doc = tmp_path / "doc.profile"
+        doc.write_text(json.dumps(data))
+        return str(doc)
+
+    @pytest.mark.parametrize("society", [{}, [], 0, False, ""])
+    def test_falsy_society_exit_3(self, profiles_dir, tmp_path, society, capsys):
+        data = json.loads((profiles_dir / "example2.profile").read_text())
+        data["society"] = society
+        assert main(["check", self._write(tmp_path, data), "thm2"]) == 3
+        assert "society" in capsys.readouterr().err
+
+    def test_absent_or_null_society_exit_2(self, profiles_dir, tmp_path, capsys):
+        data = json.loads((profiles_dir / "example2.profile").read_text())
+        data["society"] = None
+        assert main(["check", self._write(tmp_path, data), "thm2"]) == 2
+        del data["society"]
+        assert main(["check", self._write(tmp_path, data), "thm2"]) == 2
+        assert "no society" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["states", "outcome_dim"])
+    def test_boolean_size_exit_3(self, tmp_path, key, capsys):
+        one_d = [
+            {"utility": {"coeffs": [1]}, "beliefs": [[0.5, 0.5]]},
+            {"utility": {"coeffs": [2]}, "beliefs": [[0.25, 0.75]]},
+        ]
+        data = {"states": 2, "outcome_dim": 1, "agents": one_d, "society": one_d[0]}
+        assert main(["check", self._write(tmp_path, data), "thm2"]) == 0
+        data[key] = True
+        assert main(["check", self._write(tmp_path, data), "thm2"]) == 3
+        assert "must be integers" in capsys.readouterr().err
+
+
 class TestCliWitness:
     def test_ct_witness_file_revalidates(self, profiles_dir, tmp_path, capsys):
         out = tmp_path / "w.json"
