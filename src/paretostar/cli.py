@@ -10,6 +10,7 @@ its own re-check; a bug, not a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .harness import SAMPLER_TAGS, fuzz_axiom
-from .preferences import expected_utility
+from .preferences import utility_profile
 from .witnesses import witness_for
 
 EXIT_OK = 0
@@ -167,16 +168,18 @@ def cmd_plot_data(args) -> int:
     header = ["p_A", "mark"] + [
         f"{ev_name}:{act_name}" for ev_name, _ in evaluators for act_name, _ in acts
     ]
+    # Each curve is the line EU(p_A) = u(f(B)) + p_A * (u(f(A)) - u(f(B))),
+    # the same Fraction as expected_utility under the prior (p_A, 1 - p_A).
+    curves = []
+    for _, agent in evaluators:
+        for _, act in acts:
+            u_a, u_b = utility_profile(agent.utility, act)
+            curves.append((u_b, u_a - u_b))
     rows = []
 
     def emit_row(pa: Fraction, mark: str) -> None:
-        prior = (pa, 1 - pa)
         cells = [format_decimal(pa, args.precision), mark]
-        for _, agent in evaluators:
-            for _, act in acts:
-                cells.append(
-                    format_decimal(expected_utility(agent.utility, prior, act), args.precision)
-                )
+        cells += [format_decimal(base + pa * slope, args.precision) for base, slope in curves]
         rows.append(",".join(cells))
 
     for j in range(args.grid):
@@ -197,6 +200,8 @@ def cmd_fuzz(args) -> int:
     prof = load_profile(args.profile)
     if args.trials < 0:
         raise DocumentError("--trials must be nonnegative")
+    if not 0 <= args.seed < 2**64:
+        raise DocumentError("--seed must be in [0, 2**64)")
     planted = ()
     if args.acts:
         acts = load_acts(args.acts, prof)
@@ -223,7 +228,9 @@ def cmd_fuzz(args) -> int:
     return EXIT_FAIL if report.violations else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing keeps no state on it)."""
     parser = _Parser(
         prog="paretostar",
         description="Exact checks of Paretian aggregation axioms for multi-prior agents.",
@@ -238,14 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("what", help="axiom or condition tag")
     p_check.add_argument("--acts", help="acts document (f, g) for axiom checks")
     common(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_wit = sub.add_parser("witness", help="construct a certified counterexample")
     p_wit.add_argument("profile")
     p_wit.add_argument("kind", choices=tuple(WITNESSES))
     p_wit.add_argument("--out", required=True, help="path for the witness document")
     common(p_wit)
-    p_wit.set_defaults(func=cmd_witness)
 
     p_plot = sub.add_parser("plot-data", help="expected-utility curves as CSV")
     p_plot.add_argument("profile")
@@ -253,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--grid", type=int, default=101)
     p_plot.add_argument("--precision", type=int, default=6)
-    p_plot.set_defaults(func=cmd_plot_data)
 
     p_fuzz = sub.add_parser("fuzz", help="random act-pair search for violations")
     p_fuzz.add_argument("profile")
@@ -264,15 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--acts", help="acts document planted as trial 0")
     p_fuzz.add_argument("--out", help="write the machine-readable report here")
     common(p_fuzz)
-    p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 
 
+# Subcommand -> name of its handler in this module, looked up when `main` is
+# called, so a rebound `cmd_*` is still reached.
+_COMMANDS = {
+    "check": "cmd_check",
+    "witness": "cmd_witness",
+    "plot-data": "cmd_plot_data",
+    "fuzz": "cmd_fuzz",
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; may be called repeatedly in one process."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()[_COMMANDS[args.command]](args)
     except DocumentError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -598,7 +598,8 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
     """Minimal subset with the same convex hull (the exact vertex set).
 
     Input order of the survivors is preserved; duplicates collapse to their
-    first occurrence.
+    first occurrence.  The lexicographically least and greatest points are
+    vertices of any finite set's hull, so they are kept without an LP.
     """
     if not points:
         raise ValueError("no points given")
@@ -606,13 +607,16 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
     for p in points:
         if p not in uniq:
             uniq.append(p)
+    if len(set(map(len, uniq))) > 1:
+        raise DimensionMismatchError("points of mixed dimension")
     if len(uniq) == 1:
         return uniq
+    extremes = (min(uniq), max(uniq))
     kept = list(uniq)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if convex_weights(kept[i], others) is not None:
+        p = kept[i]
+        if p not in extremes and convex_weights(p, kept[:i] + kept[i + 1:]) is not None:
             kept.pop(i)
         else:
             i += 1

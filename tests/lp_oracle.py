@@ -27,6 +27,12 @@ agent's hull weights again for every support containing the agent, before
 it computed them once per call; kept verbatim
 (`tests/test_characterizations.py`).
 
+`remove_redundant` is `geometry.remove_redundant` as it solved one
+`convex_weights` LP per point, before it kept the lexicographically least
+and greatest points without one.  It and `convex_weights` are kept verbatim;
+`feasible_nonneg` runs them on this module's `simplex_standard`
+(`tests/test_lp_kernel.py`, and the redundancy passes of `vh_oracle.py`).
+
 `rref`, `rank`, `_kernel`, `nullspace`, `solve_linear`, `_affine_basis` and
 `_coords` are the `Fraction` Gauss-Jordan routines `geometry` used before
 `rref` moved onto the simplex's integer pivot.  They are kept verbatim so
@@ -251,6 +257,57 @@ def simplex_standard(
         z[bi] = b[i]
     value = sum((objective[j] * z[j] for j in range(n)), _ZERO)
     return "optimal", z, value
+
+
+def feasible_nonneg(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction] | None:
+    """Some z >= 0 with rows·z = rhs, or None. Phase 1 of the simplex only.
+
+    The entries are made `Fraction`s first: this module's simplex divides
+    them with `/`, which on two ints would give a float.
+    """
+    n = len(rows[0]) if rows else 0
+    rows = [[Fraction(x) for x in r] for r in rows]
+    status, z, _ = simplex_standard(rows, [Fraction(x) for x in rhs], [_ZERO] * n)
+    return z if status == "optimal" else None
+
+
+def convex_weights(p: Vec, points: list[Vec]) -> list[Fraction] | None:
+    """Weights mu >= 0, sum 1, with sum mu_j points_j = p; None if impossible."""
+    d = len(p)
+    for q in points:
+        if len(q) != d:
+            raise DimensionMismatchError("point dimension differs from target")
+    rows = [[q[k] for q in points] for k in range(d)]
+    rows.append([1] * len(points))
+    rhs = list(p) + [1]
+    return feasible_nonneg(rows, rhs)
+
+
+def remove_redundant(points: list[Vec]) -> list[Vec]:
+    """Minimal subset with the same convex hull (the exact vertex set).
+
+    Input order of the survivors is preserved; duplicates collapse to their
+    first occurrence.
+    """
+    if not points:
+        raise ValueError("no points given")
+    uniq: list[Vec] = []
+    for p in points:
+        if p not in uniq:
+            uniq.append(p)
+    if len(uniq) == 1:
+        return uniq
+    kept = list(uniq)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        if convex_weights(kept[i], others) is not None:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
 
 
 def exchange_star_prior(agent_diffs: list[Vec], holder) -> tuple[Vec, Fraction] | None:

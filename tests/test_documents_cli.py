@@ -1,5 +1,7 @@
 """Document round trips, CLI exit codes on the shipped examples, plot data."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -9,13 +11,15 @@ from paretostar import (
     Agent,
     Polytope,
     characterizations,
+    cli,
     pareto_star_check,
     profile,
     utility,
     witnesses,
 )
 from paretostar.axioms import AXIOM_CHECKS
-from paretostar.cli import main
+from paretostar.characterizations import CONDITION_CHECKS
+from paretostar.cli import build_parser, main
 from paretostar.documents import (
     dumps,
     format_decimal,
@@ -458,6 +462,26 @@ class TestCliFuzz:
         captured = capsys.readouterr()
         assert "--trials must be nonnegative" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    def test_seed_outside_64_bits_exit_3(self, profiles_dir, tmp_path, seed, capsys):
+        out = tmp_path / "r.json"
+        code = main(
+            ["fuzz", str(profiles_dir / "example1.profile"), "pareto-star",
+             "--trials", "5", "--seed", seed, "--out", str(out)]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "--seed must be in [0, 2**64)" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_range_ends_accepted(self, profiles_dir, seed):
+        code = main(
+            ["fuzz", str(profiles_dir / "example1.profile"), "pareto-star",
+             "--trials", "5", "--seed", seed]
+        )
+        assert code in (0, 1)
+
     def test_same_seed_byte_identical_reports(self, profiles_dir, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -475,6 +499,77 @@ class TestCliFuzz:
                 ]
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestCliReuse:
+    """`main` called many times in one process answers as a fresh process would."""
+
+    @staticmethod
+    def _table(profiles_dir, tmp_path):
+        """(argv, written file or None) for a spread of commands.  Pairs of
+        commands differ in one option (format, planted acts, precision), so
+        an option value left behind by one would show in the other."""
+        example1 = str(profiles_dir / "example1.profile")
+        acts = str(profiles_dir / "sq_vs_reform.acts")
+        table = [
+            (["check", str(profiles_dir / f"{name}.profile"), tag, "--format", "machine"], None)
+            for name in SHIPPED_PROFILES
+            for tag in [*CONDITION_CHECKS, "seu-existence"]
+        ]
+        table += [
+            (["check", example1, axiom, "--acts", acts], None) for axiom in AXIOM_CHECKS
+        ]
+        table += [
+            (["check", example1, "thm2"], None),
+            (["witness", str(profiles_dir / "example2_p08.profile"), "ct-pareto-star",
+              "--out", str(tmp_path / "w_ct.json")], tmp_path / "w_ct.json"),
+            (["witness", example1, "spurious-unanimity", "--out", str(tmp_path / "w_su.json"),
+              "--format", "machine"], tmp_path / "w_su.json"),
+            (["plot-data", example1, acts, "--out", str(tmp_path / "c3.csv"),
+              "--precision", "3"], tmp_path / "c3.csv"),
+            (["plot-data", example1, acts, "--out", str(tmp_path / "c6.csv")], tmp_path / "c6.csv"),
+            (["fuzz", example1, "pareto-star", "--trials", "40", "--seed", "5", "--acts", acts,
+              "--out", str(tmp_path / "planted.json")], tmp_path / "planted.json"),
+            (["fuzz", example1, "pareto-star", "--trials", "40", "--seed", "5",
+              "--out", str(tmp_path / "fuzz.json")], tmp_path / "fuzz.json"),
+            (["check", example1], None),
+            (["--help"], None),
+        ]
+        return table
+
+    @staticmethod
+    def _run(argv, written):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = ("SystemExit", e.code)
+        data = written.read_bytes() if written is not None else None
+        return code, out.getvalue(), err.getvalue(), data
+
+    def test_reverse_order_rerun_is_identical(self, profiles_dir, tmp_path):
+        table = self._table(profiles_dir, tmp_path)
+        first = []
+        for argv, written in table:
+            build_parser.cache_clear()  # a new parser per command, as a new process builds
+            first.append(self._run(argv, written))
+        second = [self._run(argv, written) for argv, written in reversed(table)][::-1]
+        for (argv, _), a, b in zip(table, first, second):
+            assert a == b, argv
+        codes = [result[0] for result in first]
+        assert codes[-2:] == [3, ("SystemExit", 0)]
+        assert {0, 1, 2} <= set(codes)
+        assert "usage: paretostar" in first[-1][1]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_rebound_handler_is_reached(self, profiles_dir, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.what) or 7)
+        assert main(["check", str(profiles_dir / "example1.profile"), "thm2"]) == 7
+        assert seen == ["thm2"]
 
 
 class TestShippedProfilesMatchApi:

@@ -3,7 +3,9 @@
 `tests/golden/check_machine.json` pins the exit code, stdout and stderr of
 ``paretostar check <profile> <tag> --format machine`` for every shipped
 profile and every condition tag; the ``witness_*.json`` files pin three
-witness documents, one per construction; `tests/golden/fuzz_reports.json`
+witness documents, one per construction; `tests/golden/plot_data.json` pins
+the full CSV text of ``paretostar plot-data`` for two profile/acts pairs at
+three precisions and two grids; `tests/golden/fuzz_reports.json`
 pins the dumped `fuzz_axiom` report (digest, premise hits and every
 certified violation) of 300 seeded trials for every shipped profile with a
 society, every axiom and every sampler the profile admits.  A change that
@@ -79,6 +81,34 @@ def build_witness(name: str, kind: str, tmp: pathlib.Path) -> str:
     return out.read_text(encoding="utf-8")
 
 
+PLOT_INPUTS = (("example1", "sq_vs_reform"), ("example2", "reform_vs_sq_common"))
+PLOT_PRECISIONS = (0, 2, 6)
+PLOT_GRIDS = (2, 101)
+PLOT_KEYS = tuple(
+    (name, acts, precision, grid)
+    for name, acts in PLOT_INPUTS
+    for precision in PLOT_PRECISIONS
+    for grid in PLOT_GRIDS
+)
+
+
+def plot_key(name: str, acts: str, precision: int, grid: int) -> str:
+    return f"{name} {acts} --precision {precision} --grid {grid}"
+
+
+def build_plot(name: str, acts: str, precision: int, grid: int, tmp: pathlib.Path) -> bytes:
+    out = tmp / "curves.csv"
+    argv = [
+        "plot-data", str(PROFILES / f"{name}.profile"), str(PROFILES / f"{acts}.acts"),
+        "--out", str(out), "--precision", str(precision), "--grid", str(grid),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise AssertionError(f"plot-data on {name} exited {code}")
+    return out.read_bytes()
+
+
 FUZZ_TRIALS = 300
 FUZZ_SEED = 7
 
@@ -148,6 +178,20 @@ def test_witness_file_is_byte_identical(name, kind, tmp_path):
     assert build_witness(name, kind, tmp_path) == expected
 
 
+@pytest.fixture(scope="module")
+def plot_golden() -> dict:
+    return json.loads((GOLDEN / "plot_data.json").read_text(encoding="utf-8"))
+
+
+def test_plot_golden_covers_every_input(plot_golden):
+    assert sorted(plot_golden) == sorted(plot_key(*key) for key in PLOT_KEYS)
+
+
+@pytest.mark.parametrize("key", PLOT_KEYS, ids=lambda key: plot_key(*key))
+def test_plot_data_is_byte_identical(plot_golden, key, tmp_path):
+    assert build_plot(*key, tmp_path) == plot_golden[plot_key(*key)].encode("utf-8")
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     checks = {
@@ -155,6 +199,14 @@ def regenerate() -> None:
     }
     (GOLDEN / "check_machine.json").write_text(
         json.dumps(checks, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        plots = {
+            plot_key(*key): build_plot(*key, pathlib.Path(tmp)).decode("utf-8")
+            for key in PLOT_KEYS
+        }
+    (GOLDEN / "plot_data.json").write_text(
+        json.dumps(plots, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     fuzz = {name: reports for name in PROFILE_NAMES if (reports := fuzz_reports(name))}
     (GOLDEN / "fuzz_reports.json").write_text(

@@ -368,3 +368,68 @@ def test_every_lp_of_a_many_agent_sweep_matches_oracle():
 def test_rows_lag_behind_the_pivot_in_the_sweep():
     _, lagging = _sweep_lps()
     assert lagging >= 1000
+
+
+# ---------------------------------------------------------------------------
+# remove_redundant: no LP for the lexicographic extremes
+# ---------------------------------------------------------------------------
+
+
+def _random_point_set(rng):
+    """1-12 points in dimension 2-4 with duplicates, collinear runs and
+    repeated lexicographic extremes, in shuffled order."""
+    d = rng.randint(2, 4)
+
+    def point():
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+
+    pts = [point() for _ in range(rng.randint(1, 6))]
+    if len(pts) > 1 and rng.random() < 0.5:
+        a, b = rng.sample(pts, 2)
+        for t in rng.sample((F(-1, 2), F(1, 3), F(1, 2), F(2, 3), F(3, 2)), rng.randint(1, 3)):
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    while rng.random() < 0.4:
+        pts.append(rng.choice(pts))
+    if rng.random() < 0.4:
+        pts += [min(pts), max(pts)]
+    del pts[12:]
+    rng.shuffle(pts)
+    return pts
+
+
+def test_remove_redundant_matches_oracle():
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for _ in range(400):
+        pts = _random_point_set(rng)
+        got = geometry.remove_redundant(pts)
+        assert got == lp_oracle.remove_redundant(pts), pts
+        seen["duplicates"] += len(set(pts)) < len(pts)
+        seen["extreme repeated"] += pts.count(min(pts)) > 1 or pts.count(max(pts)) > 1
+        seen["redundant"] += len(got) < len(set(pts))
+        seen["single"] += len(got) == 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_two_point_set_solves_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(geometry, "convex_weights", no_lp)
+    pair = [(F(3, 10), F(7, 10)), (F(3, 5), F(2, 5))]
+    assert geometry.remove_redundant(pair + pair[::-1]) == pair
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(F(0), F(0)), (F(1), F(1), F(1))],  # two points: neither reaches an LP
+        [(F(0), F(0)), (F(1), F(1)), (F(2),)],  # the short point is the greatest
+        [(F(1), F(1)), (F(0), F(0), F(0)), (F(1, 2), F(1, 2))],
+    ],
+)
+def test_remove_redundant_rejects_mixed_dimensions(points):
+    with pytest.raises(DimensionMismatchError):
+        geometry.remove_redundant(points)
+    with pytest.raises(DimensionMismatchError):
+        lp_oracle.remove_redundant(points)

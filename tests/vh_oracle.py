@@ -7,14 +7,15 @@ pass after each.  `_primitive`, `_box_and_cut`, `vrep_to_hrep`,
 `hrep_vertices` and `intersect_polytopes` are kept verbatim as the oracle
 the new kernel is differential-tested against (`tests/test_vh_kernel.py`):
 both must return the same `HRep` normal form and the same sorted vertices.
-Its linear algebra is the `Fraction` elimination kept in `lp_oracle.py`.
+Its linear algebra is the `Fraction` elimination kept in `lp_oracle.py`, and
+its redundancy passes are the one-LP-per-point `remove_redundant` kept there.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from lp_oracle import _affine_basis, _coords, nullspace, solve_linear
+from lp_oracle import _affine_basis, _coords, nullspace, remove_redundant, solve_linear
 from paretostar.errors import CapExceededError
 from paretostar.geometry import (
     DEFAULT_DIM_CAP,
@@ -24,7 +25,6 @@ from paretostar.geometry import (
     dot,
     is_zero,
     lp_solve,
-    remove_redundant,
     vadd,
     vscale,
     vsub,
