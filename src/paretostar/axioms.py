@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MissingSocietyError
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
 # wraps it in every module that binds it, and its smoke test checks this one.
 from .geometry import Vec, lp_solve, max_margin  # noqa: F401
@@ -23,6 +22,7 @@ from .preferences import (
     Profile,
     _least_margin,
     _on_pair,
+    _society,
     _strict_prior,
     _tastes_agree,
     _vertex_gaps,
@@ -56,12 +56,6 @@ class AxiomVerdict:
     @property
     def violation(self) -> bool:
         return self.premise_holds and not self.conclusion_holds
-
-
-def _society(prof: Profile) -> Agent:
-    if prof.society is None:
-        raise MissingSocietyError("profile has no society to check the axiom against")
-    return prof.society
 
 
 def _evaluations(prof: Profile, f: Act, g: Act) -> list[tuple[list[int], int]]:

@@ -20,7 +20,6 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     InternalError,
-    MissingSocietyError,
     PreconditionError,
 )
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
@@ -43,6 +42,7 @@ from .preferences import (
     AffineUtility,
     Agent,
     Profile,
+    _society,
     check_c_diversity,
     check_c_minimal_agreement,
 )
@@ -73,12 +73,6 @@ class ConditionReport:
     condition: str
     holds: bool
     details: dict
-
-
-def _society(prof: Profile) -> Agent:
-    if prof.society is None:
-        raise MissingSocietyError("profile has no society")
-    return prof.society
 
 
 def _weighted_taste(prof: Profile, alpha, beta) -> AffineUtility:
@@ -397,7 +391,7 @@ def check_thm2_condition(prof: Profile) -> ConditionReport:
 
 def check_corollary2(prof: Profile) -> ConditionReport:
     """(a) the exact intersection of agent beliefs sits inside P0;
-    (b) when all agents share one belief set, P0 equals it (mutual inclusion)."""
+    (b) when all agents share one belief set, P0 equals it."""
     soc = _society(prof)
     inter = intersect_polytopes([a.beliefs for a in prof.agents])
     details: dict = {}
@@ -413,19 +407,14 @@ def check_corollary2(prof: Profile) -> ConditionReport:
             details["hyperplane"] = separate([bad], soc.beliefs)
     details["a"] = a_holds
 
+    # Vertex tuples are canonical, so == decides set equality.
     first = prof.agents[0].beliefs
-    common = all(a.beliefs == first for a in prof.agents[1:])
-    if common:
-        b_holds = (
-            _hull_weights(soc.beliefs.vertices, first)[1] is None
-            and _hull_weights(first.vertices, soc.beliefs)[1] is None
-        )
-        details["b"] = b_holds
+    b_holds = None
+    if all(a.beliefs == first for a in prof.agents[1:]):
+        b_holds = soc.beliefs == first
         details["common_beliefs"] = first.vertices
-    else:
-        b_holds = None
-        details["b"] = None
-    holds = a_holds and (b_holds if b_holds is not None else True)
+    details["b"] = b_holds
+    holds = a_holds and b_holds is not False
     return ConditionReport("corollary2", holds, details)
 
 
@@ -507,9 +496,6 @@ CONDITION_CHECKS = {
 # ---------------------------------------------------------------------------
 # Society construction rules
 # ---------------------------------------------------------------------------
-
-SOCIETY_RULES = ("minkowski", "hull-union", "given")
-
 
 def aggregate_society(
     prof: Profile,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 from fractions import Fraction
 
 from .axioms import AXIOM_CHECKS
@@ -30,6 +31,7 @@ from .errors import (
     ParetoStarError,
     PreconditionError,
 )
+from .geometry import DIGIT_CAP
 from .harness import SAMPLER_TAGS, fuzz_axiom
 from .preferences import utility_profile
 from .witnesses import witness_for
@@ -103,8 +105,6 @@ def cmd_check(args) -> int:
         _emit(args, payload, lines)
         return EXIT_OK if holds else EXIT_FAIL
 
-    if what not in CONDITION_CHECKS:
-        raise DocumentError(f"unknown check tag {what!r}")
     report = CONDITION_CHECKS[what](prof)
 
     payload = {"command": "check", "what": what, "report": report}
@@ -158,6 +158,8 @@ def cmd_plot_data(args) -> int:
         raise DocumentError("--grid must be at least 2")
     if args.precision < 0:
         raise DocumentError("--precision must be nonnegative")
+    if args.precision > DIGIT_CAP:
+        raise DocumentError(f"--precision must be at most {DIGIT_CAP}")
     acts = load_acts(args.acts, prof)
     evaluators = [
         (name, agent) for name, agent in zip(prof.agent_names(), prof.agents)
@@ -242,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide an axiom or representation condition")
     p_check.add_argument("profile")
-    p_check.add_argument("what", help="axiom or condition tag")
+    p_check.add_argument("what", choices=(*AXIOM_CHECKS, *CONDITION_CHECKS, "seu-existence"),
+                         help="axiom or condition tag")
     p_check.add_argument("--acts", help="acts document (f, g) for axiom checks")
     common(p_check)
 
@@ -301,6 +304,11 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        # Any other escape is a bug, never a "fails" verdict.
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

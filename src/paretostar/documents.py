@@ -1,8 +1,9 @@
 """On-disk JSON formats: profiles, acts, witnesses, reports.
 
-Parsing is exact end to end: JSON numbers are read with
-``parse_float=Fraction`` so decimal literals like ``0.2`` become the rational
-1/5, and strings are accepted in decimal ("0.2") or ratio ("1/5") form.
+Parsing is exact end to end: JSON numbers are read with ``parse_float=frac``
+so decimal literals like ``0.2`` become the rational 1/5, and strings are
+accepted in decimal ("0.2") or ratio ("1/5") form.  Every number written as
+text goes through `geometry.frac`, which refuses one too long to write back.
 Serialization renders every rational as a "p/q" string, with deterministic
 key order, so identical objects produce byte-identical documents.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .axioms import AxiomVerdict
-from .errors import DocumentError
+from .errors import DimensionMismatchError, DocumentError
 from .geometry import Polytope, frac
 from .harness import FuzzReport
 from .preferences import Act, AffineUtility, Agent, Profile, validate_profile
@@ -80,12 +81,11 @@ def save_json(path, obj) -> None:
 
 def load_json(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=frac)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}") from e
-    try:
-        return json.loads(text, parse_float=Fraction, parse_int=int)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # Not UTF-8, not JSON, a number over DIGIT_CAP digits, or nesting too deep.
         raise DocumentError(f"{path} is not valid JSON: {e}") from e
 
 
@@ -117,7 +117,7 @@ def _agent_from_dict(data, where: str) -> Agent:
         poly = Polytope.from_generators(
             [_vector(v, f"{where}.beliefs") for v in beliefs]
         )
-    except Exception as e:
+    except (DocumentError, ValueError, TypeError, DimensionMismatchError) as e:
         raise DocumentError(f"{where}: bad belief set ({e})") from e
     name = data.get("name", "")
     if not isinstance(name, str):

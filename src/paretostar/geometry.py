@@ -39,7 +39,8 @@ def frac(x) -> Fraction:
     """Coerce int / Fraction / numeric string ("0.2", "3/7") to Fraction.
 
     Floats are rejected: they carry binary rounding error and would silently
-    break the exactness guarantee.
+    break the exactness guarantee.  A string whose numerator or denominator
+    could pass DIGIT_CAP digits is refused before it is converted.
     """
     if isinstance(x, Fraction):
         return x
@@ -48,12 +49,25 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        _check_digits(x)
         return Fraction(x)
     if isinstance(x, float):
         raise TypeError(
             "refusing to convert float %r: pass a string or Fraction for exactness" % (x,)
         )
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
+
+
+def _check_digits(text: str) -> None:
+    """Refuse a numeric string with more than DIGIT_CAP mantissa digits plus exponent."""
+    if len(text) <= DIGIT_CAP and "e" not in text and "E" not in text:
+        return
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0")
+    if len(exponent) > len(str(DIGIT_CAP)) or sum(c.isdigit() for c in mantissa) + (
+        int(exponent) if exponent.isdecimal() else 0  # else Fraction refuses it
+    ) > DIGIT_CAP:
+        raise ValueError(f"number {text[:20]!r} may exceed {DIGIT_CAP} digits")
 
 
 def vec(entries) -> Vec:
@@ -583,15 +597,18 @@ def separate(points: list[Vec], P: Polytope) -> Hyperplane | None:
     )
     if found is None:
         return None
-    lam, kappa = found[0][:d], found[0][d]
-    h = Hyperplane(lam, kappa)
+    h = Hyperplane(found[0][:d], found[0][d])
     # Re-checked by direct evaluation in every run mode, python -O included.
-    if not (
-        all(h.value(v) > kappa for v in points)
-        and all(h.value(w) < kappa for w in P.vertices)
-    ):
+    if not _separates(h, points, P):
         raise InternalError(f"LP separator {h} does not strictly separate the point sets")
     return h
+
+
+def _separates(h: Hyperplane, points, P: Polytope) -> bool:
+    """Every point lies strictly above h and every vertex of P strictly below."""
+    return all(h.value(v) > h.threshold for v in points) and all(
+        h.value(w) < h.threshold for w in P.vertices
+    )
 
 
 def remove_redundant(points: list[Vec]) -> list[Vec]:
@@ -609,8 +626,6 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
             uniq.append(p)
     if len(set(map(len, uniq))) > 1:
         raise DimensionMismatchError("points of mixed dimension")
-    if len(uniq) == 1:
-        return uniq
     extremes = (min(uniq), max(uniq))
     kept = list(uniq)
     i = 0
@@ -630,6 +645,11 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
 # The largest ambient dimension V<->H conversion accepts; more raise
 # CapExceededError.
 DEFAULT_DIM_CAP = 6
+
+# The most digits a number read as text (`frac`) may give its numerator or
+# denominator, and the most decimal places the CLI writes: Python's default
+# limit on int <-> str conversion, so what is read can be written back.
+DIGIT_CAP = 4300
 
 
 def _primitive(normal: Vec, bound: Fraction) -> tuple[Vec, Fraction]:

@@ -16,7 +16,7 @@ from math import lcm
 
 from .axioms import AXIOM_CHECKS, AxiomVerdict
 from .characterizations import CONDITION_CHECKS, aggregate_society
-from .errors import MissingSocietyError, PreconditionError
+from .errors import PreconditionError
 from .geometry import Polytope, Vec, segment_point
 from .preferences import (
     Act,
@@ -24,6 +24,7 @@ from .preferences import (
     Agent,
     Profile,
     _cleared_act,
+    _society,
     check_c_minimal_agreement,
     validate_profile,
 )
@@ -267,8 +268,7 @@ def fuzz_axiom(
     missed by unlucky sampling.  The digest hashes the full trial stream
     (acts plus verdict bits) and is reproducible from (seed, params).
     """
-    if prof.society is None:
-        raise MissingSocietyError("fuzzing needs a society to test against")
+    _society(prof)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if axiom not in AXIOM_CHECKS:
@@ -289,11 +289,8 @@ def fuzz_axiom(
             )
     check = AXIOM_CHECKS[axiom]
     rng = SplitMix64(seed)
-    # Each drawn act comes with its digest text; the table is built once per
-    # run, and only if some trial samples.
-    if trials <= len(planted):
-        draw = None
-    elif sampler == "general":
+    # Each drawn act comes with its digest text; the table is built once per run.
+    if sampler == "general":
         draw = functools.partial(_general_act, rng, prof.states, prof.outcome_dim,
                                  _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND))
     else:
@@ -355,8 +352,7 @@ def cross_validate(
     """
     if condition not in _CROSS_AXIOM:
         raise ValueError(f"cross-validation supports thm1/thm2, not {condition!r}")
-    if prof.society is None:
-        raise MissingSocietyError("cross-validation needs a society")
+    _society(prof)
     axiom, sampler = _CROSS_AXIOM[condition]
     report = (checker or CONDITION_CHECKS[condition])(prof)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, MissingSocietyError
 from .geometry import (
     Polytope,
     Vec,
@@ -148,6 +148,14 @@ class Profile:
 
     def agent_names(self) -> list[str]:
         return [a.name or f"agent{i + 1}" for i, a in enumerate(self.agents)]
+
+
+def _society(prof: Profile) -> Agent:
+    """The profile's society: the one gate for every check, fuzz run and
+    witness that needs one."""
+    if prof.society is None:
+        raise MissingSocietyError("profile has no society")
+    return prof.society
 
 
 def profile(agents, society=None, states=None, outcome_dim=None) -> Profile:
@@ -278,10 +286,6 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
     compared through its values on the differences p - p_0 of the acts' rows,
     cleared to integers: by sign, and by integer cross-products.
     """
-    if f.states != g.states:
-        raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
-    if f.outcome_dim != prof.outcome_dim or g.outcome_dim != prof.outcome_dim:
-        raise DimensionMismatchError("acts live in a different outcome space")
     return _tastes_agree([_on_pair(a.utility, f, g) for a in prof.agents])
 
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .errors import InternalError, PreconditionError
 from .geometry import (
     Hyperplane,
-    Polytope,
     Vec,
+    _separates,
     delta,
     dot,
     membership,
@@ -35,6 +35,7 @@ from .geometry import (
 from .preferences import (
     Act,
     Profile,
+    _society,
     check_c_diversity,
     check_c_minimal_agreement,
     constant_act,
@@ -107,15 +108,6 @@ def _certified(prof: Profile, cert: WitnessCertificate) -> WitnessCertificate:
     return cert
 
 
-def _check_separation(h: Hyperplane, above: list[Vec], P0: Polytope) -> None:
-    for p in above:
-        if h.value(p) <= h.threshold:
-            raise PreconditionError("hyperplane does not strictly separate the priors")
-    for w in P0.vertices:
-        if h.value(w) >= h.threshold:
-            raise PreconditionError("hyperplane does not strictly cut off the society set")
-
-
 def _rescale_unit(h: Hyperplane) -> tuple[Vec, Fraction]:
     """Affinely rescale (normal, threshold) so all values land in [0, 1].
 
@@ -150,19 +142,19 @@ def witness_ct_pareto_star(
     agent's combo prior then makes f strictly better than x, while every
     social prior makes x strictly better.
     """
-    if prof.society is None:
-        raise PreconditionError("profile has no society")
+    soc = _society(prof)
     if len(combo) != prof.n:
         raise PreconditionError("combo must pick one prior per agent")
     for agent, p_i in zip(prof.agents, combo):
         if not membership(p_i, agent.beliefs):
             raise PreconditionError("combo prior missing from its agent's belief set")
-    _check_separation(h, list(combo), prof.society.beliefs)
+    if not _separates(h, combo, soc.beliefs):
+        raise PreconditionError("hyperplane does not strictly separate the combo from P0")
 
     gains = [dot(a.utility.coeffs, vsub(x_star, x_low)) for a in prof.agents]
     if any(g <= 0 for g in gains):
         raise PreconditionError("every agent must strictly prefer x_star to x_low")
-    society_gain = dot(prof.society.utility.coeffs, vsub(x_star, x_low))
+    society_gain = dot(soc.utility.coeffs, vsub(x_star, x_low))
     if society_gain <= 0:
         raise PreconditionError(
             "society must strictly prefer x_star to x_low "
@@ -180,7 +172,7 @@ def witness_ct_pareto_star(
         for i, (p_i, gain) in enumerate(zip(combo, gains))
     )
     society_margin = society_gain * (
-        kappa - max(dot(w, lam) for w in prof.society.beliefs.vertices)
+        kappa - max(dot(w, lam) for w in soc.beliefs.vertices)
     )
     return _certified(
         prof,
@@ -259,22 +251,21 @@ def witness_lemma1(
     bonus on f, small enough that society's weighted preference for x
     survives it.
     """
-    if prof.society is None:
-        raise PreconditionError("profile has no society")
+    soc = _society(prof)
     if not verify_decomposition(prof, dec):
         raise PreconditionError("decomposition does not reproduce the society's taste")
     if dec.alpha[i] <= 0:
         raise PreconditionError("agent must carry positive weight")
     if not membership(p_i, prof.agents[i].beliefs):
         raise PreconditionError("cited prior is not in the agent's belief set")
-    h = separate([p_i], prof.society.beliefs)
+    h = separate([p_i], soc.beliefs)
     if h is None:
         raise PreconditionError("prior lies in the social belief set; nothing to witness")
     pairs, gains = _diversity_legs(prof)
 
     n = Fraction(prof.n)
     lam, kappa = _rescale_unit(h)
-    min_gap = min(kappa - dot(w, lam) for w in prof.society.beliefs.vertices)
+    min_gap = min(kappa - dot(w, lam) for w in soc.beliefs.vertices)
     if min_gap <= 0:
         raise InternalError("the separator must cut off every social prior")
     others = [j for j in range(prof.n) if j != i]
@@ -332,8 +323,7 @@ def witness_spurious_unanimity(
     the nu-sized taste bonus, and society strictly prefers the constant act
     under every prior regardless of the social belief set.
     """
-    if prof.society is None:
-        raise PreconditionError("profile has no society")
+    _society(prof)
     if not verify_decomposition(prof, dec):
         raise PreconditionError("decomposition does not reproduce the society's taste")
     if i1 == i2:

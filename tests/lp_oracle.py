@@ -33,6 +33,12 @@ and greatest points without one.  It and `convex_weights` are kept verbatim;
 `feasible_nonneg` runs them on this module's `simplex_standard`
 (`tests/test_lp_kernel.py`, and the redundancy passes of `vh_oracle.py`).
 
+`check_corollary2` is `characterizations.check_corollary2` as it decided
+clause (b) with two passes of hull-membership LPs (the social set inside the
+shared one, then the shared one inside the social set), before it compared
+the canonical vertex tuples; kept verbatim, on this module's `separate`
+(`tests/test_characterizations.py`).
+
 `rref`, `rank`, `_kernel`, `nullspace`, `solve_linear`, `_affine_basis` and
 `_coords` are the `Fraction` Gauss-Jordan routines `geometry` used before
 `rref` moved onto the simplex's integer pivot.  They are kept verbatim so
@@ -57,6 +63,7 @@ from paretostar.geometry import (
     Polytope,
     Vec,
     dot,
+    intersect_polytopes,
     lp_solve,
     vadd,
     vscale,
@@ -488,3 +495,37 @@ def check_eq1_dght1(prof: Profile) -> ConditionReport:
             )
         tried.append(M)
     return ConditionReport("eq1", False, {"feasible_supports": tried})
+
+
+def check_corollary2(prof: Profile) -> ConditionReport:
+    """(a) the exact intersection of agent beliefs sits inside P0;
+    (b) when all agents share one belief set, P0 equals it (mutual inclusion)."""
+    soc = _society(prof)
+    inter = intersect_polytopes([a.beliefs for a in prof.agents])
+    details: dict = {}
+    if inter is None:
+        a_holds = True
+        details["intersection"] = None
+    else:
+        details["intersection"] = inter.vertices
+        _, bad = _hull_weights(inter.vertices, soc.beliefs)
+        a_holds = bad is None
+        if not a_holds:
+            details["missing_vertex"] = bad
+            details["hyperplane"] = separate([bad], soc.beliefs)
+    details["a"] = a_holds
+
+    first = prof.agents[0].beliefs
+    common = all(a.beliefs == first for a in prof.agents[1:])
+    if common:
+        b_holds = (
+            _hull_weights(soc.beliefs.vertices, first)[1] is None
+            and _hull_weights(first.vertices, soc.beliefs)[1] is None
+        )
+        details["b"] = b_holds
+        details["common_beliefs"] = first.vertices
+    else:
+        b_holds = None
+        details["b"] = None
+    holds = a_holds and (b_holds if b_holds is not None else True)
+    return ConditionReport("corollary2", holds, details)

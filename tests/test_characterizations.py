@@ -36,7 +36,7 @@ from paretostar.characterizations import (
     verify_decomposition,
 )
 from paretostar.documents import dumps
-from paretostar.geometry import dot, intersect_polytopes, solve_linear
+from paretostar.geometry import delta, dot, intersect_polytopes, solve_linear
 from paretostar.harness import GenParams, random_profile
 
 import lp_oracle
@@ -277,6 +277,42 @@ class TestCorollary2:
         soc = Agent(utility(["1/2", "1/2"]), singleton("0.5"), "society")
         rep = check_corollary2(profile([a1, a2], soc))
         assert rep.details["a"] is True and rep.details["intersection"] is None
+
+    def test_shared_set_matches_two_pass_oracle(self):
+        """Clause (b) read off canonical vertices equals the two hull-LP passes
+        (`lp_oracle.check_corollary2`) with P0 equal to the agents' shared set,
+        a superset, a subset and a set disjoint from it."""
+        seen = Counter()
+        for seed in range(60):
+            m = 2 + seed % 2
+            rng = SplitMix64(seed)
+            shared = Polytope.from_generators(
+                [delta(seed % m, m)] + [rng.simplex_point(m, 6) for _ in range(1 + seed % 3)]
+            )
+            if shared.is_singleton():
+                continue
+            base = random_profile(GenParams(seed=seed, n=2 + seed % 2, m=m, society_rule="none"))
+            agents = tuple(Agent(a.utility, shared, a.name) for a in base.agents)
+            verts = list(shared.vertices)
+            outside = [c for c in (delta(s, m) for s in range(m)) if not membership(c, shared)]
+            societies = {
+                # Generators reordered, with an interior point to drop.
+                "equal": verts[::-1] + [interior_point(rng, shared)],
+                "superset": verts + [delta(s, m) for s in range(m)],
+                "subset": [verts[0], interior_point(rng, shared)],
+                "disjoint": outside[:1],
+            }
+            for kind, generators in societies.items():
+                if not generators:
+                    continue
+                beliefs = Polytope.from_generators(generators)
+                soc = Agent(base.agents[0].utility, beliefs, "society")
+                prof = Profile(m, base.outcome_dim, agents, soc)
+                got, want = check_corollary2(prof), lp_oracle.check_corollary2(prof)
+                assert got == want and dumps(got) == dumps(want), (seed, kind)
+                seen[kind, got.details["b"]] += 1
+        assert seen["equal", True] > 30 and seen["subset", False] > 30, seen
+        assert seen["superset", False] > 10 and seen["disjoint", False] > 10, seen
 
 
 class TestSeuExistence:

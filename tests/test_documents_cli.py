@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from paretostar import (
     Polytope,
     characterizations,
     cli,
+    geometry,
     pareto_star_check,
     profile,
     utility,
@@ -30,7 +32,7 @@ from paretostar.documents import (
     profile_to_dict,
     save_json,
 )
-from paretostar.errors import DocumentError
+from paretostar.errors import DocumentError, InternalError
 from paretostar.harness import GenParams, cross_validate, random_profile
 from paretostar.witnesses import revalidate
 
@@ -215,6 +217,129 @@ class TestCliMalformedProfile:
         assert "must be integers" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """An edit of a parsed document: the document with the value at path set."""
+    def edit(data):
+        *head, last = path
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = value
+        return data
+    return edit
+
+
+def _coeff_text(text):
+    """The example2 profile with agent 1's first coefficient written as raw JSON text."""
+    def build(data):
+        data["agents"][0]["utility"]["coeffs"][0] = "@@"
+        return json.dumps(data).replace('"@@"', text)
+    return build
+
+
+COEFFS = ("agents", 0, "utility", "coeffs")
+
+
+class TestCliMalformedDocuments:
+    """Every way a profile or acts document can fail to load exits 3 with a
+    message naming the fault, never 1 (a verdict) or a traceback."""
+
+    # (id, document kind, edit of the parsed document or builder of its text, stderr substring)
+    CASES = [
+        ("invalid-json", "profile", lambda data: '{"states": 2,', "is not valid JSON"),
+        ("bad-number", "profile", _set(COEFFS, ["one", 0]),
+         "bad number in agents[0].utility.coeffs"),
+        ("non-list-vector", "profile", _set(COEFFS, 5),
+         "agents[0].utility.coeffs must be a nonempty list"),
+        ("missing-coeffs", "profile", _set(("agents", 0, "utility"), {"constant": 0}),
+         "agents[0]: utility needs 'coeffs'"),
+        ("empty-beliefs", "profile", _set(("agents", 0, "beliefs"), []),
+         "agents[0]: beliefs must list at least one prior"),
+        ("bad-belief-set", "profile", _set(("agents", 0, "beliefs"), [["0.5", "0.5"], ["1"]]),
+         "agents[0]: bad belief set (points of mixed dimension)"),
+        ("agent-name", "profile", _set(("agents", 0, "name"), 5),
+         "agents[0]: name must be a string"),
+        ("non-object-profile", "profile", lambda data: "[]",
+         "profile document must be a JSON object"),
+        ("missing-key", "profile", lambda data: {k: data[k] for k in ("states", "agents")},
+         "profile document lacks 'outcome_dim'"),
+        ("agents-not-list", "profile", _set(("agents",), {}), "'agents' must be a list"),
+        ("acts-not-list", "acts", _set(("acts",), 5), "acts document needs an 'acts' list"),
+        ("act-without-rows", "acts", _set(("acts", 0), {"name": "f"}), "acts[0] needs 'rows'"),
+        ("one-row", "acts", _set(("acts", 0, "rows"), [[0, 0]]),
+         "acts[0]: need one outcome row per state"),
+        ("mixed-widths", "acts", _set(("acts", 0, "rows"), [[0, 0], [0]]),
+         "acts[0]: rows of mixed outcome dimension"),
+        ("act-name", "acts", _set(("acts", 0, "name"), 7), "acts[0]: name must be a string"),
+        ("utf16-bom", "profile", lambda data: b"\xff\xfe" + json.dumps(data).encode(),
+         "can't decode byte 0xff"),
+        ("deep-nesting", "profile", lambda data: "[" * 100_000, "recursion"),
+        ("5001-digit-integer", "profile", _coeff_text("1" * 5001), "is not valid JSON"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, make, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
+    )
+    def test_exit_3(self, profiles_dir, tmp_path, kind, make, message, capsys):
+        source = "example2.profile" if kind == "profile" else "sq_vs_reform.acts"
+        doc = make(json.loads((profiles_dir / source).read_text()))
+        if isinstance(doc, dict):
+            doc = json.dumps(doc)
+        path = tmp_path / f"doc.{kind}"
+        (path.write_bytes if isinstance(doc, bytes) else path.write_text)(doc)
+        if kind == "profile":
+            argv = ["check", str(path), "thm2"]
+        else:
+            argv = ["check", str(profiles_dir / "example1.profile"), "pareto-star",
+                    "--acts", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("what, fmt", [("thm2", "human"), ("thm2", "machine"),
+                                           ("eq4", "machine")])
+    def test_coefficient_too_long_to_write_exit_3(
+        self, profiles_dir, tmp_path, what, fmt, capsys
+    ):
+        data = json.loads((profiles_dir / "example2.profile").read_text())
+        data["society"]["utility"]["coeffs"] = ["1e5000", 0]
+        path = tmp_path / "big.profile"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), what, "--format", fmt]) == 3
+        assert "bad number in society.utility.coeffs: '1e5000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['"1e100000000"', "1e100000000", '"1e10000000"'])
+    def test_huge_exponent_refused_in_under_a_second(self, profiles_dir, tmp_path, text, capsys):
+        data = json.loads((profiles_dir / "example2.profile").read_text())
+        path = tmp_path / "huge.profile"
+        path.write_text(_coeff_text(text)(data))
+        start = time.perf_counter()
+        assert main(["check", str(path), "thm2"]) == 3
+        assert time.perf_counter() - start < 1
+        number = text.strip('"')
+        assert f"number '{number}' may exceed 4300 digits" in capsys.readouterr().err
+
+    def test_largest_written_number_still_loads(self, profiles_dir, tmp_path, capsys):
+        data = json.loads((profiles_dir / "example2.profile").read_text())
+        data["society"]["utility"]["coeffs"] = ["1e4299", 0]
+        path = tmp_path / "big.profile"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "eq4", "--format", "machine"]) == 0
+        assert "1" + "0" * 4299 in capsys.readouterr().out
+
+    @pytest.mark.parametrize("precision, code", [(5000, 3), (4301, 3), (4300, 0)])
+    def test_precision_cap(self, profiles_dir, tmp_path, precision, code, capsys):
+        out = tmp_path / "curves.csv"
+        argv = ["plot-data", str(profiles_dir / "example1.profile"),
+                str(profiles_dir / "sq_vs_reform.acts"), "--out", str(out),
+                "--grid", "2", "--precision", str(precision)]
+        assert main(argv) == code
+        if code:
+            assert "--precision must be at most 4300" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestCliWitness:
     def test_ct_witness_file_revalidates(self, profiles_dir, tmp_path, capsys):
         out = tmp_path / "w.json"
@@ -290,6 +415,22 @@ class TestCliInternalError:
         code = main(["check", str(profiles_dir / "example2_p08.profile"), "thm2"])
         assert code == 4
         assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_redundancy_bug_is_not_an_input_error(self, profiles_dir, monkeypatch, capsys):
+        def broken(points):
+            raise InternalError("kernel bug")
+        monkeypatch.setattr(geometry, "remove_redundant", broken)
+        assert main(["check", str(profiles_dir / "example2.profile"), "thm2"]) == 4
+        assert capsys.readouterr().err.startswith("internal error: kernel bug")
+
+    def test_unexpected_exception_exit_4_with_traceback(self, profiles_dir, monkeypatch, capsys):
+        def broken(prof):
+            raise ZeroDivisionError("boom")
+        monkeypatch.setattr(characterizations, "check_thm2_condition", broken)
+        assert main(["check", str(profiles_dir / "example2.profile"), "thm2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ZeroDivisionError: boom\n")
+        assert "Traceback (most recent call last)" in err
 
     def test_unvalidated_witness_exit_4_and_no_file(self, profiles_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(witnesses, "revalidate", lambda prof, cert: False)

@@ -1,5 +1,7 @@
 """Deterministic generation, fuzzing, and checker/witness cross-validation."""
 
+from fractions import Fraction
+
 import pytest
 
 from paretostar import (
@@ -12,9 +14,16 @@ from paretostar import (
     random_profile,
     validate_profile,
 )
-from paretostar.characterizations import ConditionReport
+from paretostar.axioms import AXIOM_CHECKS
+from paretostar.characterizations import CONDITION_CHECKS, ConditionReport, Decomposition
+from paretostar.geometry import Hyperplane
 from paretostar.harness import SplitMix64
-from paretostar.witnesses import WitnessCertificate
+from paretostar.witnesses import (
+    WitnessCertificate,
+    witness_ct_pareto_star,
+    witness_lemma1,
+    witness_spurious_unanimity,
+)
 
 from helpers import REFORM, STATUS_QUO, interval, scenario1, scenario2, singleton
 
@@ -180,3 +189,34 @@ class TestCrossValidate:
             cv = cross_validate(prof, "thm1", trials=120, seed=seed)
             assert cv.verdict == "CONSISTENT", (seed, cv.detail)
             count += 1
+
+
+def _society_entry_points():
+    """(name, call on a profile) for every public route that needs a society."""
+    F = Fraction
+    p1, p2 = (F(3, 5), F(2, 5)), (F(1, 5), F(4, 5))
+    dec = Decomposition((F(1, 2), F(1, 2)), F(0))
+    points = [(f"axiom:{tag}", lambda prof, check=check: check(prof, STATUS_QUO, REFORM))
+              for tag, check in AXIOM_CHECKS.items()]
+    points += [(f"condition:{tag}", check) for tag, check in CONDITION_CHECKS.items()]
+    return points + [
+        ("fuzz_axiom", lambda prof: fuzz_axiom(prof, "pareto-star", 10)),
+        ("cross_validate", lambda prof: cross_validate(prof, "thm2", trials=5)),
+        ("witness_ct_pareto_star", lambda prof: witness_ct_pareto_star(
+            prof, (p1, p2), Hyperplane((F(1), F(0)), F(1, 10)), (F(1), F(0)), (F(0), F(0)))),
+        ("witness_lemma1", lambda prof: witness_lemma1(prof, dec, 0, p1)),
+        ("witness_spurious_unanimity",
+         lambda prof: witness_spurious_unanimity(prof, dec, 0, 1, p1, p2)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call", [c for _, c in _society_entry_points()], ids=[n for n, _ in _society_entry_points()]
+)
+def test_one_society_gate(call):
+    """Six axioms, eight condition checks, the harness and the three witness
+    builders all refuse a society-less profile with the same error."""
+    assert len(_society_entry_points()) == 19
+    with pytest.raises(MissingSocietyError, match=r"^profile has no society$"):
+        call(profile(scenario2(singleton("0.8")).agents))
+
