@@ -11,7 +11,6 @@ single-prior-society existence check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .geometry import (  # noqa: F401
     convex_weights,
     feasible_nonneg,
     intersect_polytopes,
+    is_zero,
     lp_solve,
     max_margin,
     separate,
@@ -105,43 +105,53 @@ def utilitarian_decompose(
     positive, decided by maximizing their common lower bound.
     """
     soc = _society(prof)
-    d = prof.outcome_dim
-    n = prof.n
     if support_constraint is None:
-        rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(d)]
-        rhs = [soc.utility.coeffs[k] for k in range(d)]
-        status, z, _ = simplex_standard(rows, rhs, [-1] * n)
-        if status != "optimal" or all(x == 0 for x in z):
-            return None
-        alpha = tuple(z)
-    else:
-        members = sorted(support_constraint)
-        if not members:
-            return None
-        # Columns alpha_i (i in members), then w = 1: maximize t with
-        # alpha_i >= t and w >= t, so t is capped at 1.
-        nm = len(members)
-        eqs = [
-            [prof.agents[i].utility.coeffs[k] for i in members] + [0]
-            for k in range(d)
-        ]
-        units = [[int(j == k) for k in range(nm + 1)] for j in range(nm + 1)]
-        found = max_margin(units, eqs + units[-1:], [*soc.utility.coeffs, 1])
-        if found is None:
-            return None
-        alpha_list = [_ZERO] * n
-        for j, i in enumerate(members):
-            alpha_list[i] = found[0][j]
-        alpha = tuple(alpha_list)
-    beta = soc.utility.constant - sum(
+        return _least_weight(prof, range(prof.n), normalized=False)
+    members = sorted(support_constraint)
+    if not members:
+        return None
+    # Columns alpha_i (i in members), then w = 1: maximize t with
+    # alpha_i >= t and w >= t, so t is capped at 1.
+    nm = len(members)
+    eqs = [
+        [prof.agents[i].utility.coeffs[k] for i in members] + [0]
+        for k in range(prof.outcome_dim)
+    ]
+    units = [[int(j == k) for k in range(nm + 1)] for j in range(nm + 1)]
+    found = max_margin(units, eqs + units[-1:], [*soc.utility.coeffs, 1])
+    if found is None:
+        return None
+    return _decomposition(prof, members, found[0])
+
+
+def _least_weight(prof: Profile, members, normalized: bool) -> Decomposition | None:
+    """The least-total-weight decomposition with its support inside `members`.
+
+    One LP: alpha_i >= 0 for i in `members` (every other weight 0) with
+    sum alpha_i grad u_i = grad u0, minimizing sum alpha_i; `normalized` adds
+    the row sum alpha_i = 1.  None when it is infeasible or its optimum is 0.
+    """
+    members = list(members)
+    rows = [[prof.agents[i].utility.coeffs[k] for i in members] for k in range(prof.outcome_dim)]
+    rhs = list(prof.society.utility.coeffs)
+    if normalized:
+        rows.append([1] * len(members))
+        rhs.append(1)
+    status, z, _ = simplex_standard(rows, rhs, [-1] * len(members))
+    if status != "optimal" or all(x == 0 for x in z):
+        return None
+    return _decomposition(prof, members, z)
+
+
+def _decomposition(prof: Profile, members, weights) -> Decomposition:
+    """Weights on `members` (0 elsewhere), with beta absorbing the constants."""
+    alpha = [_ZERO] * prof.n
+    for i, a in zip(members, weights):
+        alpha[i] = a
+    beta = prof.society.utility.constant - sum(
         (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
     )
-    return Decomposition(alpha, beta)
-
-
-def _subsets(n: int):
-    for size in range(1, n + 1):
-        yield from itertools.combinations(range(n), size)
+    return Decomposition(tuple(alpha), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +214,49 @@ def _hull_weights(points, P: Polytope) -> tuple[dict, Vec | None]:
 
 
 def check_eq1_dght1(prof: Profile) -> ConditionReport:
-    """Some decomposition puts its support inside agents whose belief sets all
-    contain the social one (vertex memberships, enumerated over supports)."""
+    """Some decomposition puts all its weight on agents whose belief sets
+    contain the social one.
+
+    Decided in two steps.  First the containing agents S = {i : P0 inside
+    P_i}, from each agent's hull weights of P0's vertices.  Then one LP over
+    the columns in S: the least-total-weight alpha >= 0 with
+    sum alpha_i grad u_i = grad u0, plus the row sum alpha_i = 1 when the
+    social gradient is zero (so alpha != 0).  Any such alpha's support is a
+    set of containing agents that decomposes the society's taste with
+    strictly positive weights, and every such set gives one; so the LP is
+    feasible exactly when some support does, and no LP runs when S is empty.
+
+    A pass carries that canonical decomposition, its support and the hull
+    weights of P0's vertices in each supported agent's set; a failure
+    carries S ("containing") and, for every other agent, the first vertex
+    of P0 outside its set ("outside").
+    """
     soc = _society(prof)
-    # Each agent's memberships are computed at most once per call.
-    hull = functools.cache(lambda i: _hull_weights(soc.beliefs.vertices, prof.agents[i].beliefs))
-    tried = []
-    for M in _subsets(prof.n):
-        dec = utilitarian_decompose(prof, M)
-        if dec is None:
-            continue
-        memberships = {}
-        ok = True
-        for i in M:
-            weights, outside = hull(i)
-            if outside is not None:
-                ok = False
-                break
-            memberships.update(((i, w), mu) for w, mu in weights.items())
-        if ok:
-            return ConditionReport(
-                "eq1",
-                True,
-                {"support": M, "decomposition": dec, "memberships": memberships},
-            )
-        tried.append(M)
-    return ConditionReport("eq1", False, {"feasible_supports": tried})
+    memberships, outside = {}, {}
+    for i, agent in enumerate(prof.agents):
+        weights, missing = _hull_weights(soc.beliefs.vertices, agent.beliefs)
+        if missing is None:
+            memberships[i] = weights
+        else:
+            outside[i] = missing
+    containing = tuple(memberships)
+    dec = None
+    if containing:
+        dec = _least_weight(prof, containing, normalized=is_zero(soc.utility.coeffs))
+    if dec is None:
+        return ConditionReport("eq1", False, {"containing": containing, "outside": outside})
+    support = dec.support
+    return ConditionReport(
+        "eq1",
+        True,
+        {
+            "support": support,
+            "decomposition": dec,
+            "memberships": {
+                (i, w): mu for i in support for w, mu in memberships[i].items()
+            },
+        },
+    )
 
 
 def check_thm1_condition(prof: Profile) -> ConditionReport:

@@ -67,11 +67,20 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(map(str, v)) + ")"
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
+def _emit(args, payload: dict, human_lines, out=None) -> None:
+    """Save `out` = (path, object) if given, then print the payload.
+
+    The payload is serialized before anything is written, so a number too
+    long to write back raises CapExceededError (exit 2) in both formats and
+    leaves no partial file.  `human_lines()` gives the human output.
+    """
+    text = dumps(payload)
+    if out is not None:
+        save_json(*out)
     if args.format == "machine":
-        sys.stdout.write(dumps(payload))
+        sys.stdout.write(text)
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -87,42 +96,39 @@ def cmd_check(args) -> int:
         (fname, f), (gname, g) = acts[0], acts[1]
         verdict = AXIOM_CHECKS[what](prof, f, g)
         payload = {"command": "check", "what": what, "f": fname, "g": gname, "verdict": verdict}
-        lines = [
+        _emit(args, payload, lambda: [
             f"{what} on ({fname}, {gname}): premise={'holds' if verdict.premise_holds else 'fails'}, "
             f"conclusion={'holds' if verdict.conclusion_holds else 'fails'}",
             "VIOLATION" if verdict.violation else "no violation",
-        ]
-        _emit(args, payload, lines)
+        ])
         return EXIT_FAIL if verdict.violation else EXIT_OK
 
     if what == "seu-existence":
         prior = check_seu_existence([a.beliefs for a in prof.agents])
         holds = prior is not None
         payload = {"command": "check", "what": what, "holds": holds, "prior": prior}
-        lines = [
+        _emit(args, payload, lambda: [
             f"single-prior society exists: {'yes, e.g. ' + _fmt_vec(prior) if holds else 'no'}"
-        ]
-        _emit(args, payload, lines)
+        ])
         return EXIT_OK if holds else EXIT_FAIL
 
     report = CONDITION_CHECKS[what](prof)
 
     payload = {"command": "check", "what": what, "report": report}
-    lines = [f"{what}: {'holds' if report.holds else 'FAILS'}"]
-    if not report.holds:
+
+    def lines():
+        yield f"{what}: {'holds' if report.holds else 'FAILS'}"
+        if report.holds:
+            return
         det = report.details
         if "combo" in det:
-            lines.append(
-                "failing combo: " + " x ".join(_fmt_vec(p) for p in det["combo"])
-            )
+            yield "failing combo: " + " x ".join(_fmt_vec(p) for p in det["combo"])
         if det.get("hyperplane") is not None:
             h = det["hyperplane"]
-            lines.append(
-                f"separating hyperplane: normal={_fmt_vec(h.normal)}, "
-                f"threshold={h.threshold}"
-            )
+            yield f"separating hyperplane: normal={_fmt_vec(h.normal)}, threshold={h.threshold}"
         if "reason" in det:
-            lines.append(f"reason: {det['reason']}")
+            yield f"reason: {det['reason']}"
+
     _emit(args, payload, lines)
     return EXIT_OK if report.holds else EXIT_FAIL
 
@@ -136,17 +142,14 @@ def cmd_witness(args) -> int:
         print(nothing, file=sys.stderr)
         return EXIT_PRECONDITION
     cert = witness_for(prof, report)
-
-    save_json(args.out, cert)
     payload = {"command": "witness", "kind": kind, "out": str(args.out), "witness": cert}
-    lines = [
+    _emit(args, payload, lambda: [
         f"wrote {kind} witness to {args.out}",
         f"society margin: {cert.society_margin}",
     ] + [
         f"agent {am.agent + 1}: prior {_fmt_vec(am.prior)}, margin {am.margin}"
         for am in cert.per_agent
-    ]
-    _emit(args, payload, lines)
+    ], out=(args.out, cert))
     return EXIT_OK
 
 
@@ -218,15 +221,12 @@ def cmd_fuzz(args) -> int:
         seed=args.seed,
         planted=planted,
     )
-    if args.out:
-        save_json(args.out, report)
     payload = {"command": "fuzz", "report": report}
-    lines = [
+    _emit(args, payload, lambda: [
         f"{args.axiom}: {report.trials} trials, {report.premise_hits} premise hits, "
         f"{len(report.violations)} violation(s)",
         f"digest: {report.digest}",
-    ]
-    _emit(args, payload, lines)
+    ], out=(args.out, report) if args.out else None)
     return EXIT_FAIL if report.violations else EXIT_OK
 
 

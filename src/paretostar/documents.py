@@ -5,7 +5,9 @@ so decimal literals like ``0.2`` become the rational 1/5, and strings are
 accepted in decimal ("0.2") or ratio ("1/5") form.  Every number written as
 text goes through `geometry.frac`, which refuses one too long to write back.
 Serialization renders every rational as a "p/q" string, with deterministic
-key order, so identical objects produce byte-identical documents.
+key order, so identical objects produce byte-identical documents; a
+rational whose numerator or denominator has more than DIGIT_CAP digits
+cannot be read back, so `jsonable` refuses it with CapExceededError.
 """
 
 from __future__ import annotations
@@ -16,11 +18,34 @@ from fractions import Fraction
 from pathlib import Path
 
 from .axioms import AxiomVerdict
-from .errors import DimensionMismatchError, DocumentError
-from .geometry import Polytope, frac
+from .errors import CapExceededError, DimensionMismatchError, DocumentError
+from .geometry import DIGIT_CAP, Polytope, frac
 from .harness import FuzzReport
 from .preferences import Act, AffineUtility, Agent, Profile, validate_profile
 from .witnesses import WitnessCertificate
+
+
+# The least integer with more than DIGIT_CAP digits.
+_UNWRITABLE = 10**DIGIT_CAP
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n > 0, counted without converting n to text."""
+    k = (n.bit_length() - 1) * 30102 // 100000 + 1  # never more than the count
+    while n >= 10**k:
+        k += 1
+    return k
+
+
+def _long_fraction_text(x: Fraction) -> str:
+    """The text of x, or CapExceededError past DIGIT_CAP digits."""
+    num, den = x.numerator, x.denominator
+    if not -_UNWRITABLE < num < _UNWRITABLE or den >= _UNWRITABLE:
+        raise CapExceededError(
+            f"a number with {_digit_count(max(abs(num), den))} digits exceeds the cap "
+            f"of {DIGIT_CAP} digits that a document can hold"
+        )
+    return str(x)
 
 
 def format_decimal(x: Fraction, digits: int) -> str:
@@ -40,11 +65,18 @@ def jsonable(obj):
     A dataclass becomes ``{field: value}`` over its fields.  A polytope is its
     vertex list; verdicts and witnesses add their derived ``violation`` and
     ``violates`` entries; fuzz violations become ``{f, g, verdict}`` objects.
+    A rational with more than DIGIT_CAP digits above or below its bar raises
+    CapExceededError, since `load_json` could not read it back.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return str(obj)
+        # Text of at most DIGIT_CAP characters cannot hold a part past the cap.
+        try:
+            text = str(obj)
+        except ValueError:  # Python's own limit on writing an integer
+            return _long_fraction_text(obj)
+        return text if len(text) <= DIGIT_CAP else _long_fraction_text(obj)
     if isinstance(obj, float):
         raise DocumentError("floats must never appear in exact documents")
     if isinstance(obj, (list, tuple)):

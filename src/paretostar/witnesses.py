@@ -26,7 +26,6 @@ from .geometry import (
     dot,
     membership,
     segment_point,
-    separate,
     vadd,
     vscale,
     vsub,
@@ -242,13 +241,15 @@ def witness_lemma1(
     dec: Decomposition,
     i: int,
     p_i: Vec,
+    h: Hyperplane,
     epsilon: Fraction | None = None,
 ) -> WitnessCertificate:
     """Violation built from a positively weighted agent's prior outside P0.
 
-    Agent i's leg of the acts tracks the rescaled separator between p_i and
-    the social set; every other agent receives a fixed epsilon-sized taste
-    bonus on f, small enough that society's weighted preference for x
+    `h` strictly separates p_i (above) from the social set (below), as the
+    failed lemma-1 report's ``hyperplane`` does.  Agent i's leg of the acts
+    tracks its rescaling; every other agent receives a fixed epsilon-sized
+    taste bonus on f, small enough that society's weighted preference for x
     survives it.
     """
     soc = _society(prof)
@@ -258,9 +259,8 @@ def witness_lemma1(
         raise PreconditionError("agent must carry positive weight")
     if not membership(p_i, prof.agents[i].beliefs):
         raise PreconditionError("cited prior is not in the agent's belief set")
-    h = separate([p_i], soc.beliefs)
-    if h is None:
-        raise PreconditionError("prior lies in the social belief set; nothing to witness")
+    if not _separates(h, [p_i], soc.beliefs):
+        raise PreconditionError("hyperplane does not strictly separate the prior from P0")
     pairs, gains = _diversity_legs(prof)
 
     n = Fraction(prof.n)
@@ -448,7 +448,7 @@ def witness_for(
         return build(prof, det["combo"], det["hyperplane"], x_star, x_low)
     if "prior" in det:
         build = builder or witness_lemma1
-        return build(prof, det["decomposition"], det["agent"], det["prior"])
+        return build(prof, det["decomposition"], det["agent"], det["prior"], det["hyperplane"])
     if "priors" in det:
         build = builder or witness_spurious_unanimity
         return build(prof, det["decomposition"], *det["agents"], *det["priors"])

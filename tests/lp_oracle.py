@@ -22,10 +22,13 @@ _unique_decomposition`, the linear solve thm1 used for its taste weights
 before it moved to `utilitarian_decompose`.  All three are kept verbatim
 (`tests/test_margin_lp.py`, `tests/test_characterizations.py`).
 
-`check_eq1_dght1` is `characterizations.check_eq1_dght1` as it computed an
-agent's hull weights again for every support containing the agent, before
-it computed them once per call; kept verbatim
-(`tests/test_characterizations.py`).
+`check_eq1_dght1` is `characterizations.check_eq1_dght1` as it solved one
+support-constrained `utilitarian_decompose` LP for every nonempty set of
+agents (`_subsets`, by size, then lexicographically), 2**n - 1 of them, and
+computed an agent's hull weights again for every support containing the
+agent.  The package now decides eq1 with one LP over the agents whose belief
+sets contain the social one; the subset loop is kept verbatim as the oracle
+its verdicts are compared with (`tests/test_characterizations.py`).
 
 `remove_redundant` is `geometry.remove_redundant` as it solved one
 `convex_weights` LP per point, before it kept the lexicographically least
@@ -46,6 +49,7 @@ the oracles here, in `vh_oracle.py` and in `act_oracle.py` do not share the
 kernel they check (`tests/test_lp_kernel.py`).
 """
 
+import itertools
 from fractions import Fraction
 
 from paretostar.characterizations import (
@@ -53,7 +57,6 @@ from paretostar.characterizations import (
     Decomposition,
     _hull_weights,
     _society,
-    _subsets,
     utilitarian_decompose,
 )
 from paretostar.errors import DimensionMismatchError, InternalError
@@ -468,6 +471,11 @@ def unique_decomposition(prof) -> Decomposition | None:
         (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
     )
     return Decomposition(tuple(alpha), beta)
+
+
+def _subsets(n: int):
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(n), size)
 
 
 def check_eq1_dght1(prof: Profile) -> ConditionReport:

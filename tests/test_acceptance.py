@@ -174,7 +174,8 @@ def test_criterion_05_constructions_validate():
         rep = check_lemma1_superset(prof, dec)
         if rep.holds:
             continue
-        cert = witness_lemma1(prof, dec, rep.details["agent"], rep.details["prior"])
+        det = rep.details
+        cert = witness_lemma1(prof, dec, det["agent"], det["prior"], det["hyperplane"])
         ok = ok and revalidate(prof, cert)
         ok = ok and pareto_star_check(prof, cert.act_x, cert.act_f).violation
         escapes += 1

@@ -28,7 +28,7 @@ from paretostar import (
     utility,
     vec,
 )
-from paretostar import characterizations
+from paretostar import characterizations, geometry
 from paretostar.characterizations import (
     Decomposition,
     combo_meets,
@@ -38,6 +38,7 @@ from paretostar.characterizations import (
 from paretostar.documents import dumps
 from paretostar.geometry import delta, dot, intersect_polytopes, solve_linear
 from paretostar.harness import GenParams, random_profile
+from paretostar.preferences import AffineUtility
 
 import lp_oracle
 from helpers import interior_point, interval, scenario1, scenario2, singleton, wide_profile
@@ -93,23 +94,18 @@ class TestEq1:
             assert recon == w
 
     def test_matches_oracle_with_each_agents_hull_once(self, monkeypatch):
-        """Reports equal the old per-support computation
-        (`lp_oracle.check_eq1_dght1`), and each agent's hull weights are
-        computed at most once per call."""
-        new_calls, old_calls = Counter(), Counter()
+        """Verdicts equal the subset loop's (`lp_oracle.check_eq1_dght1`),
+        every report passes `_recheck_eq1`, and each agent's hull weights are
+        computed once per call."""
+        new_calls = Counter()
+        hull_weights = characterizations._hull_weights
 
-        def counting(calls, original):
-            def wrapper(points, P):
-                calls[id(P)] += 1
-                return original(points, P)
-            return wrapper
+        def counting(points, P):
+            new_calls[id(P)] += 1
+            return hull_weights(points, P)
 
-        monkeypatch.setattr(
-            characterizations, "_hull_weights", counting(new_calls, characterizations._hull_weights)
-        )
-        monkeypatch.setattr(lp_oracle, "_hull_weights", counting(old_calls, lp_oracle._hull_weights))
+        monkeypatch.setattr(characterizations, "_hull_weights", counting)
         holds = Counter()
-        repeated = 0
         for seed in range(90):
             # d < n often: several supports decompose the society's taste.
             base = random_profile(GenParams(
@@ -123,15 +119,159 @@ class TestEq1:
                 society = Agent(base.society.utility, beliefs, "society")
                 prof = Profile(base.states, base.outcome_dim, base.agents, society)
                 new_calls.clear()
-                old_calls.clear()
-                got, want = check_eq1_dght1(prof), lp_oracle.check_eq1_dght1(prof)
-                assert got == want and dumps(got) == dumps(want), seed
+                got = check_eq1_dght1(prof)
+                assert got.holds == lp_oracle.check_eq1_dght1(prof).holds, seed
+                _recheck_eq1(prof, got)
+                assert sorted(new_calls) == sorted({id(a.beliefs) for a in prof.agents}), seed
                 assert all(count == 1 for count in new_calls.values()), seed
-                assert set(new_calls) == set(old_calls)
-                repeated += sum(old_calls.values()) > len(old_calls)
                 holds[got.holds] += 1
-        # Both answers, and many calls where the old route repeated an agent.
-        assert holds[True] > 15 and holds[False] > 50 and repeated > 60, (holds, repeated)
+        assert holds[True] > 15 and holds[False] > 50, holds
+
+    def test_sweep_matches_oracle(self):
+        """640 profiles: zero-gradient societies, tastes that weight only some
+        agents, P0 a vertex of one agent's set, P0 inside some or every
+        agent's set, and drawn sets."""
+        seen = Counter()
+        for seed in range(640):
+            prof, taste, nest = _eq1_sweep_profile(seed)
+            got = check_eq1_dght1(prof)
+            assert got.holds == lp_oracle.check_eq1_dght1(prof).holds, seed
+            _recheck_eq1(prof, got)
+            seen[taste, got.holds] += 1
+            seen[nest, got.holds] += 1
+            if got.holds:
+                seen["support smaller than all agents"] += len(got.details["support"]) < prof.n
+            else:
+                seen["no LP" if not got.details["containing"] else "LP infeasible"] += 1
+        # Every kind of society both passes and fails; with P0 inside every
+        # agent's set only a zero gradient can fail.
+        for kind in ("all", "some", "zero", "drawn", "agent-vertex", "some-contain"):
+            assert seen[kind, True] >= 10 and seen[kind, False] >= 100, seen
+        assert seen["every-contains", True] >= 100 and seen["every-contains", False] >= 20, seen
+        assert min(seen["support smaller than all agents"], seen["no LP"],
+                   seen["LP infeasible"]) >= 100, seen
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_wide_profile_is_linear(self, n, monkeypatch):
+        """Two-vertex sets [0.2, 0.8] for n agents of one taste and
+        P0 = [0.1, 0.9], which no agent's set contains (the subset loop
+        would solve 2**n - 1 LPs), or P0 = [0.3, 0.7], which every set
+        contains.  Work and the failing report's size grow linearly."""
+        lps = Counter()
+        solve = geometry.simplex_standard
+
+        def counting(kind):
+            def wrapper(rows, rhs, objective):
+                lps[kind] += 1
+                return solve(rows, rhs, objective)
+            return wrapper
+
+        # Hull LPs reach the solver through geometry, eq1's own LP directly.
+        monkeypatch.setattr(geometry, "simplex_standard", counting("hull"))
+        monkeypatch.setattr(characterizations, "simplex_standard", counting("decomposition"))
+        sizes = []
+        for agents in (n - 1, n, n + 1):
+            for p0, holds in ((("0.1", "0.9"), False), (("0.3", "0.7"), True)):
+                lps.clear()
+                prof = _two_vertex_profile(agents, *p0)
+                rep = check_eq1_dght1(prof)
+                assert rep.holds is holds
+                _recheck_eq1(prof, rep)
+                # No LP when no agent contains P0; one hull LP per agent and
+                # vertex of P0 it reaches.
+                assert lps["decomposition"] == holds
+                assert lps["hull"] == agents * (2 if holds else 1)
+                if not holds:
+                    sizes.append(len(dumps(rep)))
+        assert sizes[2] - sizes[1] == sizes[1] - sizes[0] > 0, sizes
+        assert sizes[1] < 80 * n, sizes
+
+
+def _two_vertex_profile(n: int, lo: str, hi: str) -> Profile:
+    agents = [Agent(utility([1, 0]), interval("0.2", "0.8"), f"a{i}") for i in range(n)]
+    return profile(agents, Agent(utility([1, 0]), interval(lo, hi), "society"))
+
+
+def _recheck_eq1(prof: Profile, rep) -> None:
+    """Check an eq1 report by direct evaluation.
+
+    Which agents' sets contain P0 comes from hull LPs on the oracle's own
+    simplex (`lp_oracle.convex_weights`), and the canonical decomposition
+    from the oracle's least-total-weight LP over those agents.
+    """
+    P0 = prof.society.beliefs.vertices
+    inside = {
+        i: [lp_oracle.convex_weights(w, list(a.beliefs.vertices)) is not None for w in P0]
+        for i, a in enumerate(prof.agents)
+    }
+    containing = tuple(i for i, flags in inside.items() if all(flags))
+    if not rep.holds:
+        outside = {i: P0[flags.index(False)] for i, flags in inside.items() if not all(flags)}
+        assert rep.details == {"containing": containing, "outside": outside}
+        return
+    dec = rep.details["decomposition"]
+    assert verify_decomposition(prof, dec)
+    assert rep.details["support"] == dec.support
+    assert set(dec.support) <= set(containing)
+    rows = [[F(prof.agents[i].utility.coeffs[k]) for i in containing]
+            for k in range(prof.outcome_dim)]
+    rhs = [F(c) for c in prof.society.utility.coeffs]
+    if all(c == 0 for c in rhs):
+        rows.append([F(1)] * len(containing))
+        rhs.append(F(1))
+    _, z, _ = lp_oracle.simplex_standard(rows, rhs, [F(-1)] * len(containing))
+    assert tuple(dec.alpha[i] for i in containing) == tuple(z)
+    memberships = rep.details["memberships"]
+    assert list(memberships) == [(i, w) for i in dec.support for w in P0]
+    for (i, w), mu in memberships.items():
+        verts = prof.agents[i].beliefs.vertices
+        assert len(mu) == len(verts) and min(mu) >= 0 and sum(mu) == 1
+        assert tuple(sum((x * v[k] for x, v in zip(mu, verts)), F(0)) for k in range(len(w))) == w
+
+
+def _eq1_sweep_profile(seed: int) -> tuple[Profile, str, str]:
+    """(profile, taste kind, belief kind) for one seed of the eq1 sweep.
+
+    Taste kinds: a positive weighting of every agent ("all"), of a random
+    proper subset ("some"), a zero gradient ("zero").  Belief kinds: a drawn
+    set ("drawn"), one vertex of one agent's set ("agent-vertex"), a point
+    added to every agent's set ("every-contains") or to some of them
+    ("some-contain").
+    """
+    n = 2 + seed % 3
+    base = random_profile(GenParams(
+        seed=seed, n=n, m=2 + (seed // 3) % 2, d=1 + (seed // 2) % 3,
+        max_vertices=1 + (seed // 5) % 3, society_rule="none",
+    ))
+    rng = SplitMix64(10_000 + seed)
+    taste = ("all", "some", "zero")[seed % 3]
+    nest = ("drawn", "agent-vertex", "every-contains", "some-contain")[(seed // 3) % 4]
+    weighted = range(n)
+    if taste == "some":
+        weighted = [i for i in range(n) if rng.randint(0, 1)][: n - 1] or [rng.randint(0, n - 1)]
+    coeffs = [F(0)] * base.outcome_dim
+    if taste != "zero":
+        for i in weighted:
+            a = F(rng.randint(1, 6), rng.randint(1, 6))
+            coeffs = [c + a * x for c, x in zip(coeffs, base.agents[i].utility.coeffs)]
+    agents = list(base.agents)
+    if nest == "drawn":
+        beliefs = Polytope.from_generators(
+            [rng.simplex_point(base.states, 8) for _ in range(rng.randint(1, 2))]
+        )
+    elif nest == "agent-vertex":
+        verts = agents[seed % n].beliefs.vertices
+        beliefs = Polytope(verts[rng.randint(0, len(verts) - 1):][:1])
+    else:
+        point = rng.simplex_point(base.states, 8)
+        chosen = range(n) if nest == "every-contains" else [i for i in range(n) if rng.randint(0, 1)]
+        for i in chosen:
+            a = agents[i]
+            grown = Polytope.from_generators([*a.beliefs.vertices, point])
+            agents[i] = Agent(a.utility, grown, a.name)
+        beliefs = Polytope((point,))
+    society = Agent(AffineUtility(tuple(coeffs), F(rng.randint(-2, 2))), beliefs, "society")
+    return Profile(base.states, base.outcome_dim, tuple(agents), society), taste, nest
 
 
 class TestThm1:

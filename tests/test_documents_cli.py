@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from paretostar.documents import (
     profile_to_dict,
     save_json,
 )
-from paretostar.errors import DocumentError, InternalError
+from paretostar.errors import CapExceededError, DocumentError, InternalError
 from paretostar.harness import GenParams, cross_validate, random_profile
 from paretostar.witnesses import revalidate
 
@@ -495,6 +496,64 @@ class TestCliCaps:
         assert main(argv) == 3
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "w.json").exists()
+
+
+class TestCliDigitCap:
+    """A derived number too long to write back exits 2 in both formats,
+    though every input number stays within the 4300-digit cap."""
+
+    @staticmethod
+    def _write(profiles_dir, tmp_path, name):
+        # The society's weight on the first agent's taste is 10**8598.
+        data = json.loads((profiles_dir / f"{name}.profile").read_text())
+        data["agents"][0]["utility"]["coeffs"] = ["1e-4299", 0]
+        data["agents"][1]["utility"]["coeffs"] = [0, 1]
+        data["society"]["utility"]["coeffs"] = ["1e4299", 1]
+        path = tmp_path / f"{name}.profile"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_check_exit_2(self, profiles_dir, tmp_path, fmt, capsys):
+        path = self._write(profiles_dir, tmp_path, "example2")
+        assert main(["check", path, "thm2", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "precondition unmet: a number with 8599 digits exceeds the cap of 4300 "
+            "digits that a document can hold\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_witness_exit_2_and_no_file(self, profiles_dir, tmp_path, fmt, capsys):
+        path = self._write(profiles_dir, tmp_path, "example2_p08")
+        out = tmp_path / "w.json"
+        argv = ["witness", path, "ct-pareto-star", "--out", str(out), "--format", fmt]
+        assert main(argv) == 2
+        assert "exceeds the cap of 4300 digits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jsonable_bound(self):
+        top = 10**4300
+        assert jsonable(F(top - 1, top - 2)) == f"{top - 1}/{top - 2}"
+        assert jsonable(F(1 - top)) == str(1 - top)
+        for x, digits in ((F(top), 4301), (F(-top), 4301), (F(1, top), 4301),
+                          (F(10**9000 + 1, 3), 9001)):
+            with pytest.raises(CapExceededError, match=f"a number with {digits} digits"):
+                jsonable({"report": [x]})
+
+    def test_bound_does_not_rest_on_pythons_own_limit(self):
+        """With Python's limit on writing integers lifted, the cap still holds."""
+        set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.10.7
+        if set_limit is not None:
+            limit = sys.get_int_max_str_digits()
+            set_limit(0)
+        try:
+            with pytest.raises(CapExceededError, match="a number with 4301 digits"):
+                jsonable(F(1, 10**4300))
+        finally:
+            if set_limit is not None:
+                set_limit(limit)
 
 
 class TestCliPlot:

@@ -204,7 +204,8 @@ def _society_entry_points():
         ("cross_validate", lambda prof: cross_validate(prof, "thm2", trials=5)),
         ("witness_ct_pareto_star", lambda prof: witness_ct_pareto_star(
             prof, (p1, p2), Hyperplane((F(1), F(0)), F(1, 10)), (F(1), F(0)), (F(0), F(0)))),
-        ("witness_lemma1", lambda prof: witness_lemma1(prof, dec, 0, p1)),
+        ("witness_lemma1", lambda prof: witness_lemma1(
+            prof, dec, 0, p1, Hyperplane((F(1), F(0)), F(1, 2)))),
         ("witness_spurious_unanimity",
          lambda prof: witness_spurious_unanimity(prof, dec, 0, 1, p1, p2)),
     ]

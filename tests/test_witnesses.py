@@ -20,11 +20,15 @@ from paretostar import (
     witness_spurious_unanimity,
 )
 from paretostar.axioms import AXIOM_CHECKS
-from paretostar.characterizations import check_thm1_condition, distinct_priors
+from paretostar.characterizations import (
+    ConditionReport,
+    check_thm1_condition,
+    distinct_priors,
+)
 from paretostar.errors import InternalError
 from paretostar.geometry import Hyperplane
 from paretostar.harness import GenParams, random_profile
-from paretostar.witnesses import revalidate
+from paretostar.witnesses import revalidate, witness_for
 
 from helpers import interval, scenario1, scenario2, singleton
 
@@ -87,11 +91,15 @@ class TestCommonTasteWitness:
         assert rerun.premise_holds and not rerun.conclusion_holds
 
 
+# Strictly separates the prior (0.8, 0.2) from the singleton social set (0.5, 0.5).
+LEMMA1_CUT = Hyperplane((F(1), F(0)), F(13, 20))
+
+
 class TestLemma1Witness:
     def build(self):
         prof = scenario1(singleton("0.5"))
         dec = utilitarian_decompose(prof)
-        cert = witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]))
+        cert = witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]), LEMMA1_CUT)
         return prof, dec, cert
 
     def test_certificate_validates(self):
@@ -111,12 +119,22 @@ class TestLemma1Witness:
     def test_prior_inside_society_rejected(self):
         prof = scenario1(singleton("0.5"))
         dec = utilitarian_decompose(prof)
-        with pytest.raises(PreconditionError):
-            witness_lemma1(prof, dec, 0, vec(["0.5", "0.5"]))
+        with pytest.raises(PreconditionError, match="does not strictly separate"):
+            witness_lemma1(prof, dec, 0, vec(["0.5", "0.5"]), LEMMA1_CUT)
+
+    def test_given_hyperplane_is_used_not_solved_again(self):
+        prof, _, cert = self.build()
+        # The certificate's separator is LEMMA1_CUT rescaled into [0, 1]:
+        # (1, 0) and 13/20 become (1, 0) and 13/20.
+        assert cert.hyperplane == Hyperplane((F(1), F(0)), F(13, 20))
+        dec = utilitarian_decompose(prof)
+        for h in (Hyperplane((F(1), F(0)), F(4, 5)), Hyperplane((F(-1), F(0)), F(-13, 20))):
+            with pytest.raises(PreconditionError, match="does not strictly separate"):
+                witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]), h)
 
     def test_epsilon_halving_keeps_all_margins(self):
         prof, dec, cert = self.build()
-        half = witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]),
+        half = witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]), LEMMA1_CUT,
                               epsilon=cert.params["epsilon"] / 2)
         assert_certified(prof, half)
         # society slack grows as the taste bonus shrinks
@@ -129,7 +147,7 @@ class TestLemma1Witness:
         dec = utilitarian_decompose(prof)
         assert dec.alpha == (F(1), F(0))
         with pytest.raises(PreconditionError):
-            witness_lemma1(prof, dec, 1, vec(["0.8", "0.2"]))
+            witness_lemma1(prof, dec, 1, vec(["0.8", "0.2"]), LEMMA1_CUT)
 
 
 class TestSpuriousUnanimity:
@@ -215,10 +233,27 @@ class TestEveryModeChecks:
         )
         det = check_thm1_condition(prof).details
         assert det["failure"] == "belief-outside-society"
-        args = (prof, det["decomposition"], det["agent"], det["prior"])
+        args = (prof, det["decomposition"], det["agent"], det["prior"], det["hyperplane"])
         assert_certified(prof, witness_lemma1(*args))
         with pytest.raises(InternalError, match="re-check"):
             witness_lemma1(*args, epsilon=F(1000))
+
+    def test_witness_for_builds_on_the_reports_hyperplane(self):
+        """The lemma-1 witness re-checks the failed report's separator
+        instead of solving for one again: a flipped one is refused."""
+        prof = random_profile(
+            GenParams(seed=0, n=2, m=2, d=2, max_vertices=2, society_rule="minkowski")
+        )
+        report = check_thm1_condition(prof)
+        h = report.details["hyperplane"]
+        assert witness_for(prof, report) == witness_lemma1(
+            prof, report.details["decomposition"], report.details["agent"],
+            report.details["prior"], h,
+        )
+        flipped = Hyperplane(tuple(-x for x in h.normal), -h.threshold)
+        bad = ConditionReport(report.condition, False, {**report.details, "hyperplane": flipped})
+        with pytest.raises(PreconditionError, match="does not strictly separate"):
+            witness_for(prof, bad)
 
     def test_spurious_epsilon_past_its_spread_bound_raises(self):
         prof = scenario1()
