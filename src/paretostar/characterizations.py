@@ -31,7 +31,6 @@ from .geometry import (  # noqa: F401
     intersect_polytopes,
     is_zero,
     lp_solve,
-    max_margin,
     separate,
     simplex_standard,
     vadd,
@@ -94,34 +93,14 @@ def verify_decomposition(prof: Profile, dec: Decomposition) -> bool:
     return _weighted_taste(prof, dec.alpha, dec.beta) == soc.utility
 
 
-def utilitarian_decompose(
-    prof: Profile, support_constraint: tuple[int, ...] | None = None
-) -> Decomposition | None:
+def utilitarian_decompose(prof: Profile) -> Decomposition | None:
     """Solve u0 = sum alpha_i u_i + beta with alpha >= 0, alpha != 0.
 
-    Without a support constraint any nonnegative solution qualifies and the
-    canonical one minimizes the total weight.  With a constraint, weights
-    outside it are pinned to zero and weights inside must be strictly
-    positive, decided by maximizing their common lower bound.
+    Any nonnegative solution qualifies; the canonical one minimizes the
+    total weight.
     """
-    soc = _society(prof)
-    if support_constraint is None:
-        return _least_weight(prof, range(prof.n), normalized=False)
-    members = sorted(support_constraint)
-    if not members:
-        return None
-    # Columns alpha_i (i in members), then w = 1: maximize t with
-    # alpha_i >= t and w >= t, so t is capped at 1.
-    nm = len(members)
-    eqs = [
-        [prof.agents[i].utility.coeffs[k] for i in members] + [0]
-        for k in range(prof.outcome_dim)
-    ]
-    units = [[int(j == k) for k in range(nm + 1)] for j in range(nm + 1)]
-    found = max_margin(units, eqs + units[-1:], [*soc.utility.coeffs, 1])
-    if found is None:
-        return None
-    return _decomposition(prof, members, found[0])
+    _society(prof)
+    return _least_weight(prof, range(prof.n), normalized=False)
 
 
 def _least_weight(prof: Profile, members, normalized: bool) -> Decomposition | None:

@@ -14,6 +14,7 @@ import functools
 import sys
 import traceback
 from fractions import Fraction
+from pathlib import Path
 
 from .axioms import AXIOM_CHECKS
 from .characterizations import (
@@ -22,7 +23,7 @@ from .characterizations import (
     distinct_prior_pair,
     required_decomposition,
 )
-from .documents import dumps, format_decimal, load_acts, load_profile, save_json
+from .documents import dumps, format_decimal, jsonable, load_acts, load_profile, render
 from .errors import (
     CapExceededError,
     DocumentError,
@@ -67,16 +68,20 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(map(str, v)) + ")"
 
 
-def _emit(args, payload: dict, human_lines, out=None) -> None:
-    """Save `out` = (path, object) if given, then print the payload.
+def _emit(args, payload: dict, human_lines, out_key=None) -> None:
+    """Print the payload, after saving its `out_key` entry to ``args.out`` if given.
 
     The payload is serialized before anything is written, so a number too
     long to write back raises CapExceededError (exit 2) in both formats and
-    leaves no partial file.  `human_lines()` gives the human output.
+    leaves no partial file.  The saved entry is converted once; both texts
+    are rendered from that tree.  `human_lines()` gives the human output.
     """
-    text = dumps(payload)
-    if out is not None:
-        save_json(*out)
+    if out_key is None:
+        text = dumps(payload)
+    else:
+        doc = jsonable(payload[out_key])
+        text = dumps({**payload, out_key: doc})  # doc passes through unchanged
+        Path(args.out).write_text(render(doc), encoding="utf-8")
     if args.format == "machine":
         sys.stdout.write(text)
     else:
@@ -149,7 +154,7 @@ def cmd_witness(args) -> int:
     ] + [
         f"agent {am.agent + 1}: prior {_fmt_vec(am.prior)}, margin {am.margin}"
         for am in cert.per_agent
-    ], out=(args.out, cert))
+    ], out_key="witness")
     return EXIT_OK
 
 
@@ -226,7 +231,7 @@ def cmd_fuzz(args) -> int:
         f"{args.axiom}: {report.trials} trials, {report.premise_hits} premise hits, "
         f"{len(report.violations)} violation(s)",
         f"digest: {report.digest}",
-    ], out=(args.out, report) if args.out else None)
+    ], out_key="report" if args.out else None)
     return EXIT_FAIL if report.violations else EXIT_OK
 
 

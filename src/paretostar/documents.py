@@ -7,7 +7,8 @@ text goes through `geometry.frac`, which refuses one too long to write back.
 Serialization renders every rational as a "p/q" string, with deterministic
 key order, so identical objects produce byte-identical documents; a
 rational whose numerator or denominator has more than DIGIT_CAP digits
-cannot be read back, so `jsonable` refuses it with CapExceededError.
+cannot be read back, so `jsonable` (and `format_decimal`, for a CSV cell's
+whole part) refuses it with CapExceededError.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _digit_count(n: int) -> int:
     return k
 
 
-def _long_fraction_text(x: Fraction) -> str:
+def _long_text(x: Fraction | int) -> str:
     """The text of x, or CapExceededError past DIGIT_CAP digits."""
     num, den = x.numerator, x.denominator
     if not -_UNWRITABLE < num < _UNWRITABLE or den >= _UNWRITABLE:
@@ -48,15 +49,30 @@ def _long_fraction_text(x: Fraction) -> str:
     return str(x)
 
 
+def _text(x: Fraction | int) -> str:
+    """The text of x, or CapExceededError past DIGIT_CAP digits: the one
+    writability rule of documents and CSV cells.  Text of at most DIGIT_CAP
+    characters cannot hold a part past the cap, so a short number costs one
+    length test; `_long_text` decides the rest, whatever Python's own limit.
+    """
+    try:
+        text = str(x)
+    except ValueError:  # Python's own limit on writing an integer
+        return _long_text(x)
+    return text if len(text) <= DIGIT_CAP else _long_text(x)
+
+
 def format_decimal(x: Fraction, digits: int) -> str:
-    """Exact decimal rendering with `digits` places (ties to even)."""
+    """Exact decimal rendering with `digits` places (ties to even).
+
+    Its whole part obeys `_text`'s cap; the fraction part has `digits`
+    places, which the CLI keeps within DIGIT_CAP.
+    """
     scaled = round(x * 10**digits)
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    if digits == 0:
-        return f"{sign}{scaled}"
-    whole, part = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(part).zfill(digits)}"
+    whole, part = divmod(abs(scaled), 10**digits)
+    fraction = f".{str(part).zfill(digits)}" if digits else ""
+    return f"{sign}{_text(whole)}{fraction}"
 
 
 def jsonable(obj):
@@ -71,12 +87,7 @@ def jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
-        # Text of at most DIGIT_CAP characters cannot hold a part past the cap.
-        try:
-            text = str(obj)
-        except ValueError:  # Python's own limit on writing an integer
-            return _long_fraction_text(obj)
-        return text if len(text) <= DIGIT_CAP else _long_fraction_text(obj)
+        return _text(obj)
     if isinstance(obj, float):
         raise DocumentError("floats must never appear in exact documents")
     if isinstance(obj, (list, tuple)):
@@ -103,8 +114,13 @@ def jsonable(obj):
     raise DocumentError(f"cannot serialize {type(obj).__name__}")
 
 
+def render(tree) -> str:
+    """The document text of a `jsonable` tree: sorted keys, two-space indent."""
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 def dumps(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return render(jsonable(obj))
 
 
 def save_json(path, obj) -> None:
@@ -124,7 +140,7 @@ def load_json(path):
 def _number(x, where: str) -> Fraction:
     try:
         return frac(x)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"bad number in {where}: {x!r} ({e})") from e
 
 
@@ -197,7 +213,7 @@ def load_profile(path) -> Profile:
     return profile_from_dict(load_json(path))
 
 
-def acts_from_dict(data, prof: Profile | None = None) -> list[tuple[str, Act]]:
+def acts_from_dict(data, prof: Profile) -> list[tuple[str, Act]]:
     if not isinstance(data, dict) or "acts" not in data or not isinstance(data["acts"], list):
         raise DocumentError("acts document needs an 'acts' list")
     out = []
@@ -211,12 +227,11 @@ def acts_from_dict(data, prof: Profile | None = None) -> list[tuple[str, Act]]:
         act = Act(tuple(_vector(r, where) for r in rows))
         if any(len(r) != act.outcome_dim for r in act.rows):
             raise DocumentError(f"{where}: rows of mixed outcome dimension")
-        if prof is not None:
-            if act.states != prof.states or act.outcome_dim != prof.outcome_dim:
-                raise DocumentError(
-                    f"{where}: act shape {act.states}x{act.outcome_dim} does not match "
-                    f"profile {prof.states}x{prof.outcome_dim}"
-                )
+        if act.states != prof.states or act.outcome_dim != prof.outcome_dim:
+            raise DocumentError(
+                f"{where}: act shape {act.states}x{act.outcome_dim} does not match "
+                f"profile {prof.states}x{prof.outcome_dim}"
+            )
         name = entry.get("name", f"act{i + 1}")
         if not isinstance(name, str):
             raise DocumentError(f"{where}: name must be a string")
@@ -224,5 +239,5 @@ def acts_from_dict(data, prof: Profile | None = None) -> list[tuple[str, Act]]:
     return out
 
 
-def load_acts(path, prof: Profile | None = None) -> list[tuple[str, Act]]:
+def load_acts(path, prof: Profile) -> list[tuple[str, Act]]:
     return acts_from_dict(load_json(path), prof)

@@ -77,11 +77,10 @@ def vec(entries) -> Vec:
     return v
 
 
-def dot_parts(u: Vec, v: Vec) -> tuple[int, int]:
-    """u·v as an unreduced (numerator, denominator) pair, denominator > 0.
-
-    One integer numerator accumulates over a running common denominator (the
-    lcm of the products' denominators); entries may be Fractions or ints.
+def dot(u: Vec, v: Vec) -> Fraction:
+    """u·v, with one integer numerator accumulated over a running common
+    denominator (the lcm of the products' denominators); entries may be
+    Fractions or ints.
     """
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot: {len(u)} vs {len(v)}")
@@ -96,11 +95,7 @@ def dot_parts(u: Vec, v: Vec) -> tuple[int, int]:
                 den = den // g * d
             else:
                 num += n * (den // d)
-    return num, den
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    return Fraction(*dot_parts(u, v))
+    return Fraction(num, den)
 
 
 def vec_parts(entries) -> tuple[tuple[int, ...], int]:
@@ -540,9 +535,6 @@ class Polytope:
     def cleared(self) -> tuple[tuple[Vec, tuple[int, ...], int], ...]:
         """(v, ints, den) per vertex v = ints / den, cached outside the fields."""
         return tuple((v, *vec_parts(v)) for v in self.vertices)
-
-    def contains(self, p: Vec) -> bool:
-        return membership(p, self)
 
     def is_singleton(self) -> bool:
         return len(self.vertices) == 1

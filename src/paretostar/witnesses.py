@@ -242,7 +242,6 @@ def witness_lemma1(
     i: int,
     p_i: Vec,
     h: Hyperplane,
-    epsilon: Fraction | None = None,
 ) -> WitnessCertificate:
     """Violation built from a positively weighted agent's prior outside P0.
 
@@ -270,10 +269,7 @@ def witness_lemma1(
         raise InternalError("the separator must cut off every social prior")
     others = [j for j in range(prof.n) if j != i]
     slack_weight = sum((dec.alpha[j] * gains[j] for j in others), _ZERO)
-    if epsilon is None:
-        epsilon = _small(dec.alpha[i] * gains[i] * min_gap, slack_weight)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _small(dec.alpha[i] * gains[i] * min_gap, slack_weight)
 
     def outcome(t_i: Fraction, t_other: Fraction) -> Vec:
         return _outcome(pairs, [t_i if j == i else t_other for j in range(prof.n)])
@@ -310,9 +306,6 @@ def witness_spurious_unanimity(
     i2: int,
     p1: Vec,
     p2: Vec,
-    epsilon: Fraction | None = None,
-    b: Fraction | None = None,
-    nu: Fraction | None = None,
 ) -> WitnessCertificate:
     """Violation from two positively weighted agents relying on distinct priors.
 
@@ -344,10 +337,7 @@ def witness_spurious_unanimity(
     spread = sum((x - y) ** 2 for x, y in zip(p2, p1))
     if spread <= 0:
         raise InternalError("distinct priors must lie apart")
-    if epsilon is None:
-        epsilon = min(a1, a2) * spread / 4
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = min(a1, a2) * spread / 4
 
     mid = vscale(_HALF, vadd(p1, p2))
     c1 = vscale(a2, vsub(p1, p2))
@@ -364,21 +354,15 @@ def witness_spurious_unanimity(
     phi1_states = [phi1(delta(s, m)) for s in range(m)]
     phi2_states = [phi2(delta(s, m)) for s in range(m)]
 
-    if b is None:
-        limits = [gains[i1] / (2 * n * abs(v)) for v in phi1_states if v != 0]
-        limits += [gains[i2] / (2 * n * abs(v)) for v in phi2_states if v != 0]
-        if not limits:
-            raise InternalError("the two state increments cannot both vanish everywhere")
-        b = min(limits) / 2
-    if b <= 0:
-        raise ValueError("b must be positive")
+    limits = [gains[i1] / (2 * n * abs(v)) for v in phi1_states if v != 0]
+    limits += [gains[i2] / (2 * n * abs(v)) for v in phi2_states if v != 0]
+    if not limits:
+        raise InternalError("the two state increments cannot both vanish everywhere")
+    b = min(limits) / 2
 
     others = [j for j in range(prof.n) if j not in (i1, i2)]
     slack_weight = sum((dec.alpha[j] * gains[j] for j in others), _ZERO)
-    if nu is None:
-        nu = _small(n * b * (a1 + a2) * epsilon, slack_weight)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    nu = _small(n * b * (a1 + a2) * epsilon, slack_weight)
 
     def outcome(t1: Fraction, t2: Fraction, t_other: Fraction) -> Vec:
         ts = [t1 if j == i1 else t2 if j == i2 else t_other for j in range(prof.n)]

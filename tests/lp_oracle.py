@@ -8,11 +8,10 @@ on every LP, because Bland's rule makes the same choices on either
 representation.
 
 `exchange_star_prior` and `support_decompose_alpha` are the margin LPs of
-`axioms._exchange_star_prior` and of the support branch of
-`characterizations.utilitarian_decompose` as they were written over
-`lp_solve` (free variables split u - v, explicit -x <= 0 rows), before both
-moved to `geometry.max_margin`.  They are kept verbatim
-(`tests/test_margin_lp.py`).
+`axioms._exchange_star_prior` and of the support-constrained branch that
+`characterizations.utilitarian_decompose` once had, as they were written
+over `lp_solve` (free variables split u - v, explicit -x <= 0 rows).  They
+are kept verbatim (`tests/test_margin_lp.py`, and the eq1 oracle below).
 
 `separate` and `check_c_minimal_agreement` are those two functions as they
 built their box-bounded margin LPs row by row before both moved to
@@ -23,12 +22,13 @@ before it moved to `utilitarian_decompose`.  All three are kept verbatim
 (`tests/test_margin_lp.py`, `tests/test_characterizations.py`).
 
 `check_eq1_dght1` is `characterizations.check_eq1_dght1` as it solved one
-support-constrained `utilitarian_decompose` LP for every nonempty set of
-agents (`_subsets`, by size, then lexicographically), 2**n - 1 of them, and
+support-constrained decomposition LP for every nonempty set of agents
+(`_subsets`, by size, then lexicographically), 2**n - 1 of them, and
 computed an agent's hull weights again for every support containing the
 agent.  The package now decides eq1 with one LP over the agents whose belief
-sets contain the social one; the subset loop is kept verbatim as the oracle
-its verdicts are compared with (`tests/test_characterizations.py`).
+sets contain the social one; the subset loop is kept as the oracle its
+verdicts are compared with (`tests/test_characterizations.py`), each support
+decided by `support_decompose_alpha`, so it shares no LP with the package.
 
 `remove_redundant` is `geometry.remove_redundant` as it solved one
 `convex_weights` LP per point, before it kept the lexicographically least
@@ -57,7 +57,6 @@ from paretostar.characterizations import (
     Decomposition,
     _hull_weights,
     _society,
-    utilitarian_decompose,
 )
 from paretostar.errors import DimensionMismatchError, InternalError
 from paretostar.geometry import (
@@ -350,7 +349,9 @@ def exchange_star_prior(agent_diffs: list[Vec], holder) -> tuple[Vec, Fraction] 
 
 
 def support_decompose_alpha(prof, support_constraint) -> tuple[Fraction, ...] | None:
-    """The alpha of `utilitarian_decompose(prof, support_constraint)`."""
+    """A decomposition's alpha with every weight in `support_constraint`
+    strictly positive and every other weight zero (maximizing their common
+    lower bound, capped at 1), or None."""
     soc = prof.society
     d = prof.outcome_dim
     n = prof.n
@@ -467,7 +468,11 @@ def unique_decomposition(prof) -> Decomposition | None:
         raise InternalError("independent gradients leave no degrees of freedom")
     if any(a < 0 for a in alpha) or all(a == 0 for a in alpha):
         return None
-    beta = soc.utility.constant - sum(
+    return _with_beta(prof, alpha)
+
+
+def _with_beta(prof, alpha) -> Decomposition:
+    beta = prof.society.utility.constant - sum(
         (a * ag.utility.constant for a, ag in zip(alpha, prof.agents)), _ZERO
     )
     return Decomposition(tuple(alpha), beta)
@@ -484,9 +489,10 @@ def check_eq1_dght1(prof: Profile) -> ConditionReport:
     soc = _society(prof)
     tried = []
     for M in _subsets(prof.n):
-        dec = utilitarian_decompose(prof, M)
-        if dec is None:
+        alpha = support_decompose_alpha(prof, M)
+        if alpha is None:
             continue
+        dec = _with_beta(prof, alpha)
         memberships = {}
         ok = True
         for i in M:

@@ -64,14 +64,6 @@ class TestDecompose:
         dec = utilitarian_decompose(profile(base.agents, soc))
         assert dec.alpha == (F(1), F(0)) and dec.beta == 0
 
-    def test_support_constraint_strictness(self):
-        base = scenario1()
-        soc = Agent(base.agents[0].utility, interval("0.2", "0.8"), "society")
-        prof = profile(base.agents, soc)
-        assert utilitarian_decompose(prof, (0,)) is not None
-        assert utilitarian_decompose(prof, (1,)) is None
-        assert utilitarian_decompose(prof, (0, 1)) is None  # needs alpha_2 > 0
-
 
 class TestEq1:
     def test_common_belief_set(self):

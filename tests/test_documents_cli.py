@@ -276,6 +276,14 @@ class TestCliMalformedDocuments:
          "can't decode byte 0xff"),
         ("deep-nesting", "profile", lambda data: "[" * 100_000, "recursion"),
         ("5001-digit-integer", "profile", _coeff_text("1" * 5001), "is not valid JSON"),
+        ("zero-denominator-coeff", "profile", _set(COEFFS, ["1/0", 0]),
+         "bad number in agents[0].utility.coeffs: '1/0'"),
+        ("zero-over-zero-constant", "profile", _set(("agents", 0, "utility", "constant"), "0/0"),
+         "bad number in agents[0].utility.constant: '0/0'"),
+        ("zero-denominator-belief", "profile", _set(("society", "beliefs", 0), ["1/0", 1]),
+         "bad number in society.beliefs: '1/0'"),
+        ("zero-denominator-act-row", "acts", _set(("acts", 1, "rows", 0), [0, "0/0"]),
+         "bad number in acts[1]: '0/0'"),
     ]
 
     @pytest.mark.parametrize(
@@ -532,6 +540,40 @@ class TestCliDigitCap:
         assert main(argv) == 2
         assert "exceeds the cap of 4300 digits" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("precision", [6, 0])
+    def test_plot_data_exit_2_and_no_csv(self, profiles_dir, tmp_path, precision, capsys):
+        """A curve value of 10**4299 times an outcome passes the cap as a CSV cell."""
+        data = json.loads((profiles_dir / "example1.profile").read_text())
+        data["agents"][0]["utility"]["coeffs"] = ["1e4299", 0]
+        path = tmp_path / "big.profile"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "c.csv"
+        argv = ["plot-data", str(path), str(profiles_dir / "sq_vs_reform.acts"),
+                "--out", str(out), "--precision", str(precision)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition unmet: a number with 4301 digits exceeds the cap")
+        assert not out.exists()
+
+    def test_format_decimal_bound(self):
+        """With Python's limit on writing integers lifted, a cell's whole part
+        still obeys the cap; the longest writable parts still render."""
+        set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.10.7
+        if set_limit is not None:
+            limit = sys.get_int_max_str_digits()
+            set_limit(0)
+        top = 10**4300
+        try:
+            assert format_decimal(F(1 - top), 2) == f"-{top - 1}.00"
+            assert format_decimal(F(top - 1, top), 4300) == "0." + "9" * 4300
+            for x in (F(top), F(-top), F(top * 10 + 1, 10)):
+                for digits in (0, 6):
+                    with pytest.raises(CapExceededError, match="a number with 4301 digits"):
+                        format_decimal(x, digits)
+        finally:
+            if set_limit is not None:
+                set_limit(limit)
 
     def test_jsonable_bound(self):
         top = 10**4300

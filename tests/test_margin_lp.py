@@ -1,25 +1,21 @@
 """Differential tests: the margin-LP builders against the old hand-built LPs.
 
-`axioms._exchange_star_prior` and the support branch of
-`utilitarian_decompose` used to build their margin LPs over free variables
-through `lp_solve`; both now run `max_margin` over nonnegative columns.
-`separate` and `check_c_minimal_agreement` built their box-bounded margin
-LPs row by row; both now call `geometry.box_margin`.  The old formulations
-are kept verbatim in `tests/lp_oracle.py`, and every certificate must come
-out exactly equal: the same prior and margin, the same alpha, the same
-hyperplane and direction pair, the same None.
+`axioms._exchange_star_prior` used to build its margin LP over free
+variables through `lp_solve`; it now runs `max_margin` over nonnegative
+columns.  `separate` and `check_c_minimal_agreement` built their
+box-bounded margin LPs row by row; both now call `geometry.box_margin`.  The
+old formulations are kept verbatim in `tests/lp_oracle.py`, and every
+certificate must come out exactly equal: the same prior and margin, the
+same hyperplane and direction pair, the same None.
 """
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import lp_oracle
-from paretostar import Agent, Polytope, profile, utility
 from paretostar.axioms import _exchange_star_prior
-from paretostar.characterizations import utilitarian_decompose
 from paretostar.documents import dumps
 from paretostar.geometry import max_margin, separate, vsub
 from paretostar.harness import (
@@ -53,21 +49,6 @@ def seeded_profiles(count):
             society_rule=RULES[seed % 3],
         )
         yield seed, random_profile(params)
-
-
-def test_support_decompositions_match_oracle():
-    compared = positive = 0
-    for seed, prof in seeded_profiles(240):
-        for size in range(1, prof.n + 1):
-            for support in itertools.combinations(range(prof.n), size):
-                new = utilitarian_decompose(prof, support)
-                old = lp_oracle.support_decompose_alpha(prof, support)
-                assert (None if new is None else new.alpha) == old, (seed, support)
-                compared += 1
-                positive += old is not None
-    assert compared > 1000
-    assert positive > 300
-    assert compared - positive > 300
 
 
 def test_exchange_star_priors_match_oracle():
@@ -119,23 +100,6 @@ def test_box_margin_lps_match_oracle():
             separations[want is not None] += 1
     assert pairs[True] > 100 and pairs[False] > 30, pairs
     assert separations[True] > 1000 and separations[False] > 1000, separations
-
-
-def test_support_boundary_cases_match_oracle():
-    point = Polytope.from_generators([(F(1, 2), F(1, 2))])
-
-    def prof(coeffs, society):
-        agents = [Agent(utility(c), point, f"a{i}") for i, c in enumerate(coeffs)]
-        return profile(agents, Agent(utility(society), point, "society"))
-
-    # Zero margin: the only alpha puts weight 0 on agent 2.
-    zero = prof([[1, 0], [0, 1]], [1, 0])
-    assert lp_oracle.support_decompose_alpha(zero, (0, 1)) is None
-    assert utilitarian_decompose(zero, (0, 1)) is None
-    # The cap t <= 1 binds and alpha is not unique: the vertex must match.
-    capped = prof([[1], [1], [1]], [6])
-    old = lp_oracle.support_decompose_alpha(capped, (0, 1, 2))
-    assert utilitarian_decompose(capped, (0, 1, 2)).alpha == old == (4, 1, 1)
 
 
 class TestMaxMargin:

@@ -1,4 +1,4 @@
-"""Constructive counterexamples: certificates, round trips, parameter slack."""
+"""Constructive counterexamples: certificates, round trips, every-mode re-checks."""
 
 from fractions import Fraction
 
@@ -18,6 +18,7 @@ from paretostar import (
     witness_ct_pareto_star,
     witness_lemma1,
     witness_spurious_unanimity,
+    witnesses,
 )
 from paretostar.axioms import AXIOM_CHECKS
 from paretostar.characterizations import (
@@ -132,14 +133,6 @@ class TestLemma1Witness:
             with pytest.raises(PreconditionError, match="does not strictly separate"):
                 witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]), h)
 
-    def test_epsilon_halving_keeps_all_margins(self):
-        prof, dec, cert = self.build()
-        half = witness_lemma1(prof, dec, 0, vec(["0.8", "0.2"]), LEMMA1_CUT,
-                              epsilon=cert.params["epsilon"] / 2)
-        assert_certified(prof, half)
-        # society slack grows as the taste bonus shrinks
-        assert half.society_margin > cert.society_margin
-
     def test_zero_weight_agent_rejected(self):
         base = scenario1(singleton("0.5"))
         soc = Agent(base.agents[0].utility, singleton("0.5"), "society")
@@ -148,6 +141,15 @@ class TestLemma1Witness:
         assert dec.alpha == (F(1), F(0))
         with pytest.raises(PreconditionError):
             witness_lemma1(prof, dec, 1, vec(["0.8", "0.2"]), LEMMA1_CUT)
+
+
+def three_agents():
+    """Ann and Bob on one interval, Caz a bystander whose taste society weighs."""
+    ann = Agent(utility([1, 0, 0]), interval("0.2", "0.8"), "Ann")
+    bob = Agent(utility([0, 1, 0]), interval("0.2", "0.8"), "Bob")
+    caz = Agent(utility([0, 0, 1]), singleton("0.5"), "Caz")
+    soc = Agent(utility(["1/3", "1/3", "1/3"]), interval("0.2", "0.8"), "society")
+    return profile([ann, bob, caz], soc)
 
 
 class TestSpuriousUnanimity:
@@ -188,29 +190,14 @@ class TestSpuriousUnanimity:
         assert {am.agent for am in cert.per_agent} == {0, 1}
 
     def test_three_agents_with_bystander_slack(self):
-        ann = Agent(utility([1, 0, 0]), interval("0.2", "0.8"), "Ann")
-        bob = Agent(utility([0, 1, 0]), interval("0.2", "0.8"), "Bob")
-        caz = Agent(utility([0, 0, 1]), singleton("0.5"), "Caz")
-        soc = Agent(utility(["1/3", "1/3", "1/3"]), interval("0.2", "0.8"), "society")
-        prof = profile([ann, bob, caz], soc)
+        prof = three_agents()
         dec = utilitarian_decompose(prof)
-        p1, p2 = distinct_priors(ann.beliefs, bob.beliefs)
+        p1, p2 = distinct_priors(prof.agents[0].beliefs, prof.agents[1].beliefs)
         cert = witness_spurious_unanimity(prof, dec, 0, 1, p1, p2)
         assert_certified(prof, cert)
         assert {am.agent for am in cert.per_agent} == {0, 1, 2}
         rerun = pareto_star_check(prof, cert.act_x, cert.act_f)
         assert rerun.violation
-
-    def test_parameter_halving(self):
-        prof, dec, cert = self.build()
-        p1, p2 = cert.per_agent[0].prior, cert.per_agent[1].prior
-        for override in (
-            {"epsilon": cert.params["epsilon"] / 2},
-            {"b": cert.params["b"] / 2},
-            {"nu": cert.params["nu"] / 2},
-        ):
-            half = witness_spurious_unanimity(prof, dec, 0, 1, p1, p2, **override)
-            assert_certified(prof, half)
 
     def test_distinct_singletons(self):
         a1 = Agent(utility([1, 0]), singleton("0.3"))
@@ -225,9 +212,14 @@ class TestSpuriousUnanimity:
 
 
 class TestEveryModeChecks:
-    """Builders re-check their margins in every run mode, python -O too."""
+    """Builders re-check their margins in every run mode, python -O too.
 
-    def test_lemma1_epsilon_past_its_bound_raises(self):
+    The tuning values are pinned, not options, so a value past its bound is
+    made by patching `witnesses._small`, the helper that pins epsilon (lemma
+    1) and the bystander bonus nu (spurious unanimity) at half their bound.
+    """
+
+    def test_lemma1_epsilon_past_its_bound_raises(self, monkeypatch):
         prof = random_profile(
             GenParams(seed=0, n=2, m=2, d=2, max_vertices=2, society_rule="minkowski")
         )
@@ -235,8 +227,9 @@ class TestEveryModeChecks:
         assert det["failure"] == "belief-outside-society"
         args = (prof, det["decomposition"], det["agent"], det["prior"], det["hyperplane"])
         assert_certified(prof, witness_lemma1(*args))
+        monkeypatch.setattr(witnesses, "_small", lambda numerator, slack_weight: F(1000))
         with pytest.raises(InternalError, match="re-check"):
-            witness_lemma1(*args, epsilon=F(1000))
+            witness_lemma1(*args)
 
     def test_witness_for_builds_on_the_reports_hyperplane(self):
         """The lemma-1 witness re-checks the failed report's separator
@@ -255,9 +248,16 @@ class TestEveryModeChecks:
         with pytest.raises(PreconditionError, match="does not strictly separate"):
             witness_for(prof, bad)
 
-    def test_spurious_epsilon_past_its_spread_bound_raises(self):
-        prof = scenario1()
+    def test_spurious_epsilon_past_its_spread_bound_raises(self, monkeypatch):
+        """The society margin b (a1 + a2) epsilon, with epsilon pinned below
+        its spread bound, must outweigh the bystander's nu-sized bonus; a nu
+        past its share of that margin leaves society preferring f."""
+        prof = three_agents()
         dec = utilitarian_decompose(prof)
+        assert dec.alpha[2] > 0
         p1, p2 = distinct_priors(prof.agents[0].beliefs, prof.agents[1].beliefs)
+        args = (prof, dec, 0, 1, p1, p2)
+        assert_certified(prof, witness_spurious_unanimity(*args))
+        monkeypatch.setattr(witnesses, "_small", lambda numerator, slack_weight: F(1000))
         with pytest.raises(InternalError, match="re-check"):
-            witness_spurious_unanimity(prof, dec, 0, 1, p1, p2, epsilon=F(100))
+            witness_spurious_unanimity(*args)
