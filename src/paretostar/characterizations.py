@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CapExceededError,
@@ -514,7 +515,9 @@ def aggregate_society(
     """Build a society agent: utilitarian taste plus a rule-based belief set.
 
     * ``minkowski``: the gamma-weighted Minkowski average of the agent sets,
-      generated by weighted sums over vertex combos.
+      generated by weighted sums over vertex combos (`enumerate_combos`),
+      each summed in integers from the vertices' cached `Polytope.cleared`
+      forms over one common denominator.
     * ``hull-union``: the hull of all agents' vertices pooled.
     * ``given``: caller-supplied belief vertices.
     """
@@ -529,12 +532,19 @@ def aggregate_society(
         gamma = tuple(Fraction(g) for g in gamma)
         if len(gamma) != prof.n or any(g < 0 for g in gamma) or sum(gamma) != 1:
             raise ValueError("gamma must be a weight vector over the agents")
+        sets = [a.beliefs for a in prof.agents]
+        # gamma_i v as integers over one denominator `den`, for each vertex v
+        # of agent i, so each generator is one Fraction per state.
+        den = lcm(*(g.denominator * d for g, P in zip(gamma, sets) for _, _, d in P.cleared))
+        scaled = [
+            {v: [g.numerator * (den // (g.denominator * d)) * x for x in ints]
+             for v, ints, d in P.cleared}
+            for g, P in zip(gamma, sets)
+        ]
         points = []
-        for combo in enumerate_combos([a.beliefs for a in prof.agents]):
-            p = zero_vec(prof.states)
-            for g, v in zip(gamma, combo):
-                p = vadd(p, vscale(g, v))
-            points.append(p)
+        for combo in enumerate_combos(sets):
+            sums = [sum(col) for col in zip(*(s[v] for s, v in zip(scaled, combo)))]
+            points.append(tuple(Fraction(x, den) for x in sums))
         beliefs = Polytope.from_generators(points)
     elif rule == "hull-union":
         beliefs = Polytope.from_generators(

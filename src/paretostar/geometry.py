@@ -540,12 +540,31 @@ class Polytope:
         return len(self.vertices) == 1
 
 
+def _outside_box(p: Vec, points) -> bool:
+    """Some coordinate of p lies strictly below or strictly above every
+    point's, so p is outside the points' coordinate box and hence their hull.
+
+    True for any p of positive length when there are no points.
+    """
+    return any(
+        all(x < q[k] for q in points) or all(x > q[k] for q in points)
+        for k, x in enumerate(p)
+    )
+
+
 def convex_weights(p: Vec, points: list[Vec]) -> list[Fraction] | None:
-    """Weights mu >= 0, sum 1, with sum mu_j points_j = p; None if impossible."""
+    """Weights mu >= 0, sum 1, with sum mu_j points_j = p; None if impossible.
+
+    A p outside the points' coordinate box (`_outside_box`) gets None without
+    an LP, the answer the LP would give; every other p is decided by one
+    phase-1 LP, which also returns the weights.
+    """
     d = len(p)
     for q in points:
         if len(q) != d:
             raise DimensionMismatchError("point dimension differs from target")
+    if _outside_box(p, points):
+        return None
     rows = [[q[k] for q in points] for k in range(d)]
     rows.append([1] * len(points))
     rhs = list(p) + [1]
@@ -553,7 +572,8 @@ def convex_weights(p: Vec, points: list[Vec]) -> list[Fraction] | None:
 
 
 def membership(p: Vec, P: Polytope) -> bool:
-    """Exact convex-hull membership, decided by LP feasibility."""
+    """Exact convex-hull membership: `convex_weights` finds weights, by one
+    LP unless p lies outside the vertices' coordinate box."""
     if len(p) != P.ambient_dim:
         raise DimensionMismatchError("point and polytope dimension differ")
     return convex_weights(p, list(P.vertices)) is not None
@@ -608,7 +628,10 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
 
     Input order of the survivors is preserved; duplicates collapse to their
     first occurrence.  The lexicographically least and greatest points are
-    vertices of any finite set's hull, so they are kept without an LP.
+    vertices of any finite set's hull, so they are kept without an LP.  Every
+    other point gets one `convex_weights` test against the points still kept,
+    which needs no LP when a coordinate of the point is strictly below or
+    above all of theirs (such a point is a vertex).
     """
     if not points:
         raise ValueError("no points given")
@@ -807,9 +830,23 @@ def hrep_vertices(H: HRep) -> Polytope | None:
 
 
 def intersect_polytopes(polys: list[Polytope]) -> Polytope | None:
-    """Exact intersection via stacked facet descriptions; None when empty."""
+    """Exact intersection via stacked facet descriptions; None when empty.
+
+    Each polytope lies in its vertices' coordinate box, so when the boxes
+    share no value in some coordinate the intersection is empty and None is
+    returned with no V->H conversion.  Otherwise every polytope's facets are
+    stacked and `hrep_vertices` gives the canonical vertex set.
+    """
     if not polys:
         raise ValueError("nothing to intersect")
+    d = polys[0].ambient_dim
+    if any(P.ambient_dim != d for P in polys):
+        raise DimensionMismatchError("polytopes of mixed dimension")
+    for k in range(d):
+        if max(min(v[k] for v in P.vertices) for P in polys) > min(
+            max(v[k] for v in P.vertices) for P in polys
+        ):
+            return None
     ineqs: list[tuple[Vec, Fraction]] = []
     eqs: list[tuple[Vec, Fraction]] = []
     for P in polys:

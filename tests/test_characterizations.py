@@ -1,5 +1,6 @@
 """Representation-level conditions and society construction rules."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -36,7 +37,15 @@ from paretostar.characterizations import (
     verify_decomposition,
 )
 from paretostar.documents import dumps
-from paretostar.geometry import delta, dot, intersect_polytopes, solve_linear
+from paretostar.geometry import (
+    delta,
+    dot,
+    intersect_polytopes,
+    solve_linear,
+    vadd,
+    vscale,
+    zero_vec,
+)
 from paretostar.harness import GenParams, random_profile
 from paretostar.preferences import AffineUtility
 
@@ -149,18 +158,7 @@ class TestEq1:
         P0 = [0.1, 0.9], which no agent's set contains (the subset loop
         would solve 2**n - 1 LPs), or P0 = [0.3, 0.7], which every set
         contains.  Work and the failing report's size grow linearly."""
-        lps = Counter()
-        solve = geometry.simplex_standard
-
-        def counting(kind):
-            def wrapper(rows, rhs, objective):
-                lps[kind] += 1
-                return solve(rows, rhs, objective)
-            return wrapper
-
-        # Hull LPs reach the solver through geometry, eq1's own LP directly.
-        monkeypatch.setattr(geometry, "simplex_standard", counting("hull"))
-        monkeypatch.setattr(characterizations, "simplex_standard", counting("decomposition"))
+        lps = _count_lps(monkeypatch)
         sizes = []
         for agents in (n - 1, n, n + 1):
             for p0, holds in ((("0.1", "0.9"), False), (("0.3", "0.7"), True)):
@@ -169,14 +167,61 @@ class TestEq1:
                 rep = check_eq1_dght1(prof)
                 assert rep.holds is holds
                 _recheck_eq1(prof, rep)
-                # No LP when no agent contains P0; one hull LP per agent and
-                # vertex of P0 it reaches.
+                # No LP when no agent contains P0.  P0's first vertex 0.1
+                # lies outside every agent's coordinate box [0.2, 0.8], so
+                # its hull test needs no LP either; each vertex of P0 = [0.3,
+                # 0.7] takes one hull LP per agent.
                 assert lps["decomposition"] == holds
-                assert lps["hull"] == agents * (2 if holds else 1)
+                assert lps["hull"] == (agents * 2 if holds else 0)
                 if not holds:
                     sizes.append(len(dumps(rep)))
         assert sizes[2] - sizes[1] == sizes[1] - sizes[0] > 0, sizes
         assert sizes[1] < 80 * n, sizes
+
+    @pytest.mark.parametrize("agents", [1, 5, 16])
+    def test_vertex_inside_the_box_takes_one_hull_lp_per_agent(self, agents, monkeypatch):
+        """Every agent holds the triangle with vertices (3/5, 2/5, 0),
+        (0, 3/5, 2/5), (2/5, 0, 3/5), whose coordinate box is [0, 3/5]^3.
+        P0's first vertex (0, 1/2, 1/2) lies in that box but outside the
+        triangle: the box cannot decide it, so each agent solves one hull
+        LP before eq1 fails.  A P0 inside the triangle takes one hull LP per
+        agent and vertex."""
+        lps = _count_lps(monkeypatch)
+        triangle = Polytope.from_generators(
+            [vec(v) for v in (("3/5", "2/5", 0), (0, "3/5", "2/5"), ("2/5", 0, "3/5"))]
+        )
+        centre = vec(("1/3", "1/3", "1/3"))
+        for second, holds in ((("0", "1/2", "1/2"), False), (("3/5", "2/5", 0), True)):
+            lps.clear()
+            P0 = Polytope.from_generators([centre, vec(second)])
+            prof = profile(
+                [Agent(utility([1, 0]), triangle, f"a{i}") for i in range(agents)],
+                Agent(utility([1, 0]), P0, "society"),
+            )
+            rep = check_eq1_dght1(prof)
+            assert rep.holds is holds
+            _recheck_eq1(prof, rep)
+            assert lps["decomposition"] == holds
+            assert lps["hull"] == (agents * 2 if holds else agents)
+            if not holds:
+                assert rep.details["outside"] == {i: vec(second) for i in range(agents)}
+
+
+def _count_lps(monkeypatch) -> Counter:
+    """Count simplex solves: "hull" through geometry, "decomposition" for
+    eq1's own LP, which characterizations calls directly."""
+    lps = Counter()
+    solve = geometry.simplex_standard
+
+    def counting(kind):
+        def wrapper(rows, rhs, objective):
+            lps[kind] += 1
+            return solve(rows, rhs, objective)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "simplex_standard", counting("hull"))
+    monkeypatch.setattr(characterizations, "simplex_standard", counting("decomposition"))
+    return lps
 
 
 def _two_vertex_profile(n: int, lo: str, hi: str) -> Profile:
@@ -515,10 +560,51 @@ class TestAggregateSociety:
         with pytest.raises(ValueError):
             aggregate_society(prof, (1, 1), 0, "minkowski", gamma=("1/2", "1/4"))
 
+    def test_minkowski_matches_the_vector_sum_oracle(self):
+        """Integer generator sums against `_minkowski_oracle`: n = 2-4
+        agents, m = 2-4 states, single-vertex agents and gamma with zero
+        entries."""
+        seen = Counter()
+        for seed in range(90):
+            n = 2 + seed % 3
+            base = random_profile(GenParams(
+                seed=seed, n=n, m=2 + (seed // 9) % 3, d=2,
+                max_vertices=1 + (seed // 3) % (3 if n < 4 else 2),
+                society_rule="none",
+            ))
+            rng = SplitMix64(seed)
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            if not any(weights):
+                weights[seed % n] = 1
+            gamma = tuple(F(w, sum(weights)) for w in weights)
+            alpha = (1,) * n
+            got = aggregate_society(base, alpha, 0, "minkowski", gamma=gamma).beliefs
+            assert got == _minkowski_oracle(base, gamma), seed
+            assert all(type(x) is Fraction for v in got.vertices for x in v), seed
+            seen["n=%d" % n] += 1
+            seen["zero weight"] += 0 in weights
+            seen["single-vertex agent"] += any(a.beliefs.is_singleton() for a in base.agents)
+            seen["several vertices"] += len(got.vertices) > 1
+        assert min(seen.values()) >= 20, seen
+
     def test_minkowski_over_the_combo_cap_raises(self):
         prof = wide_profile(17)
         with pytest.raises(CapExceededError, match="131072 vertex combos exceed the cap 100000"):
             aggregate_society(prof, (1,) * 17, 0, "minkowski", gamma=(F(1, 17),) * 17)
+
+
+def _minkowski_oracle(prof: Profile, gamma) -> Polytope:
+    """The Minkowski society's belief set as `aggregate_society` built it
+    before it summed generators in integers: each generator a `vadd` /
+    `vscale` sum over a vertex combo, redundant generators removed by one
+    `lp_oracle` hull LP per point."""
+    points = []
+    for combo in itertools.product(*(a.beliefs.vertices for a in prof.agents)):
+        p = zero_vec(prof.states)
+        for g, v in zip(gamma, combo):
+            p = vadd(p, vscale(g, v))
+        points.append(p)
+    return Polytope(tuple(sorted(lp_oracle.remove_redundant(points))))
 
 
 def _random_society_profile(seed, rule):
