@@ -5,8 +5,14 @@ per agent are decided on vertex combos only.  If some choice's hull misses
 the social belief set, a separating hyperplane exists, and replacing each
 chosen prior by the vertex maximal in the hyperplane's direction preserves
 the separation — so a failing choice exists iff a failing *vertex* combo
-exists.  The same argument powers the joint feasibility reduction for the
-single-prior-society existence check.
+exists.
+
+Single-prior existence needs fewer combos still: only those that label a
+vertex of the Minkowski sum of the belief sets (Gritzmann & Sturmfels 1993;
+Fukuda 2004).  One pass (`_minkowski_vertices`) sums every combo in
+integers and keeps the vertices of the sum; the Minkowski society is built
+from the same pass.  Theorem 2's precondition, a pair every agent strictly
+ranks alike, is decided by Gordan's alternative in one phase-1 LP.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .geometry import (  # noqa: F401
     intersect_polytopes,
     is_zero,
     lp_solve,
+    remove_redundant,
     separate,
     simplex_standard,
     vadd,
@@ -44,7 +51,6 @@ from .preferences import (
     Profile,
     _society,
     check_c_diversity,
-    check_c_minimal_agreement,
 )
 
 _ZERO = Fraction(0)
@@ -151,6 +157,28 @@ def enumerate_combos(belief_sets: list[Polytope]):
     if total > DEFAULT_COMBO_CAP:
         raise CapExceededError(f"{total} vertex combos exceed the cap {DEFAULT_COMBO_CAP}")
     return itertools.product(*(P.vertices for P in belief_sets))
+
+
+def _minkowski_vertices(belief_sets: list[Polytope], weights):
+    """The vertices of sum_i weights_i P_i, each with the combo it comes from.
+
+    Every combo is drawn through `enumerate_combos` (so the cap applies) and
+    its weighted sum taken in integers over one denominator `den`, from the
+    cached `Polytope.cleared` forms, each vertex's integers looked up by
+    position.  One `remove_redundant` pass over the distinct sums keeps the
+    vertices.  Returns `den` and, in product order, (integer sum, first
+    combo with that sum) per vertex of the sum.
+    """
+    den = lcm(*(g.denominator * d for g, P in zip(weights, belief_sets) for _, _, d in P.cleared))
+    scaled = [
+        [tuple(g.numerator * (den // (g.denominator * d)) * x for x in ints)
+         for _, ints, d in P.cleared]
+        for g, P in zip(weights, belief_sets)
+    ]
+    first: dict = {}
+    for combo, parts in zip(enumerate_combos(belief_sets), itertools.product(*scaled)):
+        first.setdefault(tuple(map(sum, zip(*parts))), combo)
+    return den, [(s, first[s]) for s in remove_redundant(list(first))]
 
 
 def combo_meets(combo: tuple[Vec, ...], P0: Polytope) -> tuple[Vec, ...] | None:
@@ -364,6 +392,19 @@ def check_eq4_dght2(prof: Profile) -> ConditionReport:
     )
 
 
+def _commonly_ranked(prof: Profile) -> bool:
+    """Some outcome direction x has grad u_i . x > 0 for every agent.
+
+    By Gordan's alternative that holds exactly when no y >= 0 with
+    sum y = 1 gives sum_i y_i grad u_i = 0, one phase-1 LP of d + 1 rows
+    and n columns.  `check_c_minimal_agreement` answers the same question
+    with a margin LP, for the callers that need its pair.
+    """
+    rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(prof.outcome_dim)]
+    rows.append([1] * prof.n)
+    return feasible_nonneg(rows, [0] * prof.outcome_dim + [1]) is None
+
+
 def check_thm2_condition(prof: Profile) -> ConditionReport:
     """A decomposition exists and every vertex combo's hull meets P0.
 
@@ -371,7 +412,7 @@ def check_thm2_condition(prof: Profile) -> ConditionReport:
     enumeration) together with a strictly separating hyperplane.
     """
     soc = _society(prof)
-    if check_c_minimal_agreement(prof) is None:
+    if not _commonly_ranked(prof):
         raise PreconditionError(
             "profile lacks a commonly strictly ranked outcome pair; the condition is undefined"
         )
@@ -428,8 +469,18 @@ def check_corollary2(prof: Profile) -> ConditionReport:
 def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
     """A single prior lying in the hull of every vertex combo, or None.
 
-    One joint feasibility LP: the candidate prior p plus one simplex weight
-    vector per combo, tied together by p = sum_i gamma^c_i combo^c_i.
+    Only the combos that label a vertex of the Minkowski sum sum_i P_i
+    constrain the prior.  If p misses conv(c) for a combo c, some lam has
+    lam . p > max_i lam . c_i >= max_i min over P_i of lam; perturbed to be
+    generic, lam is minimized on each P_i at one vertex c'_i, and the combo
+    c' labels the vertex of the sum that minimizes lam, with
+    lam . p > max_i lam . c'_i.  A vertex of a Minkowski sum splits into
+    exactly one vertex per summand, so each vertex names one combo.
+
+    One joint feasibility LP over those combos, in product order
+    (`_minkowski_vertices` with unit weights): the candidate prior p plus
+    one simplex weight vector per combo, tied together by
+    p = sum_i gamma^c_i combo^c_i.
     """
     if len(belief_sets) < 2:
         raise ValueError("need at least two belief sets")
@@ -437,11 +488,11 @@ def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
     if any(P.ambient_dim != m for P in belief_sets):
         raise DimensionMismatchError("belief sets live on different state spaces")
     n = len(belief_sets)
-    combos = list(enumerate_combos(belief_sets))
-    nvars = m + n * len(combos)
+    _, vertices = _minkowski_vertices(belief_sets, [1] * n)
+    nvars = m + n * len(vertices)
     rows = []
     rhs = []
-    for c_idx, combo in enumerate(combos):
+    for c_idx, (_, combo) in enumerate(vertices):
         off = m + n * c_idx
         for s in range(m):
             row = [0] * nvars
@@ -514,10 +565,9 @@ def aggregate_society(
 ) -> Agent:
     """Build a society agent: utilitarian taste plus a rule-based belief set.
 
-    * ``minkowski``: the gamma-weighted Minkowski average of the agent sets,
-      generated by weighted sums over vertex combos (`enumerate_combos`),
-      each summed in integers from the vertices' cached `Polytope.cleared`
-      forms over one common denominator.
+    * ``minkowski``: the gamma-weighted Minkowski average of the agent sets:
+      the vertices `_minkowski_vertices` keeps, sorted into the canonical
+      vertex tuple with no second redundancy pass.
     * ``hull-union``: the hull of all agents' vertices pooled.
     * ``given``: caller-supplied belief vertices.
     """
@@ -532,20 +582,10 @@ def aggregate_society(
         gamma = tuple(Fraction(g) for g in gamma)
         if len(gamma) != prof.n or any(g < 0 for g in gamma) or sum(gamma) != 1:
             raise ValueError("gamma must be a weight vector over the agents")
-        sets = [a.beliefs for a in prof.agents]
-        # gamma_i v as integers over one denominator `den`, for each vertex v
-        # of agent i, so each generator is one Fraction per state.
-        den = lcm(*(g.denominator * d for g, P in zip(gamma, sets) for _, _, d in P.cleared))
-        scaled = [
-            {v: [g.numerator * (den // (g.denominator * d)) * x for x in ints]
-             for v, ints, d in P.cleared}
-            for g, P in zip(gamma, sets)
-        ]
-        points = []
-        for combo in enumerate_combos(sets):
-            sums = [sum(col) for col in zip(*(s[v] for s, v in zip(scaled, combo)))]
-            points.append(tuple(Fraction(x, den) for x in sums))
-        beliefs = Polytope.from_generators(points)
+        den, vertices = _minkowski_vertices([a.beliefs for a in prof.agents], gamma)
+        beliefs = Polytope(tuple(
+            tuple(Fraction(x, den) for x in s) for s in sorted(s for s, _ in vertices)
+        ))
     elif rule == "hull-union":
         beliefs = Polytope.from_generators(
             [v for a in prof.agents for v in a.beliefs.vertices]

@@ -42,6 +42,16 @@ shared one, then the shared one inside the social set), before it compared
 the canonical vertex tuples; kept verbatim, on this module's `separate`
 (`tests/test_characterizations.py`).
 
+`check_seu_existence` is `characterizations.check_seu_existence` as it
+built one joint LP over every vertex combo of the product, before it kept
+only the combos that label a vertex of the Minkowski sum.  It is kept
+verbatim as the oracle the labelled LP's priors are compared with
+(`tests/test_characterizations.py`).  What it checks is the choice of
+combos, not the kernel, so it solves its LP on the package's
+`geometry.feasible_nonneg`: this module's `Fraction` simplex would take
+seconds on each product LP of the sweep, and the two kernels are compared
+LP by LP in `tests/test_lp_kernel.py`.
+
 `rref`, `rank`, `_kernel`, `nullspace`, `solve_linear`, `_affine_basis` and
 `_coords` are the `Fraction` Gauss-Jordan routines `geometry` used before
 `rref` moved onto the simplex's integer pivot.  They are kept verbatim so
@@ -57,7 +67,9 @@ from paretostar.characterizations import (
     Decomposition,
     _hull_weights,
     _society,
+    enumerate_combos,
 )
+from paretostar import geometry
 from paretostar.errors import DimensionMismatchError, InternalError
 from paretostar.geometry import (
     HRep,
@@ -543,3 +555,39 @@ def check_corollary2(prof: Profile) -> ConditionReport:
         details["b"] = None
     holds = a_holds and (b_holds if b_holds is not None else True)
     return ConditionReport("corollary2", holds, details)
+
+
+def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
+    """A single prior lying in the hull of every vertex combo, or None.
+
+    One joint feasibility LP: the candidate prior p plus one simplex weight
+    vector per combo, tied together by p = sum_i gamma^c_i combo^c_i.
+    """
+    if len(belief_sets) < 2:
+        raise ValueError("need at least two belief sets")
+    m = belief_sets[0].ambient_dim
+    if any(P.ambient_dim != m for P in belief_sets):
+        raise DimensionMismatchError("belief sets live on different state spaces")
+    n = len(belief_sets)
+    combos = list(enumerate_combos(belief_sets))
+    nvars = m + n * len(combos)
+    rows = []
+    rhs = []
+    for c_idx, combo in enumerate(combos):
+        off = m + n * c_idx
+        for s in range(m):
+            row = [0] * nvars
+            row[s] = -1
+            for i in range(n):
+                row[off + i] = combo[i][s]
+            rows.append(row)
+            rhs.append(0)
+        row = [0] * nvars
+        for i in range(n):
+            row[off + i] = 1
+        rows.append(row)
+        rhs.append(1)
+    z = geometry.feasible_nonneg(rows, rhs)
+    if z is None:
+        return None
+    return tuple(z[:m])

@@ -36,7 +36,7 @@ from paretostar.characterizations import (
     enumerate_combos,
     verify_decomposition,
 )
-from paretostar.documents import dumps
+from paretostar.documents import dumps, load_profile
 from paretostar.geometry import (
     delta,
     dot,
@@ -209,13 +209,15 @@ class TestEq1:
 
 def _count_lps(monkeypatch) -> Counter:
     """Count simplex solves: "hull" through geometry, "decomposition" for
-    eq1's own LP, which characterizations calls directly."""
+    eq1's own LP, which characterizations calls directly.  "largest" is the
+    most cells (rows times columns) of any one of them."""
     lps = Counter()
     solve = geometry.simplex_standard
 
     def counting(kind):
         def wrapper(rows, rhs, objective):
             lps[kind] += 1
+            lps["largest"] = max(lps["largest"], len(rows) * len(objective))
             return solve(rows, rhs, objective)
         return wrapper
 
@@ -522,6 +524,124 @@ class TestSeuExistence:
                     missed = True
                     break
             assert missed
+
+
+class TestSeuLabelledCombos:
+    """Single-prior existence on the combos that label a vertex of the
+    Minkowski sum, against the product-wide LP (`lp_oracle`)."""
+
+    def test_shipped_profiles_match_product_oracle(self, profiles_dir):
+        for path in sorted(profiles_dir.glob("*.profile")):
+            sets = [a.beliefs for a in load_profile(path).agents]
+            assert check_seu_existence(sets) == lp_oracle.check_seu_existence(sets), path.name
+
+    def test_many_agent_profiles_match_product_oracle(self):
+        """n = 3, m = 3 profiles with 1-12 combos, the shape `many-agents` runs."""
+        seen = Counter()
+        for seed in range(1, 200):
+            base = random_profile(GenParams(
+                seed=seed, n=3, m=3, d=2, max_vertices=3, denom_bound=6, society_rule="none",
+            ))
+            sets = [a.beliefs for a in base.agents]
+            if characterizations.combo_count(sets) > 12:
+                continue
+            got = check_seu_existence(sets)
+            assert got == lp_oracle.check_seu_existence(sets), seed
+            seen[got is None] += 1
+        assert seen[True] >= 20 and seen[False] >= 20, seen
+
+    def test_sweep_matches_product_oracle(self):
+        """n, m and drawn vertex counts each 2-4, at most 24 combos."""
+        seen = Counter()
+        for seed in range(400):
+            sets = _seu_sweep_sets(seed)
+            if characterizations.combo_count(sets) > 24:
+                continue
+            got = check_seu_existence(sets)
+            assert got == lp_oracle.check_seu_existence(sets), seed
+            if got is not None:
+                assert all(membership(got, Polytope.from_generators(list(c)))
+                           for c in enumerate_combos(sets)), seed
+            seen[got is None] += 1
+            seen["pruned"] += len(_labelled(sets)) < characterizations.combo_count(sets)
+        assert seen[True] >= 50 and seen[False] >= 50 and seen["pruned"] >= 100, seen
+
+    def test_labelled_combos_match_brute_force(self):
+        """A combo is kept exactly when its sum lies outside the hull of the
+        other combos' sums, decided by `lp_oracle.convex_weights`."""
+        seen = Counter()
+        for seed in range(150):
+            sets = _seu_sweep_sets(seed)
+            combos = list(itertools.product(*(P.vertices for P in sets)))
+            if len(combos) > 24:
+                continue
+            sums = [tuple(sum(c[k] for c in combo) for k in range(len(combo[0])))
+                    for combo in combos]
+            want = [
+                combo for j, combo in enumerate(combos)
+                if lp_oracle.convex_weights(sums[j], sums[:j] + sums[j + 1:]) is None
+            ]
+            assert _labelled(sets) == want, seed
+            seen["pruned" if len(want) < len(combos) else "all"] += 1
+        assert seen["pruned"] >= 50 and seen["all"] >= 5, seen
+
+    def test_wide_profile_solves_two_combo_blocks(self, monkeypatch):
+        """16 agents share the interval [0.2, 0.8]: 65 536 combos, of which
+        only the two all-equal ones label a vertex.  The product LP would
+        have 196 608 rows; this one has two blocks of three, after one
+        redundancy LP for each of the 15 interior sums."""
+        lps = _count_lps(monkeypatch)
+        assert check_seu_existence([a.beliefs for a in wide_profile(16).agents]) is None
+        assert lps == Counter({"hull": 16, "largest": 6 * (2 + 16 * 2)})
+
+
+def _labelled(sets) -> list:
+    return [combo for _, combo in characterizations._minkowski_vertices(sets, [1] * len(sets))[1]]
+
+
+def _seu_sweep_sets(seed: int) -> list[Polytope]:
+    """2-4 belief sets over 2-4 states, each drawn from 2-4 points."""
+    rng = SplitMix64(5_000 + seed)
+    n, m = 2 + seed % 3, 2 + (seed // 3) % 3
+    return [
+        Polytope.from_generators([rng.simplex_point(m, 6) for _ in range(rng.randint(2, 4))])
+        for _ in range(n)
+    ]
+
+
+class TestCommonlyRanked:
+    """thm2's precondition by Gordan's alternative equals the margin LP's
+    answer (`lp_oracle.check_c_minimal_agreement`)."""
+
+    @pytest.mark.parametrize("coeffs, ranked", [
+        ([(1, 0), (0, 1)], True),
+        ([(1, 0), (-1, 0)], False),  # conflicting
+        ([(1, 2), (2, 4)], True),  # proportional
+        ([(1, 2), (-2, -4)], False),  # opposed proportional
+        ([(1, 0), (0, 0)], False),  # a zero gradient
+        ([(1, 0), (-1, 1), (-1, -1)], False),  # positively spanning
+        ([(1, 0), (-1, 1), (0, 1)], True),
+    ])
+    def test_small_cases(self, coeffs, ranked):
+        agents = [Agent(utility(c), singleton("0.4"), f"a{i}") for i, c in enumerate(coeffs)]
+        prof = profile(agents, Agent(utility([1, 1]), singleton("0.4"), "society"))
+        assert characterizations._commonly_ranked(prof) is ranked
+        assert (lp_oracle.check_c_minimal_agreement(prof) is not None) is ranked
+
+    def test_sweep_matches_margin_lp(self):
+        seen = Counter()
+        for seed in range(300):
+            rng = SplitMix64(9_000 + seed)
+            n, d = 2 + seed % 3, 1 + (seed // 3) % 3
+            agents = [
+                Agent(utility([rng.randint(-3, 3) for _ in range(d)]), singleton("0.4"), f"a{i}")
+                for i in range(n)
+            ]
+            prof = profile(agents, Agent(utility([1] * d), singleton("0.4"), "society"))
+            got = characterizations._commonly_ranked(prof)
+            assert got == (lp_oracle.check_c_minimal_agreement(prof) is not None), seed
+            seen[got] += 1
+        assert seen[True] >= 50 and seen[False] >= 50, seen
 
 
 class TestProps:

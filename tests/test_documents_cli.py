@@ -16,6 +16,7 @@ from paretostar import (
     cli,
     geometry,
     pareto_star_check,
+    preferences,
     profile,
     utility,
     witnesses,
@@ -531,6 +532,19 @@ class TestCliDigitCap:
             "precondition unmet: a number with 8599 digits exceeds the cap of 4300 "
             "digits that a document can hold\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_check_solves_no_margin_lp(self, profiles_dir, tmp_path, fmt, monkeypatch, capsys):
+        """thm2's precondition is one phase-1 LP, not the box-margin LP,
+        whose pivots on these thousand-digit tastes took seconds."""
+        def no_margin_lp(*args):
+            raise AssertionError("a box-margin LP was solved")
+
+        monkeypatch.setattr(preferences, "box_margin", no_margin_lp)
+        preferences.check_c_minimal_agreement.cache_clear()
+        path = self._write(profiles_dir, tmp_path, "example2")
+        assert main(["check", path, "thm2", "--format", fmt]) == 2
+        assert "a number with 8599 digits exceeds the cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_witness_exit_2_and_no_file(self, profiles_dir, tmp_path, fmt, capsys):
