@@ -171,9 +171,15 @@ def _exchange_star_prior(
     values[i][k] is taste i's EU(g) - EU(f) under the holder's k-th belief
     vertex.  Margin LP over the hull weights mu: maximize t subject to
     sum_k mu_k * values[i][k] >= t for every taste i and sum_k mu_k = 1.
+    A holder with one vertex has mu = (1,) as its only weight, so no LP is
+    solved: the margin is min_i values[i][0], the prior is the vertex, and
+    the answer is None when that minimum is not positive.
     """
     verts = holder.beliefs.vertices
     nv = len(verts)
+    if nv == 1:
+        margin = min(row[0] for row in values)
+        return (verts[0], margin) if margin > 0 else None
     found = max_margin(values, [[1] * nv], [1])
     if found is None:
         return None

@@ -185,17 +185,30 @@ def combo_meets(combo: tuple[Vec, ...], P0: Polytope) -> tuple[Vec, ...] | None:
     """(gamma, hull weights of the meeting point in P0) when the hulls meet.
 
     Feasibility of: gamma in the unit simplex over agents, mu in the unit
-    simplex over P0's vertices, sum gamma_i combo_i = sum mu_j w_j.
+    simplex over P0's vertices, sum gamma_i combo_i = sum mu_j w_j.  The
+    rows are built as integers over one L, the lcm of the denominators of
+    P0's vertices (from the cached `Polytope.cleared`) and of the combo's
+    entries; every row, the two unit-sum rows and the rhs included, is
+    scaled by L, which is the tableau the `Fraction` rows would give, so
+    Bland's rule takes the same pivots.  A combo point whose length differs
+    from P0's dimension raises DimensionMismatchError.
     """
-    m = len(combo[0])
+    m = P0.ambient_dim
+    if any(len(c) != m for c in combo):
+        raise DimensionMismatchError(
+            f"combo points of lengths {sorted({len(c) for c in combo})} against "
+            f"a belief set of dimension {m}"
+        )
     n = len(combo)
-    w = P0.vertices
+    cleared = P0.cleared
+    L = lcm(*(d for _, _, d in cleared), *(x.denominator for c in combo for x in c))
     rows = []
     for s in range(m):
-        rows.append([c[s] for c in combo] + [-v[s] for v in w])
-    rows.append([1] * n + [0] * len(w))
-    rows.append([0] * n + [1] * len(w))
-    z = feasible_nonneg(rows, [0] * m + [1, 1])
+        rows.append([c[s].numerator * (L // c[s].denominator) for c in combo]
+                    + [-ints[s] * (L // d) for _, ints, d in cleared])
+    rows.append([L] * n + [0] * len(cleared))
+    rows.append([0] * n + [L] * len(cleared))
+    z = feasible_nonneg(rows, [0] * m + [L, L])
     if z is None:
         return None
     return tuple(z[:n]), tuple(z[n:])

@@ -284,7 +284,8 @@ def _pivot(tab, dens, d, row, col):
     (p*a - f*r) // dens[i], an exact division equal to the row an eager
     update over one common denominator would hold.  Rows with f = 0 keep
     their values and are not rewritten.  The pivot becomes the denominator
-    of every row it rewrote.
+    of every row it rewrote.  The rows are walked by index; the pivot row is
+    told apart by identity, as it was just stored.
     """
     pr = tab[row]
     if dens[row] != d:
@@ -293,9 +294,10 @@ def _pivot(tab, dens, d, row, col):
         pr = [-a for a in pr]
     tab[row] = pr
     p = dens[row] = pr[col]
-    for i, r in enumerate(tab):
+    for i in range(len(tab)):
+        r = tab[i]
         f = r[col]
-        if f and i != row:
+        if f and r is not pr:
             tab[i] = [(p * a - f * b) // dens[i] for a, b in zip(r, pr)]
             dens[i] = p
     return p
@@ -307,12 +309,15 @@ def _bland_loop(tab, dens, basis, d, n):
     Returns ("optimal" | "unbounded", denominator).  Bland's rule: entering =
     smallest eligible column index, leaving = smallest basis index among
     ratio ties.  Ratios rhs/coef are compared by cross-multiplication; both
-    entries of a ratio share their row's denominator, which cancels.
+    entries of a ratio share their row's denominator, which cancels.  The
+    entering column is found by a plain loop over the cost row.
     """
     while True:
         zrow = tab[-1]
-        enter = next((j for j in range(n) if zrow[j] > 0), None)
-        if enter is None:
+        for enter in range(n):
+            if zrow[enter] > 0:
+                break
+        else:
             return "optimal", d
         best = None
         for i in range(len(basis)):
@@ -343,8 +348,13 @@ def simplex_standard(
     every row and the rhs are multiplied by the lcm of all their
     denominators: one scale for all rows, so the phase-1 reduced costs keep
     their signs and Bland's rule picks the pivots a `Fraction` tableau
-    would.  Entries may be ints or `Fraction`s; only the returned point and
-    value are `Fraction`s.
+    would.  Entries may be ints or `Fraction`s; when every entry is an int
+    that scale is 1 and the rows are copied as they are, so a caller that
+    clears its rows over one denominator gets the tableau the `Fraction`
+    rows would give.  An all-zero objective (a feasibility question) stops
+    after phase 1 and the artificial drive-out with value 0.  Only the
+    returned point and value are `Fraction`s; basic values equal to 0 and
+    nonbasic ones are the shared `_ZERO`.
     """
     m = len(rows)
     n = len(objective)
@@ -353,11 +363,14 @@ def simplex_standard(
     for r in rows:
         if len(r) != n:
             raise DimensionMismatchError("constraint width differs from objective length")
-    scale = lcm(*{x.denominator for r in rows for x in r}, *{b.denominator for b in rhs})
-    tab = []
-    for r, b in zip(rows, rhs):
-        s = -scale if b < 0 else scale
-        tab.append([s * x.numerator // x.denominator for x in (*r, b)])
+    if all(type(x) is int for r in rows for x in r) and all(type(b) is int for b in rhs):
+        tab = [[*r, b] if b >= 0 else [-x for x in (*r, b)] for r, b in zip(rows, rhs)]
+    else:
+        scale = lcm(*{x.denominator for r in rows for x in r}, *{b.denominator for b in rhs})
+        tab = []
+        for r, b in zip(rows, rhs):
+            s = -scale if b < 0 else scale
+            tab.append([s * x.numerator // x.denominator for x in (*r, b)])
 
     # Phase 1 drives the sum of one artificial per row to zero.  Artificial
     # columns never enter, so only their basis indices are kept.
@@ -384,6 +397,8 @@ def simplex_standard(
         tab = [tab[i] for i in keep]
         dens = [dens[i] for i in keep]
         basis = [basis[i] for i in keep]
+    if not any(objective):
+        return "optimal", _basic_values(tab, dens, basis, n), _ZERO
 
     # Phase 2 with the real objective, scaled to integers, over `d`: the
     # rows it is built from are first brought up to `d`.
@@ -400,11 +415,18 @@ def simplex_standard(
     status, d = _bland_loop(tab, dens, basis, d, n)
     if status == "unbounded":
         return "unbounded", None, None
+    # The cost row's rhs, over its own denominator, is -oscale·value.
+    value = Fraction(-tab[-1][-1], oscale * dens[-1])
+    return "optimal", _basic_values(tab, dens, basis, n), value
+
+
+def _basic_values(tab, dens, basis, n) -> list[Fraction]:
+    """The basic solution: each basic column's rhs over its row's denominator."""
     z = [_ZERO] * n
     for r, q, bi in zip(tab, dens, basis):
-        z[bi] = Fraction(r[-1], q)
-    # The cost row's rhs, over its own denominator, is -oscale·value.
-    return "optimal", z, Fraction(-tab[-1][-1], oscale * dens[-1])
+        if r[-1]:
+            z[bi] = Fraction(r[-1], q)
+    return z
 
 
 def feasible_nonneg(

@@ -52,6 +52,12 @@ combos, not the kernel, so it solves its LP on the package's
 seconds on each product LP of the sweep, and the two kernels are compared
 LP by LP in `tests/test_lp_kernel.py`.
 
+`combo_meets` is `characterizations.combo_meets` as it built its rows from
+`Fraction` entries (P0's vertices negated) and let the simplex find the
+common denominator, before it built integer rows over one L itself.  It is
+kept verbatim and runs on this module's `simplex_standard`, so the two
+share no LP code (`tests/test_characterizations.py`).
+
 `rref`, `rank`, `_kernel`, `nullspace`, `solve_linear`, `_affine_basis` and
 `_coords` are the `Fraction` Gauss-Jordan routines `geometry` used before
 `rref` moved onto the simplex's integer pivot.  They are kept verbatim so
@@ -591,3 +597,23 @@ def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
     if z is None:
         return None
     return tuple(z[:m])
+
+
+def combo_meets(combo: tuple[Vec, ...], P0: Polytope) -> tuple[Vec, ...] | None:
+    """(gamma, hull weights of the meeting point in P0) when the hulls meet.
+
+    Feasibility of: gamma in the unit simplex over agents, mu in the unit
+    simplex over P0's vertices, sum gamma_i combo_i = sum mu_j w_j.
+    """
+    m = len(combo[0])
+    n = len(combo)
+    w = P0.vertices
+    rows = []
+    for s in range(m):
+        rows.append([c[s] for c in combo] + [-v[s] for v in w])
+    rows.append([1] * n + [0] * len(w))
+    rows.append([0] * n + [1] * len(w))
+    z = feasible_nonneg(rows, [0] * m + [1, 1])
+    if z is None:
+        return None
+    return tuple(z[:n]), tuple(z[n:])

@@ -1,6 +1,7 @@
 """Representation-level conditions and society construction rules."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from paretostar import (
     Agent,
     CapExceededError,
+    DimensionMismatchError,
     Polytope,
     PreconditionError,
     Profile,
@@ -43,6 +45,7 @@ from paretostar.geometry import (
     intersect_polytopes,
     solve_linear,
     vadd,
+    vec_parts,
     vscale,
     zero_vec,
 )
@@ -428,6 +431,58 @@ class TestThm2:
         soc = Agent(utility([1, 0]), singleton("0.4"), "society")
         with pytest.raises(PreconditionError):
             check_thm2_condition(profile([a1, a2], soc))
+
+
+def _simplex_draw(rng, m: int, as_ints: bool = False):
+    """A random point of the m-state simplex over a random denominator; with
+    `as_ints`, a point mass written with int entries."""
+    if as_ints:
+        k = rng.randrange(m)
+        return tuple(int(i == k) for i in range(m))
+    q = rng.choice((2, 3, 4, 5, 6, 7, 9, 10, 12))
+    cuts = sorted(rng.randint(0, q) for _ in range(m - 1))
+    return tuple(F(b - a, q) for a, b in zip([0, *cuts], [*cuts, q]))
+
+
+class TestComboMeets:
+    """`combo_meets` builds integer rows over one L; `lp_oracle.combo_meets` is
+    the `Fraction`-row version on the `Fraction` simplex.  The (gamma, mu)
+    pairs must be equal, since both tableaux take the same pivots."""
+
+    def test_matches_oracle_on_seeded_sweep(self):
+        rng = random.Random(20261020)
+        seen = Counter()
+        for _ in range(600):
+            m = rng.randint(2, 4)
+            vertices = {_simplex_draw(rng, m, rng.random() < 0.15) for _ in range(rng.randint(1, 4))}
+            P0 = Polytope(tuple(sorted(vertices)))
+            combo = tuple(
+                _simplex_draw(rng, m, rng.random() < 0.25) for _ in range(rng.randint(1, 4))
+            )
+            got = combo_meets(combo, P0)
+            assert got == lp_oracle.combo_meets(combo, P0), (combo, P0)
+            if got is not None:
+                assert all(type(x) is Fraction for part in got for x in part)
+            seen["meets" if got is not None else "misses"] += 1
+            seen["int entries"] += any(type(x) is int for c in (*combo, *vertices) for x in c)
+            seen["mixed denominators"] += len({vec_parts(v)[1] for v in vertices}) > 1
+        assert seen["meets"] >= 200 and seen["misses"] >= 250, seen
+        assert seen["int entries"] >= 300 and seen["mixed denominators"] >= 300, seen
+
+    def test_combo_with_fewer_states_than_p0_raises(self):
+        P0 = Polytope((vec(["1/2", "1/2", 0]),))
+        with pytest.raises(DimensionMismatchError):
+            combo_meets((vec(["1/2", "1/2"]), vec(["1/2", "1/2"])), P0)
+
+    def test_combo_of_mixed_lengths_raises(self):
+        P0 = Polytope((vec(["1/2", "1/2"]),))
+        with pytest.raises(DimensionMismatchError):
+            combo_meets((vec(["1/2", "1/2"]), vec(["1/2", "1/2", 0])), P0)
+
+    def test_combo_with_more_states_than_p0_raises(self):
+        P0 = Polytope((vec(["1/2", "1/2"]),))
+        with pytest.raises(DimensionMismatchError):
+            combo_meets((vec(["1/2", "1/2", 0]), vec([0, "1/2", "1/2"])), P0)
 
 
 class TestCorollary2:

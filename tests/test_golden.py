@@ -2,7 +2,10 @@
 
 `tests/golden/check_machine.json` pins the exit code, stdout and stderr of
 ``paretostar check <profile> <tag> --format machine`` for every shipped
-profile and every condition tag; the ``witness_*.json`` files pin three
+profile and every condition tag; `tests/golden/axiom_machine.json` pins the
+same for every axiom on every shipped profile with
+``--acts profiles/sq_vs_reform.acts`` (the exchange certificates among
+them); the ``witness_*.json`` files pin three
 witness documents, one per construction; `tests/golden/plot_data.json` pins
 the full CSV text of ``paretostar plot-data`` for two profile/acts pairs at
 three precisions and two grids; `tests/golden/fuzz_reports.json`
@@ -56,12 +59,19 @@ WITNESSES = (
 )
 
 
-def run_check(profile_name: str, tag: str) -> dict:
+AXIOM_ACTS = PROFILES / "sq_vs_reform.acts"
+
+
+def run_check(profile_name: str, tag: str, *extra: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     path = PROFILES / f"{profile_name}.profile"
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path), tag, "--format", "machine"])
+        code = main(["check", str(path), tag, *extra, "--format", "machine"])
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def run_axiom_check(profile_name: str, axiom: str) -> dict:
+    return run_check(profile_name, axiom, "--acts", str(AXIOM_ACTS))
 
 
 def profile_path(name: str, tmp: pathlib.Path) -> pathlib.Path:
@@ -155,6 +165,23 @@ def test_check_output_is_byte_identical(check_golden, name):
 
 
 @pytest.fixture(scope="module")
+def axiom_golden() -> dict:
+    return json.loads((GOLDEN / "axiom_machine.json").read_text(encoding="utf-8"))
+
+
+def test_axiom_golden_covers_every_profile_and_axiom(axiom_golden):
+    assert sorted(axiom_golden) == sorted(
+        f"{name} {axiom}" for name in PROFILE_NAMES for axiom in AXIOM_CHECKS
+    )
+
+
+@pytest.mark.parametrize("name", PROFILE_NAMES)
+def test_axiom_check_output_is_byte_identical(axiom_golden, name):
+    for axiom in AXIOM_CHECKS:
+        assert run_axiom_check(name, axiom) == axiom_golden[f"{name} {axiom}"], axiom
+
+
+@pytest.fixture(scope="module")
 def fuzz_golden() -> dict:
     return json.loads((GOLDEN / "fuzz_reports.json").read_text(encoding="utf-8"))
 
@@ -199,6 +226,13 @@ def regenerate() -> None:
     }
     (GOLDEN / "check_machine.json").write_text(
         json.dumps(checks, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    axioms = {
+        f"{name} {axiom}": run_axiom_check(name, axiom)
+        for name in PROFILE_NAMES for axiom in AXIOM_CHECKS
+    }
+    (GOLDEN / "axiom_machine.json").write_text(
+        json.dumps(axioms, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     with tempfile.TemporaryDirectory() as tmp:
         plots = {

@@ -170,6 +170,59 @@ def test_large_coprime_denominators():
     assert any(x.denominator > 10**6 for x in z)
 
 
+def _zero_objective_lp(rng):
+    """A feasibility LP with 1-3 redundant rows (copies, multiples or sums of
+    other rows, rhs included), all-int or `Fraction` entries, zero objective."""
+    ints = rng.random() < 0.5
+
+    def num():
+        if rng.random() < 0.3:
+            return 0 if ints else F(0)
+        return rng.randint(-9, 9) if ints else F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rows = [[num() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.7:
+        z0 = [max(num(), 0) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(r, z0)), 0) for r in rows]
+    else:
+        rhs = [num() for _ in range(m)]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+        c = rng.choice((1, -1, 2, -3) if ints else (F(1), F(-1), F(2, 3), F(-5, 2)))
+        rows.append([c * x + y for x, y in zip(rows[a], rows[b])] if a != b
+                    else [c * x for x in rows[a]])
+        rhs.append(c * rhs[a] + rhs[b] if a != b else c * rhs[a])
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [rows[i] for i in order], [rhs[i] for i in order], [0 if ints else F(0)] * n
+
+
+def test_zero_objective_lps_with_redundant_rows_match_oracle():
+    """Phase 1 and the artificial drive-out alone give the oracle's answer."""
+    rng = random.Random(20261020)
+    seen = collections.Counter()
+    for _ in range(800):
+        rows, rhs, objective = _zero_objective_lp(rng)
+        got = simplex_standard(rows, rhs, objective)
+        want = lp_oracle.simplex_standard(
+            [_as_fractions(r) for r in rows], _as_fractions(rhs), _as_fractions(objective)
+        )
+        assert got == want, (rows, rhs)
+        assert got[0] != "unbounded"
+        if got[0] == "optimal":
+            assert type(got[2]) is Fraction and got[2] == 0
+            assert all(type(x) is Fraction for x in got[1])
+            _assert_exact(rows, rhs, objective, got)
+        assert geometry.feasible_nonneg(rows, rhs) == lp_oracle.feasible_nonneg(rows, rhs)
+        seen[got[0]] += 1
+        seen["int rows"] += type(objective[0]) is int
+        augmented = [_as_fractions([*r, b]) for r, b in zip(rows, rhs)]
+        seen["rank deficient"] += lp_oracle.rank(augmented) < len(rows)
+    assert seen["optimal"] >= 400 and seen["infeasible"] >= 100, seen
+    assert seen["int rows"] >= 300 and seen["rank deficient"] == 800, seen
+
+
 @pytest.mark.parametrize(
     "rows, rhs, objective",
     [

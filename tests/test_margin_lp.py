@@ -2,8 +2,10 @@
 
 `axioms._exchange_star_prior` used to build its margin LP over free
 variables through `lp_solve`; it now runs `max_margin` over nonnegative
-columns.  `separate` and `check_c_minimal_agreement` built their
-box-bounded margin LPs row by row; both now call `geometry.box_margin`.  The
+columns, and for a holder with one belief vertex it solves no LP at all
+(the margin is the least value at that vertex).  `separate` and
+`check_c_minimal_agreement` built their box-bounded margin LPs row by row;
+both now call `geometry.box_margin`.  The
 old formulations are kept verbatim in `tests/lp_oracle.py`, and every
 certificate must come out exactly equal: the same prior and margin, the
 same hyperplane and direction pair, the same None.
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import lp_oracle
+from paretostar import axioms
 from paretostar.axioms import _exchange_star_prior
 from paretostar.documents import dumps
 from paretostar.geometry import max_margin, separate, vsub
@@ -51,8 +54,14 @@ def seeded_profiles(count):
         yield seed, random_profile(params)
 
 
+def _sign(x) -> str:
+    return "positive" if x > 0 else "zero" if x == 0 else "negative"
+
+
 def test_exchange_star_priors_match_oracle():
+    """Every holder's certificate, the one-vertex holders (no LP) included."""
     compared = positive = 0
+    one_vertex = Counter()
     for seed, prof in seeded_profiles(150):
         rng = SplitMix64(seed)
         pair = check_c_minimal_agreement(prof)
@@ -77,8 +86,35 @@ def test_exchange_star_priors_match_oracle():
                 assert new == old, (seed, f, g)
                 compared += 1
                 positive += old is not None
+                if len(verts) == 1:
+                    one_vertex[_sign(min(row[0] for row in values))] += 1
     assert compared > 2000
     assert positive > 300
+    assert one_vertex["positive"] >= 300 and one_vertex["negative"] >= 800, one_vertex
+    assert one_vertex["zero"] >= 40, one_vertex
+
+
+def test_exchange_star_solves_one_margin_lp_per_multi_vertex_holder(monkeypatch):
+    """A one-vertex holder is decided without an LP; every other holder by one."""
+    solved = []
+
+    def counting(*args):
+        solved.append(args)
+        return max_margin(*args)
+
+    monkeypatch.setattr(axioms, "max_margin", counting)
+    checks = Counter()
+    for seed, prof in seeded_profiles(60):
+        rng = SplitMix64(seed)
+        for _ in range(2):
+            f, g = _sample_general(rng, prof, 3, 4), _sample_general(rng, prof, 3, 4)
+            solved.clear()
+            axioms.exchange_pareto_star_check(prof, f, g)
+            sizes = [len(a.beliefs.vertices) for a in prof.agents]
+            assert len(solved) == sum(k >= 2 for k in sizes), (seed, sizes)
+            checks["one-vertex holders"] += 1 in sizes
+            checks["multi-vertex holders"] += max(sizes) >= 2
+    assert min(checks.values()) >= 40, checks
 
 
 def test_box_margin_lps_match_oracle():
