@@ -145,45 +145,38 @@ def ct_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     return AxiomVerdict("ct-pareto-star", premise, conclusion, certs)
 
 
-def _exchange_gaps(prof: Profile, tastes) -> list[list[tuple[int, int]]]:
-    """Per taste, EU(f) - EU(g) as (n, d) under every agent's belief vertices.
-
-    Columns run holder by holder, each holder's vertices in canonical order.
-    """
-    vertices = [c for holder in prof.agents for c in holder.beliefs.cleared]
-    return [[(n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
-
-
 def exchange_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """Weak dominance must survive evaluating every taste under every belief set."""
     *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    premise = all(n >= 0 for row in _exchange_gaps(prof, tastes) for n, _ in row)
+    premise = all(
+        _strict_prior(holder.beliefs.cleared, t) is None for holder in prof.agents for t in tastes
+    )
     conclusion = _society_conclusion_weak(prof, soc, certs)
     return AxiomVerdict("exchange-pareto", premise, conclusion, certs)
 
 
-def _exchange_star_prior(
-    values: list[list[Fraction]], holder: Agent
-) -> tuple[Vec, Fraction] | None:
+def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
     """A prior in the holder's belief set that strictly favors g for every taste.
 
-    values[i][k] is taste i's EU(g) - EU(f) under the holder's k-th belief
-    vertex.  Margin LP over the hull weights mu: maximize t subject to
-    sum_k mu_k * values[i][k] >= t for every taste i and sum_k mu_k = 1.
-    A holder with one vertex has mu = (1,) as its only weight, so no LP is
-    solved: the margin is min_i values[i][0], the prior is the vertex, and
-    the answer is None when that minimum is not positive.
+    `tastes` are the agents' `_on_pair` values on f and g.  Margin LP over the
+    hull weights mu: maximize t subject to sum_k mu_k * (EU_k(g) - EU_k(f)) >= t
+    for every taste and sum_k mu_k = 1, EU_k under the holder's k-th belief
+    vertex.  A holder with one vertex has mu = (1,) as its only weight, so no
+    LP is solved: every taste needs a strict prior at that vertex, and the
+    least of their margins is the answer's.
     """
-    verts = holder.beliefs.vertices
-    nv = len(verts)
+    vertices = holder.beliefs.cleared
+    nv = len(vertices)
     if nv == 1:
-        margin = min(row[0] for row in values)
-        return (verts[0], margin) if margin > 0 else None
-    found = max_margin(values, [[1] * nv], [1])
+        found = [_strict_prior(vertices, t) for t in tastes]
+        return None if None in found else min(found, key=lambda w: w[1])
+    rows = [[Fraction(-n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
+    found = max_margin(rows, [[1] * nv], [1])
     if found is None:
         return None
     mu, margin = found
+    verts = holder.beliefs.vertices
     prior = tuple(
         sum((mu[j] * verts[j][s] for j in range(nv)), _ZERO)
         for s in range(len(verts[0]))
@@ -199,14 +192,10 @@ def exchange_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
     """
     *tastes, soc = _evaluations(prof, f, g)
     certs: dict = {}
-    table = [[Fraction(-n, d) for n, d in row] for row in _exchange_gaps(prof, tastes)]
     exchange_certs = {}
     premise = True
-    start = 0
     for j, holder in enumerate(prof.agents):
-        stop = start + len(holder.beliefs.vertices)
-        found = _exchange_star_prior([row[start:stop] for row in table], holder)
-        start = stop
+        found = _exchange_star_prior(holder, tastes)
         if found is None:
             premise = False
         else:

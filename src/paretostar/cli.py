@@ -43,6 +43,9 @@ EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
+# `plot-data` keeps every row until it writes, so its grid has a fixed bound.
+GRID_CAP = 100_001
+
 
 # Witness kind -> (report producer, message when the report holds).  A failed
 # report is turned into its counterexample by `witness_for`.
@@ -164,6 +167,8 @@ def cmd_plot_data(args) -> int:
         raise PreconditionError("plot data is defined for two-state profiles only")
     if args.grid < 2:
         raise DocumentError("--grid must be at least 2")
+    if args.grid > GRID_CAP:
+        raise DocumentError(f"--grid must be at most {GRID_CAP}")
     if args.precision < 0:
         raise DocumentError("--precision must be nonnegative")
     if args.precision > DIGIT_CAP:

@@ -28,7 +28,7 @@ from .preferences import (
     check_c_minimal_agreement,
     validate_profile,
 )
-from .witnesses import WitnessCertificate, revalidate, witness_for
+from .witnesses import WitnessCertificate, witness_for
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -340,21 +340,19 @@ def cross_validate(
     condition: str,
     trials: int = 1000,
     seed: int = 0,
-    checker=None,
-    witness_builder=None,
 ) -> CrossValidation:
     """Pit a condition checker against axiom-level evidence.
 
     Checker passes -> fuzzing the matching axiom must find no violation.
-    Checker fails -> the matching witness construction must produce a
-    self-validating violation.  Any mismatch is an INCONSISTENT verdict,
-    i.e. a bug in one of the two routes.
+    Checker fails -> the matching witness construction, which re-checks its
+    own margins, must violate the matching axiom.  Any mismatch is an
+    INCONSISTENT verdict, i.e. a bug in one of the two routes.
     """
     if condition not in _CROSS_AXIOM:
         raise ValueError(f"cross-validation supports thm1/thm2, not {condition!r}")
     _society(prof)
     axiom, sampler = _CROSS_AXIOM[condition]
-    report = (checker or CONDITION_CHECKS[condition])(prof)
+    report = CONDITION_CHECKS[condition](prof)
 
     if report.holds:
         fz = fuzz_axiom(prof, axiom, trials, sampler, seed)
@@ -370,13 +368,8 @@ def cross_validate(
             condition, "CONSISTENT", True, "checker passed; fuzzing found nothing", fuzz=fz
         )
 
-    cert = witness_for(prof, report, witness_builder)
-    # The built-in builders return only through `revalidate`; a supplied
-    # builder's certificate is re-checked here.
-    ok = (witness_builder is None or revalidate(prof, cert)) and AXIOM_CHECKS[
-        cert.axiom_tag
-    ](prof, cert.act_x, cert.act_f).violation
-    if not ok:
+    cert = witness_for(prof, report)
+    if not AXIOM_CHECKS[cert.axiom_tag](prof, cert.act_x, cert.act_f).violation:
         return CrossValidation(
             condition,
             "INCONSISTENT",

@@ -414,26 +414,24 @@ def witness_spurious_unanimity(
 # Dispatch: the construction that matches a failed condition report
 # ---------------------------------------------------------------------------
 
-def witness_for(
-    prof: Profile, report: ConditionReport, builder=None
-) -> WitnessCertificate:
+def witness_for(prof: Profile, report: ConditionReport) -> WitnessCertificate:
     """Build the counterexample that a failed report's details call for.
 
     A failing vertex combo (``combo``) gives the common-taste witness, one
     weighted agent's prior outside the social set (``prior``) the lemma-1
     witness, and two weighted agents' distinct priors (``priors``) the
-    spurious-unanimity witness.  `builder` replaces the chosen construction
-    and takes the same arguments.
+    spurious-unanimity witness.
     """
     det = report.details
     if "combo" in det:
         x_star, x_low = check_c_minimal_agreement(prof)
-        build = builder or witness_ct_pareto_star
-        return build(prof, det["combo"], det["hyperplane"], x_star, x_low)
+        return witness_ct_pareto_star(prof, det["combo"], det["hyperplane"], x_star, x_low)
     if "prior" in det:
-        build = builder or witness_lemma1
-        return build(prof, det["decomposition"], det["agent"], det["prior"], det["hyperplane"])
+        return witness_lemma1(
+            prof, det["decomposition"], det["agent"], det["prior"], det["hyperplane"]
+        )
     if "priors" in det:
-        build = builder or witness_spurious_unanimity
-        return build(prof, det["decomposition"], *det["agents"], *det["priors"])
+        return witness_spurious_unanimity(
+            prof, det["decomposition"], *det["agents"], *det["priors"]
+        )
     raise PreconditionError("condition failed on the taste side; no combo witness applies")

@@ -76,6 +76,11 @@ class TestDecompose:
         dec = utilitarian_decompose(profile(base.agents, soc))
         assert dec.alpha == (F(1), F(0)) and dec.beta == 0
 
+    @pytest.mark.parametrize("alpha", [(F(1),), (F(-1), F(2)), (F(0), F(0))])
+    def test_malformed_weights_do_not_verify(self, alpha):
+        # One weight per agent, none negative, not all zero.
+        assert not verify_decomposition(scenario1(), Decomposition(alpha, F(0)))
+
 
 class TestEq1:
     def test_common_belief_set(self):
@@ -564,6 +569,15 @@ class TestSeuExistence:
     def test_overlapping_intervals_can_still_fail(self):
         assert check_seu_existence([interval("0", "0.6"), interval("0.4", "1")]) is None
 
+    def test_needs_two_sets(self):
+        with pytest.raises(ValueError, match="need at least two belief sets"):
+            check_seu_existence([interval("0.2", "0.8")])
+
+    def test_mixed_state_counts_raise(self):
+        three = Polytope.from_generators([("1/3", "1/3", "1/3")])
+        with pytest.raises(DimensionMismatchError, match="different state spaces"):
+            check_seu_existence([interval("0.2", "0.8"), three])
+
     def test_failure_spot_check_candidates_all_separated(self):
         sets = [interval("0", "0.6"), interval("0.4", "1")]
         rng = SplitMix64(31)
@@ -734,6 +748,8 @@ class TestAggregateSociety:
             aggregate_society(prof, (0, 0), 0, "hull-union")
         with pytest.raises(ValueError):
             aggregate_society(prof, (1, 1), 0, "minkowski", gamma=("1/2", "1/4"))
+        with pytest.raises(ValueError, match="minkowski rule needs gamma"):
+            aggregate_society(prof, (1, 1), 0, "minkowski")
 
     def test_minkowski_matches_the_vector_sum_oracle(self):
         """Integer generator sums against `_minkowski_oracle`: n = 2-4

@@ -169,6 +169,16 @@ class TestCliCheck:
     def test_axiom_without_acts_exit_3(self, profiles_dir):
         assert main(["check", str(profiles_dir / "example1.profile"), "pareto-star"]) == 3
 
+    def test_one_act_exit_3(self, profiles_dir, tmp_path, capsys):
+        acts = tmp_path / "one.acts"
+        acts.write_text('{"acts": [{"name": "sq", "rows": [[0, 0], [0, 0]]}]}')
+        code = main(["check", str(profiles_dir / "example1.profile"), "pareto-star",
+                     "--acts", str(acts)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "acts file must contain at least two acts (f, g)" in captured.err
+        assert captured.out == ""
+
     def test_unknown_tag_exit_3(self, profiles_dir):
         assert main(["check", str(profiles_dir / "example1.profile"), "nonsense"]) == 3
 
@@ -669,6 +679,27 @@ class TestCliPlot:
         assert "--precision must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        (1, "--grid must be at least 2"),
+        (cli.GRID_CAP + 1, f"--grid must be at most {cli.GRID_CAP}"),
+        (10**9, f"--grid must be at most {cli.GRID_CAP}"),
+    ])
+    def test_grid_out_of_bounds_exit_3_before_evaluating(
+        self, profiles_dir, tmp_path, grid, message, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "utility_profile", lambda *a: pytest.fail("evaluated a curve"))
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code = main(
+            ["plot-data", str(profiles_dir / "example1.profile"),
+             str(profiles_dir / "sq_vs_reform.acts"), "--out", str(out), "--grid", str(grid)]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_wrong_state_count_exit_2(self, tmp_path, profiles_dir):
         doc = tmp_path / "m3.profile"
         doc.write_text(
@@ -703,6 +734,17 @@ class TestCliFuzz:
         assert code == 1
         data = json.loads(out.read_text())
         assert data["violations"]
+
+    def test_one_planted_act_exit_3(self, profiles_dir, tmp_path, capsys):
+        acts = tmp_path / "one.acts"
+        acts.write_text('{"acts": [{"name": "sq", "rows": [[0, 0], [0, 0]]}]}')
+        out = tmp_path / "r.json"
+        code = main(["fuzz", str(profiles_dir / "example1.profile"), "pareto-star",
+                     "--trials", "5", "--acts", str(acts), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "planted acts file must contain at least two acts" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_zero_trials_exit_0(self, profiles_dir):
         code = main(

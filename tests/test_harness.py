@@ -1,5 +1,6 @@
 """Deterministic generation, fuzzing, and checker/witness cross-validation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from paretostar import (
     profile,
     random_profile,
     validate_profile,
+    witnesses,
 )
 from paretostar.axioms import AXIOM_CHECKS
 from paretostar.characterizations import CONDITION_CHECKS, ConditionReport, Decomposition
@@ -63,6 +65,12 @@ class TestFuzz:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be nonnegative"):
             fuzz_axiom(scenario1(), "pareto-star", -5)
+
+    def test_unknown_axiom_or_sampler_rejected(self):
+        with pytest.raises(ValueError, match="unknown axiom 'pareto-2'"):
+            fuzz_axiom(scenario1(), "pareto-2", 5)
+        with pytest.raises(ValueError, match="unknown sampler 'uniform'"):
+            fuzz_axiom(scenario1(), "pareto-star", 5, sampler="uniform")
 
     def test_planted_pair_found(self):
         report = fuzz_axiom(
@@ -128,30 +136,27 @@ class TestCrossValidate:
         assert cv.verdict == "CONSISTENT" and cv.checker_holds
         assert not cv.fuzz.violations
 
-    def test_corrupted_checker_is_caught(self):
+    def test_corrupted_checker_is_caught(self, monkeypatch):
         # Claims the singleton society is fine; fuzzing must disagree.
         prof = scenario2(singleton("0.8"))
-        liar = lambda p: ConditionReport("thm2", True, {})
-        cv = cross_validate(prof, "thm2", trials=400, seed=11, checker=liar)
+        monkeypatch.setitem(CONDITION_CHECKS, "thm2", lambda p: ConditionReport("thm2", True, {}))
+        cv = cross_validate(prof, "thm2", trials=400, seed=11)
         assert cv.verdict == "INCONSISTENT"
 
-    def test_corrupted_witness_is_caught(self):
+    def test_corrupted_witness_is_caught(self, monkeypatch):
+        # A builder whose acts come back swapped passes its own margin check
+        # but violates no axiom; the axiom re-check must catch it.
         prof = scenario2(singleton("0.8"))
+        build = witnesses.witness_ct_pareto_star
 
-        def broken(prof_, combo, h, x_star, x_low):
-            good = cross_validate(prof_, "thm2", trials=0, seed=0).witness
-            return WitnessCertificate(
-                good.kind,
-                good.act_f,
-                good.act_x,
-                good.hyperplane,
-                good.params,
-                good.per_agent,
-                -good.society_margin,
-            )
+        def swapped(*args):
+            good = build(*args)
+            return dataclasses.replace(good, act_f=good.act_x, act_x=good.act_f)
 
-        cv = cross_validate(prof, "thm2", trials=0, seed=0, witness_builder=broken)
-        assert cv.verdict == "INCONSISTENT"
+        monkeypatch.setattr(witnesses, "witness_ct_pareto_star", swapped)
+        cv = cross_validate(prof, "thm2", trials=0, seed=0)
+        assert cv.verdict == "INCONSISTENT" and not cv.checker_holds
+        assert cv.witness.kind == "ct-pareto-star"
 
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +165,6 @@ class TestCrossValidate:
     def test_no_false_alarms_for_thm1_at_scale(self):
         """200 random c-diverse profiles never produce an INCONSISTENT verdict."""
         from paretostar import Agent, aggregate_society, check_c_diversity
-        import dataclasses
 
         count = 0
         seed = 40000

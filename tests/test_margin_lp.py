@@ -75,19 +75,17 @@ def test_exchange_star_priors_match_oracle():
                 vsub(utility_profile(a.utility, g), utility_profile(a.utility, f))
                 for a in prof.agents
             ]
+            tastes = [_on_pair(a.utility, f, g) for a in prof.agents]
             for holder in (*prof.agents, prof.society):
-                verts = holder.beliefs.cleared
-                values = [
-                    [F(n, d) for _, n, d in _vertex_gaps(verts, _on_pair(a.utility, g, f))]
-                    for a in prof.agents
-                ]
-                new = _exchange_star_prior(values, holder)
+                new = _exchange_star_prior(holder, tastes)
                 old = lp_oracle.exchange_star_prior(diffs, holder)
                 assert new == old, (seed, f, g)
                 compared += 1
                 positive += old is not None
+                verts = holder.beliefs.cleared
                 if len(verts) == 1:
-                    one_vertex[_sign(min(row[0] for row in values))] += 1
+                    least = min(F(-n, d) for t in tastes for _, n, d in _vertex_gaps(verts, t))
+                    one_vertex[_sign(least)] += 1
     assert compared > 2000
     assert positive > 300
     assert one_vertex["positive"] >= 300 and one_vertex["negative"] >= 800, one_vertex

@@ -282,6 +282,13 @@ class TestDimensionErrors:
         with pytest.raises(DimensionMismatchError):
             no_taste_disagreement(scenario1(), three_states, REFORM)
 
+    def test_expected_utility_shapes(self):
+        u = scenario1().agents[0].utility
+        with pytest.raises(DimensionMismatchError, match="prior length differs"):
+            expected_utility(u, vec(["1/3", "1/3", "1/3"]), REFORM)
+        with pytest.raises(DimensionMismatchError, match="utility dimension differs"):
+            expected_utility(u, vec(["1/2", "1/2"]), constant_act([0, 0, 0], 2))
+
     def test_dot_on_unequal_lengths(self):
         with pytest.raises(DimensionMismatchError):
             dot(vec([1, 2]), vec([1, 2, 3]))

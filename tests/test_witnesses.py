@@ -23,6 +23,7 @@ from paretostar import (
 from paretostar.axioms import AXIOM_CHECKS
 from paretostar.characterizations import (
     ConditionReport,
+    Decomposition,
     check_thm1_condition,
     distinct_priors,
 )
@@ -261,3 +262,76 @@ class TestEveryModeChecks:
         monkeypatch.setattr(witnesses, "_small", lambda numerator, slack_weight: F(1000))
         with pytest.raises(InternalError, match="re-check"):
             witness_spurious_unanimity(*args)
+
+
+class TestBuilderInputGuards:
+    """Each builder refuses arguments that cannot certify a violation."""
+
+    # The arguments of `test_documented_combo_margins`, which build a witness.
+    COMBO = (vec(["0.6", "0.4"]), vec(["0.3", "0.7"]))
+    CUT = Hyperplane(vec([0, 1]), F(3, 10))
+
+    def ct_args(self):
+        prof = scenario2(singleton("0.8"))
+        return prof, self.COMBO, self.CUT, *check_c_minimal_agreement(prof)
+
+    def test_ct_combo_of_wrong_length(self):
+        prof, combo, h, x_star, x_low = self.ct_args()
+        with pytest.raises(PreconditionError, match="combo must pick one prior per agent"):
+            witness_ct_pareto_star(prof, combo[:1], h, x_star, x_low)
+
+    def test_ct_combo_prior_outside_its_set(self):
+        prof, combo, h, x_star, x_low = self.ct_args()
+        outside = (vec(["0.9", "0.1"]), combo[1])
+        with pytest.raises(PreconditionError, match="missing from its agent's belief set"):
+            witness_ct_pareto_star(prof, outside, h, x_star, x_low)
+
+    @pytest.mark.parametrize("flip", ["swapped", "equal"])
+    def test_ct_agent_gain_not_positive(self, flip):
+        prof, combo, h, x_star, x_low = self.ct_args()
+        pair = (x_low, x_star) if flip == "swapped" else (x_star, x_star)
+        with pytest.raises(PreconditionError, match="every agent must strictly prefer"):
+            witness_ct_pareto_star(prof, combo, h, *pair)
+
+    def test_ct_society_gain_not_positive(self):
+        base = scenario2(singleton("0.8"))
+        soc = Agent(utility([0, 1]), singleton("0.8"), "society")
+        prof = profile(base.agents, soc)
+        with pytest.raises(PreconditionError, match="society must strictly prefer"):
+            witness_ct_pareto_star(prof, self.COMBO, self.CUT, vec([1, 0]), vec([0, 0]))
+
+    def test_lemma1_decomposition_must_reproduce_the_society(self):
+        prof = scenario1(singleton("0.5"))
+        bad = Decomposition((F(1), F(1)), F(0))
+        with pytest.raises(PreconditionError, match="does not reproduce the society's taste"):
+            witness_lemma1(prof, bad, 0, vec(["0.8", "0.2"]), LEMMA1_CUT)
+
+    def test_lemma1_prior_outside_the_agents_set(self):
+        prof = scenario1(singleton("0.5"))
+        dec = utilitarian_decompose(prof)
+        with pytest.raises(PreconditionError, match="cited prior is not in the agent's belief"):
+            witness_lemma1(prof, dec, 0, vec(["0.9", "0.1"]), LEMMA1_CUT)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0, vec(["0.2", "0.8"]), vec(["0.8", "0.2"])), "need two distinct agents"),
+        ((0, 1, vec(["0.9", "0.1"]), vec(["0.8", "0.2"])), "must belong to the agents' belief"),
+        ((0, 1, vec(["0.2", "0.8"]), vec(["0.1", "0.9"])), "must belong to the agents' belief"),
+    ])
+    def test_spurious_agents_and_priors(self, args, message):
+        prof = scenario1()
+        with pytest.raises(PreconditionError, match=message):
+            witness_spurious_unanimity(prof, utilitarian_decompose(prof), *args)
+
+    def test_spurious_decomposition_must_reproduce_the_society(self):
+        prof = scenario1()
+        bad = Decomposition((F(1), F(1)), F(0))
+        with pytest.raises(PreconditionError, match="does not reproduce the society's taste"):
+            witness_spurious_unanimity(prof, bad, 0, 1, vec(["0.2", "0.8"]), vec(["0.8", "0.2"]))
+
+    def test_spurious_zero_weight_agent(self):
+        base = scenario1()
+        prof = profile(base.agents, Agent(base.agents[0].utility, interval("0.2", "0.8")))
+        dec = utilitarian_decompose(prof)
+        assert dec.alpha == (F(1), F(0))
+        with pytest.raises(PreconditionError, match="both agents must carry positive weight"):
+            witness_spurious_unanimity(prof, dec, 0, 1, vec(["0.2", "0.8"]), vec(["0.8", "0.2"]))
