@@ -12,7 +12,8 @@ vertex of the Minkowski sum of the belief sets (Gritzmann & Sturmfels 1993;
 Fukuda 2004).  One pass (`_minkowski_vertices`) sums every combo in
 integers and keeps the vertices of the sum; the Minkowski society is built
 from the same pass.  Theorem 2's precondition, a pair every agent strictly
-ranks alike, is decided by Gordan's alternative in one phase-1 LP.
+ranks alike, is decided by Gordan's alternative: `convex_weights` of 0
+over the agents' gradients.
 """
 
 from __future__ import annotations
@@ -405,27 +406,18 @@ def check_eq4_dght2(prof: Profile) -> ConditionReport:
     )
 
 
-def _commonly_ranked(prof: Profile) -> bool:
-    """Some outcome direction x has grad u_i . x > 0 for every agent.
-
-    By Gordan's alternative that holds exactly when no y >= 0 with
-    sum y = 1 gives sum_i y_i grad u_i = 0, one phase-1 LP of d + 1 rows
-    and n columns.  `check_c_minimal_agreement` answers the same question
-    with a margin LP, for the callers that need its pair.
-    """
-    rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(prof.outcome_dim)]
-    rows.append([1] * prof.n)
-    return feasible_nonneg(rows, [0] * prof.outcome_dim + [1]) is None
-
-
 def check_thm2_condition(prof: Profile) -> ConditionReport:
     """A decomposition exists and every vertex combo's hull meets P0.
 
     On failure the report carries the first failing combo (ascending
-    enumeration) together with a strictly separating hyperplane.
+    enumeration) together with a strictly separating hyperplane.  The
+    condition needs a pair every agent strictly ranks alike; by Gordan's
+    alternative one exists iff 0 is outside the gradients' hull, else
+    PreconditionError.
     """
     soc = _society(prof)
-    if not _commonly_ranked(prof):
+    gradients = [a.utility.coeffs for a in prof.agents]
+    if convex_weights(zero_vec(prof.outcome_dim), gradients) is not None:
         raise PreconditionError(
             "profile lacks a commonly strictly ranked outcome pair; the condition is undefined"
         )

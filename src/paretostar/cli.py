@@ -43,8 +43,10 @@ EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-# `plot-data` keeps every row until it writes, so its grid has a fixed bound.
+# `plot-data` keeps every row and `fuzz` every violation until it writes, so
+# the grid and the trial count have fixed bounds.
 GRID_CAP = 100_001
+TRIALS_CAP = 100_000
 
 
 # Witness kind -> (report producer, message when the report holds).  A failed
@@ -215,6 +217,8 @@ def cmd_fuzz(args) -> int:
     prof = load_profile(args.profile)
     if args.trials < 0:
         raise DocumentError("--trials must be nonnegative")
+    if args.trials > TRIALS_CAP:
+        raise DocumentError(f"--trials must be at most {TRIALS_CAP}")
     if not 0 <= args.seed < 2**64:
         raise DocumentError("--seed must be in [0, 2**64)")
     planted = ()

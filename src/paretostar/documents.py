@@ -38,8 +38,12 @@ def _digit_count(n: int) -> int:
     return k
 
 
-def _long_text(x: Fraction | int) -> str:
-    """The text of x, or CapExceededError past DIGIT_CAP digits."""
+def _text(x: Fraction | int) -> str:
+    """The text of x, or CapExceededError past DIGIT_CAP digits: the one
+    writability rule of documents and CSV cells.  It compares the parts with
+    `_UNWRITABLE`, so it holds whatever Python's own limit on writing an
+    integer.
+    """
     num, den = x.numerator, x.denominator
     if not -_UNWRITABLE < num < _UNWRITABLE or den >= _UNWRITABLE:
         raise CapExceededError(
@@ -47,19 +51,6 @@ def _long_text(x: Fraction | int) -> str:
             f"of {DIGIT_CAP} digits that a document can hold"
         )
     return str(x)
-
-
-def _text(x: Fraction | int) -> str:
-    """The text of x, or CapExceededError past DIGIT_CAP digits: the one
-    writability rule of documents and CSV cells.  Text of at most DIGIT_CAP
-    characters cannot hold a part past the cap, so a short number costs one
-    length test; `_long_text` decides the rest, whatever Python's own limit.
-    """
-    try:
-        text = str(x)
-    except ValueError:  # Python's own limit on writing an integer
-        return _long_text(x)
-    return text if len(text) <= DIGIT_CAP else _long_text(x)
 
 
 def format_decimal(x: Fraction, digits: int) -> str:

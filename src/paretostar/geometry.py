@@ -707,18 +707,6 @@ def _affine_basis(points: list[Vec]) -> tuple[Vec, list[Vec], list[int]]:
     return base, [tuple(r) for r in basis_rows], pivots
 
 
-def _coords(p: Vec, base: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
-    """Coordinates of p in the affine frame (exact; asserts p lies in it)."""
-    diff = vsub(p, base)
-    t = tuple(diff[c] for c in pivots)
-    recon = zero_vec(len(base))
-    for tk, bk in zip(t, basis):
-        recon = vadd(recon, vscale(tk, bk))
-    if recon != diff:
-        raise ValueError("point lies outside the affine hull")
-    return t
-
-
 def _tight_vertices(
     ineqs: list[tuple[Vec, Fraction]], k: int
 ) -> list[Vec] | None:
@@ -766,7 +754,9 @@ def vrep_to_hrep(P: Polytope) -> HRep:
     if k == 0:
         return HRep((), tuple(sorted(eqs)))
 
-    ts = [_coords(v, base, basis, pivots) for v in P.vertices]
+    # basis is an RREF, so each vertex's coordinates are its offset from
+    # base at the pivot columns.
+    ts = [tuple(vsub(v, base)[c] for c in pivots) for v in P.vertices]
     centroid = tuple(
         sum((t[j] for t in ts), _ZERO) / len(ts) for j in range(k)
     )
@@ -814,9 +804,7 @@ def hrep_vertices(H: HRep) -> Polytope | None:
             return None
         base, kernel = sol
     else:
-        base, kernel = zero_vec(d), [
-            tuple(_ONE if i == j else _ZERO for i in range(d)) for j in range(d)
-        ]
+        base, kernel = zero_vec(d), nullspace([], d)
     k = len(kernel)
     if k == 0:
         ok = all(dot(a, base) <= b for a, b in H.inequalities)

@@ -43,7 +43,6 @@ from .geometry import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,9 @@ def _society(prof: Profile) -> Agent:
     return prof.society
 
 
-def profile(agents, society=None, states=None, outcome_dim=None) -> Profile:
+def profile(agents, society=None) -> Profile:
     ags = tuple(agents)
-    m = states if states is not None else ags[0].beliefs.ambient_dim
-    d = outcome_dim if outcome_dim is not None else ags[0].utility.dim
-    return Profile(m, d, ags, society)
+    return Profile(ags[0].beliefs.ambient_dim, ags[0].utility.dim, ags, society)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +314,8 @@ def check_c_diversity(prof: Profile) -> tuple[tuple[Vec, Vec], ...] | None:
     pairs = []
     for i in range(prof.n):
         others = [coeff_rows[j] for j in range(prof.n) if j != i]
-        candidates = nullspace(others, d) if others else [
-            tuple(_ONE if a == b else _ZERO for a in range(d)) for b in range(d)
-        ]
         direction = None
-        for cand in candidates:
+        for cand in nullspace(others, d):
             gain = dot(vec(coeff_rows[i]), cand)
             if gain != 0:
                 direction = cand if gain > 0 else tuple(-x for x in cand)

@@ -22,7 +22,6 @@ from .geometry import (
     Hyperplane,
     Vec,
     _separates,
-    delta,
     dot,
     membership,
     segment_point,
@@ -45,7 +44,6 @@ from .preferences import (
 from .characterizations import ConditionReport, Decomposition, verify_decomposition
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -345,14 +343,9 @@ def witness_spurious_unanimity(
     off1 = -dot(c1, mid) - epsilon
     off2 = -dot(c2, mid) - epsilon
 
-    def phi1(p: Vec) -> Fraction:
-        return dot(c1, p) + off1
-
-    def phi2(p: Vec) -> Fraction:
-        return dot(c2, p) + off2
-
-    phi1_states = [phi1(delta(s, m)) for s in range(m)]
-    phi2_states = [phi2(delta(s, m)) for s in range(m)]
+    # phi_k(p) = c_k . p + off_k is agent k's increment under prior p.
+    phi1_states = [c + off1 for c in c1]
+    phi2_states = [c + off2 for c in c2]
 
     limits = [gains[i1] / (2 * n * abs(v)) for v in phi1_states if v != 0]
     limits += [gains[i2] / (2 * n * abs(v)) for v in phi2_states if v != 0]
@@ -386,7 +379,10 @@ def witness_spurious_unanimity(
         if any(dot(coeffs, row) - base != b * phi for row, phi in zip(act_f.rows, phi_states)):
             raise InternalError(f"agent {j}'s increments do not track its affine function")
 
-    per_agent = [AgentMargin(i1, p1, b * phi1(p1)), AgentMargin(i2, p2, b * phi2(p2))]
+    per_agent = [
+        AgentMargin(i1, p1, b * (dot(c1, p1) + off1)),
+        AgentMargin(i2, p2, b * (dot(c2, p2) + off2)),
+    ]
     per_agent += _bystanders(prof, act_f, act_x, others, gains, nu)
     per_agent.sort(key=lambda am: am.agent)
     society_margin = b * (a1 + a2) * epsilon - 2 * nu * slack_weight / n

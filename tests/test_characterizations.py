@@ -33,6 +33,7 @@ from paretostar import (
 )
 from paretostar import characterizations, geometry
 from paretostar.characterizations import (
+    ConditionReport,
     Decomposition,
     combo_meets,
     enumerate_combos,
@@ -394,6 +395,16 @@ class TestEq4:
         base = scenario2(interval("0.6", "0.8"))
         assert check_eq4_dght2(base).holds
 
+    def test_no_decomposition(self):
+        """A social taste outside the agents' cone fails eq4 and prop1
+        before any belief is compared."""
+        agents = [Agent(utility([1, 0]), interval("0.2", "0.8"), f"a{i}") for i in range(2)]
+        prof = profile(agents, Agent(utility([0, 1]), singleton("0.5"), "society"))
+        assert check_eq4_dght2(prof) == ConditionReport("eq4", False, {"reason": "no-decomposition"})
+        assert check_prop1(prof) == ConditionReport(
+            "prop1", False, {"reason": "no-decomposition", "delegated_to": "eq4"}
+        )
+
 
 class TestThm2:
     def test_window_society_passes_with_combo_certs(self):
@@ -678,9 +689,19 @@ def _seu_sweep_sets(seed: int) -> list[Polytope]:
     ]
 
 
+def _precondition_holds(prof: Profile) -> bool:
+    """thm2's precondition, read through `check_thm2_condition`."""
+    try:
+        check_thm2_condition(prof)
+    except PreconditionError:
+        return False
+    return True
+
+
 class TestCommonlyRanked:
-    """thm2's precondition by Gordan's alternative equals the margin LP's
-    answer (`lp_oracle.check_c_minimal_agreement`)."""
+    """thm2's precondition by Gordan's alternative (`convex_weights` of 0 over
+    the gradients) equals the margin LP's answer
+    (`lp_oracle.check_c_minimal_agreement`)."""
 
     @pytest.mark.parametrize("coeffs, ranked", [
         ([(1, 0), (0, 1)], True),
@@ -694,7 +715,7 @@ class TestCommonlyRanked:
     def test_small_cases(self, coeffs, ranked):
         agents = [Agent(utility(c), singleton("0.4"), f"a{i}") for i, c in enumerate(coeffs)]
         prof = profile(agents, Agent(utility([1, 1]), singleton("0.4"), "society"))
-        assert characterizations._commonly_ranked(prof) is ranked
+        assert _precondition_holds(prof) is ranked
         assert (lp_oracle.check_c_minimal_agreement(prof) is not None) is ranked
 
     def test_sweep_matches_margin_lp(self):
@@ -707,10 +728,30 @@ class TestCommonlyRanked:
                 for i in range(n)
             ]
             prof = profile(agents, Agent(utility([1] * d), singleton("0.4"), "society"))
-            got = characterizations._commonly_ranked(prof)
+            got = _precondition_holds(prof)
             assert got == (lp_oracle.check_c_minimal_agreement(prof) is not None), seed
             seen[got] += 1
         assert seen[True] >= 50 and seen[False] >= 50, seen
+
+    @pytest.mark.parametrize("coeffs, lps", [
+        ([(1, 0), (2, -1)], 0),  # first coordinate positive for every agent
+        ([(2, -1), (-1, -3)], 0),  # second coordinate negative for every agent
+        ([(1, 0), (0, 1)], 1),
+        ([(1, 0), (-1, 0)], 1),
+    ])
+    def test_shared_strict_sign_needs_no_lp(self, monkeypatch, coeffs, lps):
+        """Gradients sharing a strictly signed coordinate put 0 outside their
+        coordinate box, so the Gordan test runs no LP; `combo_meets` solves
+        through its own binding and is not counted."""
+        calls = []
+        solve = geometry.feasible_nonneg
+        monkeypatch.setattr(
+            geometry, "feasible_nonneg", lambda *a: calls.append(a) or solve(*a)
+        )
+        agents = [Agent(utility(c), singleton("0.4"), f"a{i}") for i, c in enumerate(coeffs)]
+        prof = profile(agents, Agent(utility([1, 1]), singleton("0.4"), "society"))
+        _precondition_holds(prof)
+        assert len(calls) == lps
 
 
 class TestProps:
@@ -750,6 +791,10 @@ class TestAggregateSociety:
             aggregate_society(prof, (1, 1), 0, "minkowski", gamma=("1/2", "1/4"))
         with pytest.raises(ValueError, match="minkowski rule needs gamma"):
             aggregate_society(prof, (1, 1), 0, "minkowski")
+        with pytest.raises(ValueError, match="given rule needs vertices"):
+            aggregate_society(prof, (1, 1), 0, "given")
+        with pytest.raises(ValueError, match="unknown society rule 'mean'"):
+            aggregate_society(prof, (1, 1), 0, "mean")
 
     def test_minkowski_matches_the_vector_sum_oracle(self):
         """Integer generator sums against `_minkowski_oracle`: n = 2-4

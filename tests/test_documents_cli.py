@@ -34,8 +34,13 @@ from paretostar.documents import (
     profile_to_dict,
     save_json,
 )
-from paretostar.errors import CapExceededError, DocumentError, InternalError
-from paretostar.harness import GenParams, cross_validate, random_profile
+from paretostar.errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    DocumentError,
+    InternalError,
+)
+from paretostar.harness import FuzzReport, GenParams, cross_validate, random_profile
 from paretostar.witnesses import revalidate
 
 from helpers import scenario1, wide_profile
@@ -427,6 +432,35 @@ class TestCliWitness:
         assert verdict.violation
 
 
+class TestCliOtherErrors:
+    """An output path that cannot be written, and a package error of no
+    other kind, are input errors: exit 3, no traceback, no file."""
+
+    @pytest.mark.parametrize("command", ["witness", "plot-data"])
+    def test_out_into_a_missing_directory_exit_3(self, profiles_dir, tmp_path, command, capsys):
+        args = {
+            "witness": [str(profiles_dir / "example2_p08.profile"), "ct-pareto-star"],
+            "plot-data": [str(profiles_dir / "example1.profile"),
+                          str(profiles_dir / "sq_vs_reform.acts")],
+        }[command]
+        out = tmp_path / "missing" / "out.json"
+        code = main([command, *args, "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: [Errno 2] No such file or directory")
+        assert captured.out == "" and not out.parent.exists()
+
+    def test_package_error_of_no_other_kind_exit_3(self, profiles_dir, monkeypatch, capsys):
+        def mismatched(prof):
+            raise DimensionMismatchError("operands of lengths 2 and 3")
+
+        monkeypatch.setitem(CONDITION_CHECKS, "thm2", mismatched)
+        code = main(["check", str(profiles_dir / "example2.profile"), "thm2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: operands of lengths 2 and 3\n" and captured.out == ""
+
+
 class TestCliInternalError:
     """A failed internal re-check exits 4 in every run mode, python -O too."""
 
@@ -608,6 +642,14 @@ class TestCliDigitCap:
             with pytest.raises(CapExceededError, match=f"a number with {digits} digits"):
                 jsonable({"report": [x]})
 
+    @pytest.mark.parametrize("obj, message", [
+        (0.5, "floats must never appear in exact documents"),
+        ({"x": object()}, "cannot serialize object"),
+    ])
+    def test_jsonable_refuses_floats_and_unknown_objects(self, obj, message):
+        with pytest.raises(DocumentError, match=message):
+            jsonable(obj)
+
     def test_bound_does_not_rest_on_pythons_own_limit(self):
         """With Python's limit on writing integers lifted, the cap still holds."""
         set_limit = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.10.7
@@ -759,6 +801,33 @@ class TestCliFuzz:
         assert code == 3
         captured = capsys.readouterr()
         assert "--trials must be nonnegative" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("trials", [cli.TRIALS_CAP + 1, 10**9])
+    def test_trials_over_the_bound_exit_3_before_any_trial(
+        self, profiles_dir, tmp_path, trials, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "fuzz_axiom", lambda *a, **k: pytest.fail("ran a trial"))
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = main(["fuzz", str(profiles_dir / "example1.profile"), "pareto-star",
+                     "--trials", str(trials), "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"--trials must be at most {cli.TRIALS_CAP}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_trials_at_the_bound_accepted(self, profiles_dir, monkeypatch):
+        asked = []
+
+        def fake(prof, axiom, trials, **kwargs):
+            asked.append(trials)
+            return FuzzReport(axiom, kwargs["sampler"], trials, 0, (), "0" * 64)
+
+        monkeypatch.setattr(cli, "fuzz_axiom", fake)
+        code = main(["fuzz", str(profiles_dir / "example1.profile"), "pareto-star",
+                     "--trials", str(cli.TRIALS_CAP)])
+        assert code == 0 and asked == [cli.TRIALS_CAP]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
     def test_seed_outside_64_bits_exit_3(self, profiles_dir, tmp_path, seed, capsys):

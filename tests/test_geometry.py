@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from paretostar import (
     CapExceededError,
+    DimensionMismatchError,
     HRep,
     Polytope,
     frac,
@@ -22,6 +23,7 @@ from paretostar import (
 )
 from paretostar import geometry
 from paretostar.geometry import (
+    Hyperplane,
     LPResult,
     box_margin,
     convex_weights,
@@ -316,6 +318,76 @@ class TestLinearAlgebra:
         red, pivots = rref(rows)
         again, pivots2 = rref(red)
         assert red == again and pivots == pivots2
+
+    def test_nullspace_of_no_rows_is_the_unit_basis(self):
+        """`hrep_vertices` without equalities and `check_c_diversity` for a
+        lone agent take this basis."""
+        assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+class TestInputGuards:
+    """Each entry point refuses malformed operands before any work."""
+
+    def test_empty_vector(self):
+        with pytest.raises(ValueError, match="positive length"):
+            vec([])
+
+    @pytest.mark.parametrize("op", [geometry.vadd, geometry.vsub])
+    def test_vector_arithmetic_lengths(self, op):
+        with pytest.raises(DimensionMismatchError, match=op.__name__):
+            op(vec([1, 2]), vec([1, 2, 3]))
+
+    def test_zero_hyperplane(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            Hyperplane(vec([0, 0]), F(1))
+
+    def test_lp_constraint_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="differs from objective"):
+            lp_solve(vec([1, 0]), HRep(((vec([1, 0, 0]), F(1)),)))
+
+    def test_polytope_without_vertices(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Polytope(())
+        with pytest.raises(ValueError, match="no generators"):
+            Polytope.from_generators([])
+
+    def test_polytope_of_mixed_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="mixed dimension"):
+            Polytope((vec([1, 0]), vec([1, 0, 0])))
+
+    def test_dimension_mismatches(self):
+        poly = P(["0.2", "0.8"], ["0.8", "0.2"])
+        point = vec(["0.2", "0.3", "0.5"])
+        with pytest.raises(DimensionMismatchError):
+            membership(point, poly)
+        with pytest.raises(DimensionMismatchError):
+            support(poly, point)
+        with pytest.raises(DimensionMismatchError):
+            separate([point], poly)
+
+    def test_zero_support_direction(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            support(P(["0.2", "0.8"]), vec([0, 0]))
+
+    def test_separate_nothing(self):
+        with pytest.raises(ValueError, match="no points"):
+            separate([], P(["0.2", "0.8"]))
+
+    def test_empty_h_representation(self):
+        with pytest.raises(ValueError, match="empty H-representation"):
+            hrep_vertices(HRep(()))
+
+    def test_intersect_nothing(self):
+        with pytest.raises(ValueError, match="nothing to intersect"):
+            intersect_polytopes([])
+
+    @pytest.mark.parametrize("entries, message", [
+        (["-0.1", "1.1"], "negative probability"),
+        (["0.3", "0.3"], "sum to 3/5"),
+    ])
+    def test_simplex_point(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            geometry.simplex_point(entries)
 
 
 small_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=5)

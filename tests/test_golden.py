@@ -11,7 +11,9 @@ the full CSV text of ``paretostar plot-data`` for two profile/acts pairs at
 three precisions and two grids; `tests/golden/fuzz_reports.json`
 pins the dumped `fuzz_axiom` report (digest, premise hits and every
 certified violation) of 300 seeded trials for every shipped profile with a
-society, every axiom and every sampler the profile admits.  A change that
+society, every axiom and every sampler the profile admits.
+`tests/golden/vh_oracle.json` pins the V<->H oracle's answers on the seeded
+inputs of `test_vh_kernel`, which compares the package against it.  A change that
 alters any certificate, margin, report byte or fuzz digest fails here.
 
 Regenerate (only when a document change is intended, and say so in the
@@ -32,6 +34,7 @@ from paretostar.cli import main
 from paretostar.documents import dumps, load_profile, profile_to_dict, save_json
 from paretostar.harness import SAMPLER_TAGS, GenParams, fuzz_axiom, random_profile
 from paretostar.preferences import check_c_minimal_agreement
+from test_vh_kernel import oracle_answers
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 PROFILES = pathlib.Path(__file__).resolve().parent.parent / "profiles"
@@ -250,6 +253,9 @@ def regenerate() -> None:
         for name, kind in WITNESSES:
             text = build_witness(name, kind, pathlib.Path(tmp))
             witness_file(name, kind).write_text(text, encoding="utf-8")
+    (GOLDEN / "vh_oracle.json").write_text(
+        json.dumps(oracle_answers(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 if __name__ == "__main__":

@@ -50,6 +50,16 @@ class TestGenerator:
             GenParams(seed=0, n=1)
         with pytest.raises(ValueError):
             GenParams(seed=0, m=1)
+        with pytest.raises(ValueError, match="denominator bound must be positive"):
+            GenParams(seed=0, denom_bound=0)
+
+    def test_unknown_society_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown society rule 'dictator'"):
+            random_profile(GenParams(seed=0, society_rule="dictator"))
+
+    def test_empty_rng_range_rejected(self):
+        with pytest.raises(ValueError, match="empty range"):
+            SplitMix64(42).randint(3, 2)
 
     def test_rng_stream_is_pinned(self):
         rng = SplitMix64(42)

@@ -10,6 +10,7 @@ from paretostar import (
     Agent,
     DimensionMismatchError,
     Polytope,
+    Profile,
     SplitMix64,
     act,
     bewley_geq,
@@ -37,6 +38,10 @@ F = Fraction
 
 
 class TestExpectedUtility:
+    def test_utility_of_an_outcome(self):
+        u = utility([2, -3], constant="1/2")
+        assert u(vec([1, "1/3"])) == F(3, 2)
+
     def test_low_prior(self):
         ann = utility([1, 0])
         assert expected_utility(ann, vec(["0.2", "0.8"]), REFORM) == F(2, 10) * 30 + F(8, 10) * -70
@@ -221,11 +226,30 @@ class TestDiversity:
             utility_rank = lp_oracle.rank([list(a.utility.coeffs) for a in prof.agents])
             assert (check_c_diversity(prof) is not None) == (utility_rank == n)
 
+    @pytest.mark.parametrize("coeffs, direction", [
+        ([0, 2], (0, 1)),  # the first unit vector is a tie; the second ranks
+        ([-3, 1], (-1, 0)),  # oriented to the agent's gain
+    ])
+    def test_lone_agent_takes_the_first_ranking_unit_vector(self, coeffs, direction):
+        """With no other agent the candidates are the unit basis of
+        `nullspace([], d)`, in coordinate order."""
+        prof = profile([Agent(utility(coeffs), singleton("0.5"))])
+        assert check_c_diversity(prof) == ((direction, (0, 0)),)
+
 
 class TestValidate:
     def test_golden_profiles_are_clean(self):
         assert validate_profile(scenario1()) == []
         assert validate_profile(scenario2(singleton("0.8"))) == []
+
+    def test_too_few_agents_states_and_outcomes(self):
+        lone = Agent(utility([1]), singleton("1"))
+        problems = validate_profile(Profile(1, 0, (lone,)))
+        assert problems[:3] == [
+            "profile has 1 agents; at least 2 required",
+            "profile has 1 states; at least 2 required",
+            "outcome dimension must be at least 1",
+        ]
 
     def test_constant_utility_flagged(self):
         bad = Agent(AffineUtility((F(0), F(0))), interval("0.2", "0.8"))
@@ -236,13 +260,13 @@ class TestValidate:
     def test_non_simplex_vertex_flagged(self):
         bad = Agent(utility([1, 0]), Polytope.from_generators([("0.5", "0.6")]))
         good = Agent(utility([0, 1]), interval("0.2", "0.8"))
-        problems = validate_profile(profile([bad, good], states=2, outcome_dim=2))
+        problems = validate_profile(profile([bad, good]))
         assert len(problems) == 1 and "probability" in problems[0]
 
     def test_dimension_mismatch_flagged(self):
         a = Agent(utility([1, 0, 3]), interval("0.2", "0.8"))
         b = Agent(utility([0, 1]), interval("0.2", "0.8"))
-        problems = validate_profile(profile([a, b], states=2, outcome_dim=2))
+        problems = validate_profile(profile([b, a]))
         assert any("dimension" in p for p in problems)
 
 

@@ -9,11 +9,17 @@ unbounded regions.
 
 The oracle is slow where the new kernel is not: on one full-dimensional
 five-state set with five or six vertices it takes from a second to over a
-minute.  Single sets cover every shape; intersections and the Hypothesis
-property draw five-state sets with at most four generators, which keeps the
-oracle's side of the file within seconds.
+minute.  So the two seeded sweeps (96 single sets covering every shape, 90
+intersections) compare the package with the oracle's answers pinned in
+`tests/golden/vh_oracle.json`, which ``PYTHONPATH=src python
+tests/test_golden.py`` rebuilds from the live oracle; the named cases, the
+raw inequality systems and the Hypothesis property run the oracle live.
+Intersections and the property draw five-state sets with at most four
+generators, which keeps the oracle's side within seconds.
 """
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -30,6 +36,8 @@ from paretostar.geometry import (
 )
 
 F = Fraction
+
+PINNED = pathlib.Path(__file__).resolve().parent / "golden" / "vh_oracle.json"
 
 
 def _simplex_point(rng, m, den):
@@ -51,12 +59,6 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _assert_same_conversion(P):
-    h = vrep_to_hrep(P)
-    assert h == vh_oracle.vrep_to_hrep(P)
-    assert hrep_vertices(h) == vh_oracle.hrep_vertices(h) == P
-
-
 def _assert_same_intersection(polys):
     new = intersect_polytopes(polys)
     assert new == vh_oracle.intersect_polytopes(polys)
@@ -67,26 +69,22 @@ def _max_generators(m):
     return 6 if m < 5 else 4
 
 
-def test_single_sets_match_oracle():
+def single_set_inputs() -> list[Polytope]:
     """m 2-5 states, 1-6 generators with denominators <= 4, four sets of
     each shape."""
     rng = random.Random(20260301)
-    shapes = set()
-    for m in range(2, 6):
-        for g in range(1, 7):
-            for _ in range(4):
-                P = Polytope.from_generators([_simplex_point(rng, m, 4) for _ in range(g)])
-                _assert_same_conversion(P)
-                shapes.add((m, len(P.vertices)))
-    assert (5, 6) in shapes
+    return [
+        Polytope.from_generators([_simplex_point(rng, m, 4) for _ in range(g)])
+        for m in range(2, 6) for g in range(1, 7) for _ in range(4)
+    ]
 
 
-def test_intersections_match_oracle():
+def intersection_inputs() -> list[list[Polytope]]:
     """2-3 sets: around a shared point (often lower-dimensional or a single
     point) or independent (often disjoint); a set repeated stacks duplicate
     facets."""
     rng = random.Random(20260302)
-    outcomes = {"empty": 0, "point": 0, "lower": 0, "full": 0}
+    cases = []
     for i in range(90):
         m = rng.randint(2, 5)
         shared = _simplex_point(rng, m, 4) if i % 3 else None
@@ -97,7 +95,87 @@ def test_intersections_match_oracle():
             polys.append(Polytope.from_generators(pts + [shared] * (shared is not None)))
         if i % 5 == 0:
             polys.append(polys[0])
-        inter = _assert_same_intersection(polys)
+        cases.append(polys)
+    return cases
+
+
+def _rows(vectors) -> list:
+    return [[str(x) for x in v] for v in vectors]
+
+
+def _vecs(rows) -> tuple:
+    return tuple(tuple(F(x) for x in row) for row in rows)
+
+
+def _polytope(rows) -> Polytope | None:
+    return None if rows is None else Polytope(_vecs(rows))
+
+
+def _hrep_rows(h: HRep) -> dict:
+    return {
+        "inequalities": [[[str(x) for x in a], str(b)] for a, b in h.inequalities],
+        "equalities": [[[str(x) for x in a], str(b)] for a, b in h.equalities],
+    }
+
+
+def _hrep(doc: dict) -> HRep:
+    return HRep(*(
+        tuple((tuple(F(x) for x in a), F(b)) for a, b in doc[key])
+        for key in ("inequalities", "equalities")
+    ))
+
+
+def oracle_answers() -> dict:
+    """The live oracle's answers on every seeded input: the content of
+    `tests/golden/vh_oracle.json`, which `test_golden.regenerate` writes."""
+    singles = []
+    for P in single_set_inputs():
+        h = vh_oracle.vrep_to_hrep(P)
+        back = vh_oracle.hrep_vertices(h)
+        singles.append({
+            "vertices": _rows(P.vertices),
+            "hrep": _hrep_rows(h),
+            "hrep_vertices": None if back is None else _rows(back.vertices),
+        })
+    intersections = []
+    for polys in intersection_inputs():
+        inter = vh_oracle.intersect_polytopes(polys)
+        intersections.append({
+            "sets": [_rows(P.vertices) for P in polys],
+            "vertices": None if inter is None else _rows(inter.vertices),
+        })
+    return {"single_sets": singles, "intersections": intersections}
+
+
+@pytest.fixture(scope="module")
+def pinned() -> dict:
+    return json.loads(PINNED.read_text(encoding="utf-8"))
+
+
+def test_single_sets_match_oracle(pinned):
+    """Each seeded set's `HRep` and its vertices back equal the oracle's."""
+    sets = single_set_inputs()
+    assert len(sets) == len(pinned["single_sets"]) == 96
+    shapes = set()
+    for P, case in zip(sets, pinned["single_sets"]):
+        assert P.vertices == _vecs(case["vertices"])
+        h = vrep_to_hrep(P)
+        assert h == _hrep(case["hrep"])
+        assert hrep_vertices(h) == _polytope(case["hrep_vertices"]) == P
+        shapes.add((P.ambient_dim, len(P.vertices)))
+    assert (5, 6) in shapes
+
+
+def test_intersections_match_oracle(pinned):
+    """Each seeded intersection equals the oracle's, with every outcome
+    represented."""
+    cases = intersection_inputs()
+    assert len(cases) == len(pinned["intersections"]) == 90
+    outcomes = {"empty": 0, "point": 0, "lower": 0, "full": 0}
+    for polys, case in zip(cases, pinned["intersections"]):
+        assert [P.vertices for P in polys] == [_vecs(rows) for rows in case["sets"]]
+        inter = intersect_polytopes(polys)
+        assert inter == _polytope(case["vertices"])
         if inter is None:
             outcomes["empty"] += 1
         elif inter.is_singleton():

@@ -1,5 +1,6 @@
 """Constructive counterexamples: certificates, round trips, every-mode re-checks."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,21 @@ class TestSpuriousUnanimity:
                 prof, dec, 0, 1, vec(["0.2", "0.8"]), vec(["0.2", "0.8"])
             )
 
+    def test_tampered_margins_fail_the_recheck(self):
+        """`revalidate` refuses a certificate whose agent margin or society
+        margin differs from direct evaluation, and `_certified` raises."""
+        prof, _, cert = self.build()
+        first = cert.per_agent[0]
+        bumped = dataclasses.replace(first, margin=first.margin + 1)
+        tampered = [
+            dataclasses.replace(cert, per_agent=(bumped, *cert.per_agent[1:])),
+            dataclasses.replace(cert, society_margin=cert.society_margin + 1),
+        ]
+        for bad in tampered:
+            assert not revalidate(prof, bad)
+            with pytest.raises(InternalError, match="spurious-unanimity witness fails"):
+                witnesses._certified(prof, bad)
+
     def test_two_agent_profile_has_no_bystander_margins(self):
         _, _, cert = self.build()
         assert {am.agent for am in cert.per_agent} == {0, 1}
@@ -208,6 +224,18 @@ class TestSpuriousUnanimity:
         dec = utilitarian_decompose(prof)
         cert = witness_spurious_unanimity(
             prof, dec, 0, 1, vec(["0.3", "0.7"]), vec(["0.7", "0.3"])
+        )
+        assert_certified(prof, cert)
+
+    def test_priors_of_unequal_norm(self):
+        """Priors that are not mirror images give the two agents different
+        offsets, so each agent's state values need its own."""
+        a1 = Agent(utility([1, 0]), singleton("0.3"))
+        a2 = Agent(utility([0, 1]), singleton("0.6"))
+        soc = Agent(utility(["1/2", "1/2"]), interval("0.2", "0.8"), "society")
+        prof = profile([a1, a2], soc)
+        cert = witness_spurious_unanimity(
+            prof, utilitarian_decompose(prof), 0, 1, vec(["0.3", "0.7"]), vec(["0.6", "0.4"])
         )
         assert_certified(prof, cert)
 
