@@ -164,13 +164,19 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
     for every taste and sum_k mu_k = 1, EU_k under the holder's k-th belief
     vertex.  A holder with one vertex has mu = (1,) as its only weight, so no
     LP is solved: every taste needs a strict prior at that vertex, and the
-    least of their margins is the answer's.
+    least of their margins, the first on a tie, is the answer's.
     """
     vertices = holder.beliefs.cleared
     nv = len(vertices)
     if nv == 1:
-        found = [_strict_prior(vertices, t) for t in tastes]
-        return None if None in found else min(found, key=lambda w: w[1])
+        least = None
+        for t in tastes:
+            (v, n, d), = _vertex_gaps(vertices, t)
+            if n >= 0:
+                return None
+            if least is None or -n * least[1] < least[0] * d:
+                least = -n, d
+        return v, Fraction(*least)
     rows = [[Fraction(-n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
     found = max_margin(rows, [[1] * nv], [1])
     if found is None:

@@ -14,7 +14,12 @@ Conventions
 * A vector is a tuple of Fractions (`Vec`).
 * `Polytope` is vertex-represented; `from_generators` removes redundant
   generators and sorts the surviving vertices in ascending lexicographic
-  order, so equal point sets compare equal.
+  order, so equal point sets compare equal.  `remove_redundant` reads the
+  vertices of a point set whose affine hull is a line or a plane (every
+  set over three states) off integer cross products with no LP; only a
+  hull of dimension 3 or more (four or more states) takes one hull LP per
+  point that is not a lexicographic extreme.  A finite set has one vertex
+  set, so both routes give the same vertices.
 * The simplex solver uses Bland's rule, hence every LP answer (including
   returned certificates) is deterministic.
 """
@@ -166,13 +171,21 @@ def delta(s: int, m: int) -> Vec:
 # ---------------------------------------------------------------------------
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns).
+    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
+    mat, dens, pivots = _echelon(rows)
+    return [[Fraction(a, q) for a in row] for row, q in zip(mat, dens)], pivots
+
+
+def _echelon(rows) -> tuple[list[list[int]], list[int], list[int]]:
+    """The RREF in integers: (rows, their denominators, pivot columns).
 
     Each row is scaled to integers and Gauss-Jordan runs through `_pivot`;
-    a pivoted row over its own denominator has pivot entry 1.
+    a reduced row over its own positive denominator is the RREF row, so its
+    pivot entry equals the denominator.  Callers that only need the pivots
+    or the row space build no `Fraction`.
     """
     if not rows:
-        return [], []
+        return [], [], []
     mat = []
     for row in rows:
         s = lcm(*(x.denominator for x in row))
@@ -192,11 +205,11 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(mat):
             break
-    return [[Fraction(a, q) for a in row] for row, q in zip(mat[:r], dens)], pivots
+    return mat[:r], dens[:r], pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[2])
 
 
 def _kernel(red: list[list[Fraction]], pivots: list[int], width: int) -> list[Vec]:
@@ -649,11 +662,19 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
     """Minimal subset with the same convex hull (the exact vertex set).
 
     Input order of the survivors is preserved; duplicates collapse to their
-    first occurrence.  The lexicographically least and greatest points are
-    vertices of any finite set's hull, so they are kept without an LP.  Every
-    other point gets one `convex_weights` test against the points still kept,
-    which needs no LP when a coordinate of the point is strictly below or
-    above all of theirs (such a point is a vertex).
+    first occurrence, and one or two distinct points are returned as they
+    are.  Otherwise the points are cleared to integers over one denominator
+    and `_affine_basis` gives the pivot columns of their affine hull, of
+    dimension k; reading a point at those columns is injective on the hull,
+    so vertices go to vertices.  For k <= 2 (every point set over three
+    states) the vertices are read off with no LP: the least and greatest
+    point on a line, the corners of `_planar_corners` in a plane.  For
+    k >= 3 the lexicographically least and greatest points are kept, being
+    vertices of any finite set's hull, and every other point gets one
+    `convex_weights` test against the points still kept, which needs no LP
+    when a coordinate of the point is strictly below or above all of theirs
+    (such a point is a vertex).  A finite set has one vertex set, so both
+    routes return the same list.
     """
     if not points:
         raise ValueError("no points given")
@@ -663,6 +684,16 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
             uniq.append(p)
     if len(set(map(len, uniq))) > 1:
         raise DimensionMismatchError("points of mixed dimension")
+    if len(uniq) <= 2:
+        return uniq
+    d = len(uniq[0])
+    flat, _ = vec_parts([x for p in uniq for x in p])
+    ints = [flat[i:i + d] for i in range(0, len(flat), d)]
+    pivots = _affine_basis(ints)[2]
+    if len(pivots) <= 2:
+        coords = [tuple(q[c] for c in pivots) for q in ints]
+        corners = {min(coords), max(coords)} if len(pivots) == 1 else _planar_corners(coords)
+        return [p for p, t in zip(uniq, coords) if t in corners]
     extremes = (min(uniq), max(uniq))
     kept = list(uniq)
     i = 0
@@ -673,6 +704,29 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
         else:
             i += 1
     return kept
+
+
+def _planar_corners(points: list[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The corners of the hull of distinct integer points, not all on a line.
+
+    Andrew's monotone chain (1979): the sorted points are walked forward for
+    the lower chain and backward for the upper one, and a point is popped
+    while the turn to the next is not strictly left (integer cross product
+    <= 0), so points inside the hull or on an edge are dropped.
+    """
+    ordered = sorted(points)
+    corners: set[tuple[int, int]] = set()
+    for run in (ordered, ordered[::-1]):
+        chain: list[tuple[int, int]] = []
+        for x, y in run:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        corners.update(chain)
+    return corners
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +753,15 @@ def _primitive(normal: Vec, bound: Fraction) -> tuple[Vec, Fraction]:
     return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
 
 
-def _affine_basis(points: list[Vec]) -> tuple[Vec, list[Vec], list[int]]:
-    """Base point, RREF basis of the direction span, and its pivot columns."""
+def _affine_basis(points: list[Vec]) -> tuple[Vec, list[list[int]], list[int]]:
+    """Base point, a basis of the direction span, and its pivot columns.
+
+    The basis is the RREF of the differences from the base point, each row
+    kept as integers (a positive multiple of the RREF row, `_echelon`).
+    """
     base = points[0]
-    diffs = [list(vsub(p, base)) for p in points[1:]]
-    basis_rows, pivots = rref(diffs)
-    return base, [tuple(r) for r in basis_rows], pivots
+    mat, _, pivots = _echelon([vsub(p, base) for p in points[1:]])
+    return base, mat, pivots
 
 
 def _tight_vertices(
@@ -749,7 +806,7 @@ def vrep_to_hrep(P: Polytope) -> HRep:
     # single point this degenerates to one equality per coordinate.
     eqs = [
         _primitive(w, dot(w, base))
-        for w in nullspace([list(b) for b in basis], d)
+        for w in nullspace(basis, d)
     ]
     if k == 0:
         return HRep((), tuple(sorted(eqs)))

@@ -32,7 +32,9 @@ decided by `support_decompose_alpha`, so it shares no LP with the package.
 
 `remove_redundant` is `geometry.remove_redundant` as it solved one
 `convex_weights` LP per point, before it kept the lexicographically least
-and greatest points without one.  It and `convex_weights` are kept verbatim;
+and greatest points without one and read the vertices of a line or a plane
+off integer cross products.  It is the oracle for both of the package's
+routes.  It and `convex_weights` are kept verbatim;
 `feasible_nonneg` runs them on this module's `simplex_standard`
 (`tests/test_lp_kernel.py`, and the redundancy passes of `vh_oracle.py`).
 

@@ -668,11 +668,12 @@ class TestSeuLabelledCombos:
     def test_wide_profile_solves_two_combo_blocks(self, monkeypatch):
         """16 agents share the interval [0.2, 0.8]: 65 536 combos, of which
         only the two all-equal ones label a vertex.  The product LP would
-        have 196 608 rows; this one has two blocks of three, after one
-        redundancy LP for each of the 15 interior sums."""
+        have 196 608 rows; this one, the only LP solved, has two blocks of
+        three.  The 17 distinct sums lie on a line, so `remove_redundant`
+        keeps the two end sums without a redundancy LP."""
         lps = _count_lps(monkeypatch)
         assert check_seu_existence([a.beliefs for a in wide_profile(16).agents]) is None
-        assert lps == Counter({"hull": 16, "largest": 6 * (2 + 16 * 2)})
+        assert lps == Counter({"hull": 1, "largest": 6 * (2 + 16 * 2)})
 
 
 def _labelled(sets) -> list:

@@ -11,6 +11,7 @@ and everything built on it must equal `lp_oracle`'s `Fraction` elimination.
 import collections
 import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -337,7 +338,7 @@ def test_rref_matches_oracle_property(system):
 # Every LP of a seeded many-agent sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_profiles(count=60):
+def _sweep_profiles(count=100):
     """n = 3, m = 3 profiles with 1-12 vertex combos, each with a Minkowski society."""
     rng = random.Random(20261019)
     seed = 0
@@ -424,19 +425,25 @@ def test_rows_lag_behind_the_pivot_in_the_sweep():
 
 
 # ---------------------------------------------------------------------------
-# remove_redundant: no LP for the lexicographic extremes
+# remove_redundant: corners of a line or plane without an LP, the LP loop
+# from dimension 3, no LP for the lexicographic extremes
 # ---------------------------------------------------------------------------
 
 
 def _random_point_set(rng):
-    """1-12 points in dimension 2-4 with duplicates, collinear runs and
-    repeated lexicographic extremes, in shuffled order."""
+    """1-12 points of an affine hull of dimension at most k in R^d, d 2-4 and
+    k 0-d, with duplicates, collinear runs and repeated lexicographic
+    extremes, in shuffled order."""
     d = rng.randint(2, 4)
+    k = rng.randint(0, d)
+    base = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+    dirs = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(k)]
 
     def point():
-        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+        c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+        return tuple(b + sum((x * u[j] for x, u in zip(c, dirs)), F(0)) for j, b in enumerate(base))
 
-    pts = [point() for _ in range(rng.randint(1, 6))]
+    pts = [point() for _ in range(rng.randint(1, 8))]
     if len(pts) > 1 and rng.random() < 0.5:
         a, b = rng.sample(pts, 2)
         for t in rng.sample((F(-1, 2), F(1, 3), F(1, 2), F(2, 3), F(3, 2)), rng.randint(1, 3)):
@@ -450,18 +457,30 @@ def _random_point_set(rng):
     return pts
 
 
+def _hull_dim(pts) -> int:
+    return lp_oracle.rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+
+
 def test_remove_redundant_matches_oracle():
+    """Every hull dimension k <= d in R^d, d 2-4: a line in R^3 and a plane
+    in R^4 among the planar route's inputs, k >= 3 on the LP loop."""
     rng = random.Random(20261019)
     seen = collections.Counter()
-    for _ in range(400):
+    for _ in range(1500):
         pts = _random_point_set(rng)
         got = geometry.remove_redundant(pts)
         assert got == lp_oracle.remove_redundant(pts), pts
+        seen[f"k={_hull_dim(pts)} in R^{len(pts[0])}"] += 1
         seen["duplicates"] += len(set(pts)) < len(pts)
         seen["extreme repeated"] += pts.count(min(pts)) > 1 or pts.count(max(pts)) > 1
         seen["redundant"] += len(got) < len(set(pts))
+        seen["collinear dropped"] += any(
+            _hull_dim([a, b, p]) == 1
+            for p in set(pts) - set(got) for a, b in itertools.combinations(got, 2)
+        )
         seen["single"] += len(got) == 1
-    assert min(seen.values()) >= 20, seen
+    cases = {f"k={k} in R^{d}" for d in (2, 3, 4) for k in range(d + 1)}
+    assert cases <= set(seen) and min(seen.values()) >= 30, seen
 
 
 def test_two_point_set_solves_no_lp(monkeypatch):
@@ -471,6 +490,65 @@ def test_two_point_set_solves_no_lp(monkeypatch):
     monkeypatch.setattr(geometry, "convex_weights", no_lp)
     pair = [(F(3, 10), F(7, 10)), (F(3, 5), F(2, 5))]
     assert geometry.remove_redundant(pair + pair[::-1]) == pair
+
+
+def test_integer_minkowski_sums_match_oracle():
+    """Distinct sums of integer simplex points, as `_minkowski_vertices`
+    passes them: in a plane over three states, in a 3-dimensional hull over
+    four.  The oracle gets the same points as `Fraction`s."""
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    for _ in range(300):
+        m = rng.randint(3, 4)
+
+        def simplex_ints():
+            cuts = sorted(rng.randint(0, 6) for _ in range(m - 1))
+            return tuple(b - a for a, b in zip((0, *cuts), (*cuts, 6)))
+
+        sets = [[simplex_ints() for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(2, 3))]
+        sums = list(dict.fromkeys(tuple(map(sum, zip(*c))) for c in itertools.product(*sets)))
+        got = geometry.remove_redundant(sums)
+        assert got == lp_oracle.remove_redundant([tuple(map(F, s)) for s in sums]), sums
+        assert all(type(x) is int for p in got for x in p)
+        if len(sums) > 2:
+            seen[f"k={_hull_dim(sums)}, m={m}"] += 1
+        seen["redundant"] += len(got) < len(sums)
+    assert {"k=1, m=3", "k=2, m=3", "k=2, m=4", "k=3, m=4"} <= set(seen), seen
+    assert min(seen[k] for k in ("k=2, m=3", "k=3, m=4", "redundant")) >= 30, seen
+
+
+def _count_lps(monkeypatch) -> list:
+    calls = []
+    solve = geometry.simplex_standard
+
+    def counting(rows, rhs, objective):
+        calls.append(len(rows))
+        return solve(rows, rhs, objective)
+
+    monkeypatch.setattr(geometry, "simplex_standard", counting)
+    return calls
+
+
+def test_planar_sets_solve_no_lp(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    third = F(1, 3)
+    square = [(F(0), F(0), F(1)), (F(1), F(0), F(1)), (F(0), F(1), F(1)), (F(1), F(1), F(1))]
+    centre = (F(1, 2), F(1, 2), F(1))
+    assert geometry.remove_redundant([centre, *square]) == square
+    line = [(F(0), third, F(2, 3)), (third, third, third), (F(2, 3), third, F(0))]
+    assert geometry.remove_redundant(line) == [line[0], line[2]]
+    in_r4 = [(0, 0, 0, 6), (6, 0, 0, 0), (0, 6, 0, 0), (2, 2, 0, 2), (3, 3, 0, 0)]
+    assert geometry.remove_redundant(in_r4) == in_r4[:3]
+    assert lps == []
+
+
+def test_three_dimensional_set_with_an_interior_point_solves_an_lp(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    corners = [(F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0)),
+               (F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))]
+    centre = (F(1, 4),) * 4
+    assert geometry.remove_redundant([*corners[:2], centre, *corners[2:]]) == corners
+    assert len(lps) >= 1
 
 
 @pytest.mark.parametrize(
