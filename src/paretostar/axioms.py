@@ -178,7 +178,7 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
                 least = -n, d
         return v, Fraction(*least)
     rows = [[Fraction(-n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
-    found = max_margin(rows, [[1] * nv], [1])
+    found = max_margin(rows)
     if found is None:
         return None
     mu, margin = found

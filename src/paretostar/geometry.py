@@ -2,12 +2,13 @@
 
 Everything in this module is exact rational arithmetic; there are no
 tolerances and no floating point anywhere.  Values in and out are
-`fractions.Fraction`s.  The simplex and `rref` share one integer pivot:
-each row keeps its own positive denominator, a pivot rewrites only the rows
-it changes, and `Fraction`s are built only for what is returned.  Strict
-conditions ("is there a point strictly on one side?") are decided by
-margin-maximization LPs: the strict system is feasible iff the optimal
-margin is positive, which is an exact comparison.
+`fractions.Fraction`s.  The simplex and Gauss-Jordan elimination
+(`_echelon`) share one integer pivot: each row keeps its own positive
+denominator, a pivot rewrites only the rows it changes, and `Fraction`s are
+built only for what is returned.  Strict conditions ("is there a point
+strictly on one side?") are decided by margin-maximization LPs: the strict
+system is feasible iff the optimal margin is positive, which is an exact
+comparison.
 
 Conventions
 -----------
@@ -170,19 +171,14 @@ def delta(s: int, m: int) -> Vec:
 # Exact Gaussian elimination
 # ---------------------------------------------------------------------------
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    mat, dens, pivots = _echelon(rows)
-    return [[Fraction(a, q) for a in row] for row, q in zip(mat, dens)], pivots
-
-
 def _echelon(rows) -> tuple[list[list[int]], list[int], list[int]]:
     """The RREF in integers: (rows, their denominators, pivot columns).
 
     Each row is scaled to integers and Gauss-Jordan runs through `_pivot`;
     a reduced row over its own positive denominator is the RREF row, so its
-    pivot entry equals the denominator.  Callers that only need the pivots
-    or the row space build no `Fraction`.
+    pivot entry equals the denominator.  This is the package's one
+    elimination: its callers read ranks, kernels, frames and solutions off
+    the integer rows and build a `Fraction` only for a value they return.
     """
     if not rows:
         return [], [], []
@@ -212,44 +208,28 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(_echelon(rows)[2])
 
 
-def _kernel(red: list[list[Fraction]], pivots: list[int], width: int) -> list[Vec]:
-    """Kernel basis read off the first `width` columns of an RREF."""
-    free = [c for c in range(width) if c not in pivots]
+def _kernel(mat: list[list[int]], pivots: list[int], width: int) -> list[Vec]:
+    """Kernel basis read off the first `width` columns of `_echelon`'s rows.
+
+    A reduced row's pivot entry is its denominator, so the RREF entry of
+    row i in free column f is mat[i][f] over mat[i][pivots[i]].
+    """
     basis = []
-    for f in free:
+    for f in range(width):
+        if f in pivots:
+            continue
         x = [_ZERO] * width
         x[f] = _ONE
-        for i, p in enumerate(pivots):
-            x[p] = -red[i][f]
+        for row, p in zip(mat, pivots):
+            x[p] = Fraction(-row[f], row[p])
         basis.append(tuple(x))
     return basis
 
 
 def nullspace(rows: list[list[Fraction]], width: int) -> list[Vec]:
     """Basis of {x : R x = 0} for the row system, one vector per free column."""
-    return _kernel(*rref(rows), width)
-
-
-def solve_linear(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[Vec, list[Vec]] | None:
-    """Solve R x = rhs exactly.
-
-    Returns (particular solution with free variables at 0, homogeneous basis),
-    or None when the system is inconsistent.  One RREF of the augmented
-    system serves both: its first `width` columns are the RREF of R.
-    """
-    if not rows:
-        return (), []
-    width = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if width in pivots:
-        return None
-    x = [_ZERO] * width
-    for i, p in enumerate(pivots):
-        x[p] = red[i][width]
-    return tuple(x), _kernel(red, pivots, width)
+    mat, _, pivots = _echelon(rows)
+    return _kernel(mat, pivots, width)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +431,14 @@ def feasible_nonneg(
     return z if status == "optimal" else None
 
 
-def max_margin(
-    rows: list[Vec], eqs: list[Vec], eq_rhs: list[Fraction]
-) -> tuple[Vec, Fraction] | None:
-    """Maximize t >= 0 over z >= 0 with row·z >= t per row and eqs·z = eq_rhs.
+def max_margin(rows: list[Vec]) -> tuple[Vec, Fraction] | None:
+    """Maximize t >= 0 over the unit simplex {z >= 0 : sum z = 1} with
+    row·z >= t per row.
 
     Returns (z, t) when the largest margin t is positive, None when it is 0
-    or no z >= 0 satisfies the system.  Unlike `lp_solve`, no variable is
-    split: the standard-form columns are z, then t, then one surplus per
-    row.  The equalities must keep t bounded (for instance by fixing the
-    scale of z); an unbounded margin raises ValueError.
+    or no simplex point makes every row nonnegative; sum z = 1 keeps t
+    bounded.  Unlike `lp_solve`, no variable is split: the standard-form
+    columns are z, then t, then one surplus per row.
     """
     n = len(rows[0])
     k = len(rows)
@@ -469,11 +447,8 @@ def max_margin(
         surplus = [0] * k
         surplus[i] = -1
         lp_rows.append([*r, -1, *surplus])
-    lp_rows += [[*a, 0] + [0] * k for a in eqs]
-    rhs = [0] * k + list(eq_rhs)
-    status, z, value = simplex_standard(lp_rows, rhs, [0] * n + [1] + [0] * k)
-    if status == "unbounded":
-        raise ValueError("margin LP is unbounded")
+    lp_rows.append([1] * n + [0] * (k + 1))
+    status, z, value = simplex_standard(lp_rows, [0] * k + [1], [0] * n + [1] + [0] * k)
     if status != "optimal" or value <= 0:
         return None
     return tuple(z[:n]), value
@@ -609,8 +584,6 @@ def convex_weights(p: Vec, points: list[Vec]) -> list[Fraction] | None:
 def membership(p: Vec, P: Polytope) -> bool:
     """Exact convex-hull membership: `convex_weights` finds weights, by one
     LP unless p lies outside the vertices' coordinate box."""
-    if len(p) != P.ambient_dim:
-        raise DimensionMismatchError("point and polytope dimension differ")
     return convex_weights(p, list(P.vertices)) is not None
 
 
@@ -778,10 +751,11 @@ def _tight_vertices(
     rows = list(dict.fromkeys(ineqs))
     found: set[Vec] = set()
     for subset in itertools.combinations(rows, k):
-        sol = solve_linear([list(a) for a, _ in subset], [b for _, b in subset])
-        if sol is None or sol[1]:
+        # The solution is unique iff the augmented system pivots on 0..k-1.
+        mat, dens, pivots = _echelon([[*a, b] for a, b in subset])
+        if pivots != list(range(k)):
             continue
-        y = sol[0]
+        y = tuple(Fraction(row[k], q) for row, q in zip(mat, dens))
         if y not in found and all(dot(a, y) <= b for a, b in rows):
             found.add(y)
     return list(found) or None
@@ -804,10 +778,7 @@ def vrep_to_hrep(P: Polytope) -> HRep:
     k = len(basis)
     # Normals vanishing on the direction span pin the affine hull; for a
     # single point this degenerates to one equality per coordinate.
-    eqs = [
-        _primitive(w, dot(w, base))
-        for w in nullspace(basis, d)
-    ]
+    eqs = [_primitive(w, dot(w, base)) for w in _kernel(basis, pivots, d)]
     if k == 0:
         return HRep((), tuple(sorted(eqs)))
 
@@ -853,15 +824,16 @@ def hrep_vertices(H: HRep) -> Polytope | None:
     if d > DEFAULT_DIM_CAP:
         raise CapExceededError(f"ambient dimension {d} exceeds cap {DEFAULT_DIM_CAP}")
 
-    if H.equalities:
-        sol = solve_linear(
-            [list(a) for a, _ in H.equalities], [b for _, b in H.equalities]
-        )
-        if sol is None:
-            return None
-        base, kernel = sol
-    else:
-        base, kernel = zero_vec(d), nullspace([], d)
+    # One elimination of the augmented equalities: inconsistent iff column d
+    # pivots; else the base point is read at the pivots, free columns at 0.
+    mat, dens, pivots = _echelon([[*a, b] for a, b in H.equalities])
+    if d in pivots:
+        return None
+    base = [_ZERO] * d
+    for row, q, p in zip(mat, dens, pivots):
+        base[p] = Fraction(row[d], q)
+    base = tuple(base)
+    kernel = _kernel(mat, pivots, d)
     k = len(kernel)
     if k == 0:
         ok = all(dot(a, base) <= b for a, b in H.inequalities)

@@ -151,7 +151,11 @@ def random_profile(params: GenParams) -> Profile:
     else:
         raise ValueError(f"unknown society rule {params.society_rule!r}")
     prof = Profile(params.m, params.d, tuple(agents), society)
-    assert not validate_profile(prof)
+    # Raised, not asserted, so python -O keeps the check: a society taste
+    # can cancel to zero.  Callers that redraw catch this type.
+    problems = validate_profile(prof)
+    if problems:
+        raise AssertionError(f"seed {params.seed}: " + "; ".join(problems))
     return prof
 
 

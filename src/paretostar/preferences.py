@@ -36,7 +36,7 @@ from .geometry import (
     is_simplex_point,
     is_zero,
     nullspace,
-    rref,
+    rank,
     vec,
     vec_parts,
     zero_vec,
@@ -307,21 +307,16 @@ def check_c_diversity(prof: Profile) -> tuple[tuple[Vec, Vec], ...] | None:
     independent.  Each direction is taken from the null space of the other
     agents' gradients, oriented and scaled into the [-1, 1] box.
     """
-    coeff_rows = [list(a.utility.coeffs) for a in prof.agents]
+    coeffs = [a.utility.coeffs for a in prof.agents]
     d = prof.outcome_dim
-    if len(rref(coeff_rows)[1]) < prof.n:
+    if rank(coeffs) < prof.n:
         return None
     pairs = []
-    for i in range(prof.n):
-        others = [coeff_rows[j] for j in range(prof.n) if j != i]
-        direction = None
-        for cand in nullspace(others, d):
-            gain = dot(vec(coeff_rows[i]), cand)
-            if gain != 0:
-                direction = cand if gain > 0 else tuple(-x for x in cand)
-                break
-        if direction is None:
-            return None
+    for i, u in enumerate(coeffs):
+        # Independent gradients put u outside the span of the others, so
+        # some kernel vector of the others has a nonzero gain.
+        cand = next(c for c in nullspace(coeffs[:i] + coeffs[i + 1:], d) if dot(u, c))
+        direction = cand if dot(u, cand) > 0 else tuple(-x for x in cand)
         scale = max(abs(x) for x in direction)
         direction = tuple(x / scale for x in direction)
         pairs.append((direction, zero_vec(d)))

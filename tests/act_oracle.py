@@ -50,7 +50,6 @@ from paretostar.harness import SplitMix64
 from paretostar.preferences import Act, Profile
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -261,9 +260,7 @@ def _exchange_star_prior(agent_diffs: list[Vec], holder) -> tuple[Vec, Fraction]
     """
     verts = holder.beliefs.vertices
     nv = len(verts)
-    found = max_margin(
-        [[dot(v, diff) for v in verts] for diff in agent_diffs], [[_ONE] * nv], [_ONE]
-    )
+    found = max_margin([[dot(v, diff) for v in verts] for diff in agent_diffs])
     if found is None:
         return None
     mu, margin = found

@@ -62,9 +62,11 @@ share no LP code (`tests/test_characterizations.py`).
 
 `rref`, `rank`, `_kernel`, `nullspace`, `solve_linear`, `_affine_basis` and
 `_coords` are the `Fraction` Gauss-Jordan routines `geometry` used before
-`rref` moved onto the simplex's integer pivot.  They are kept verbatim so
-the oracles here, in `vh_oracle.py` and in `act_oracle.py` do not share the
-kernel they check (`tests/test_lp_kernel.py`).
+its elimination moved onto the simplex's integer pivot (`geometry._echelon`,
+whose integer rows every caller now reads; `rref` and `solve_linear` have
+no copy left in the package).  They are kept verbatim so the oracles here,
+in `vh_oracle.py` and in `act_oracle.py` do not share the kernel they check
+(`tests/test_lp_kernel.py`).
 """
 
 import itertools

@@ -44,7 +44,6 @@ from paretostar.geometry import (
     delta,
     dot,
     intersect_polytopes,
-    solve_linear,
     vadd,
     vec_parts,
     vscale,
@@ -972,7 +971,7 @@ class TestThm1Decomposition:
                 if want is None:
                     assert not report.holds and report.details == {"reason": "no-decomposition"}
                     rows = [[a.utility.coeffs[k] for a in prof.agents] for k in range(prof.outcome_dim)]
-                    spanned = solve_linear(rows, list(society.utility.coeffs)) is not None
+                    spanned = lp_oracle.solve_linear(rows, list(society.utility.coeffs)) is not None
                     outcomes["negative-weight" if spanned else "outside-span"] += 1
                 else:
                     got = report.details["decomposition"]

@@ -22,7 +22,7 @@ from paretostar import (
     witnesses,
 )
 from paretostar.axioms import AXIOM_CHECKS
-from paretostar.characterizations import CONDITION_CHECKS
+from paretostar.characterizations import CONDITION_CHECKS, ConditionReport
 from paretostar.cli import build_parser, main
 from paretostar.documents import (
     dumps,
@@ -476,6 +476,14 @@ class TestCliInternalError:
         monkeypatch.setattr(geometry, "remove_redundant", broken)
         assert main(["check", str(profiles_dir / "example2.profile"), "thm2"]) == 4
         assert capsys.readouterr().err.startswith("internal error: kernel bug")
+
+    def test_thm1_failure_outside_both_classes_exit_4(self, profiles_dir, monkeypatch, capsys):
+        pair = ConditionReport("distinct-prior-pair", True, {})
+        monkeypatch.setattr(characterizations, "distinct_prior_pair", lambda prof, dec: pair)
+        assert main(["check", str(profiles_dir / "example1.profile"), "thm1"]) == 4
+        assert capsys.readouterr().err == (
+            "internal error: thm1 failure must fall in one of the two classes\n"
+        )
 
     def test_unexpected_exception_exit_4_with_traceback(self, profiles_dir, monkeypatch, capsys):
         def broken(prof):

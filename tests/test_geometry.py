@@ -31,9 +31,7 @@ from paretostar.geometry import (
     intersect_polytopes,
     nullspace,
     rank,
-    rref,
     segment_point,
-    solve_linear,
 )
 
 F = Fraction
@@ -307,21 +305,21 @@ class TestLinearAlgebra:
         for row in rows:
             assert dot(tuple(row), null[0]) == 0
 
-    def test_solve_linear_consistency(self):
-        sol = solve_linear([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)])
-        assert sol is not None
-        assert sol[0] == (F(2), F(1))
-        assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    def test_echelon_of_its_own_rows_returns_them(self):
+        """Read over their denominators, the reduced rows are a fixed point."""
 
-    def test_rref_is_idempotent(self):
-        rows = [[F(2), F(4)], [F(1), F(3)]]
-        red, pivots = rref(rows)
-        again, pivots2 = rref(red)
-        assert red == again and pivots == pivots2
+        def reduced(rows):
+            mat, dens, pivots = geometry._echelon(rows)
+            return [[F(a, q) for a in row] for row, q in zip(mat, dens)], pivots
+
+        red, pivots = reduced([[F(2), F(4), F(1, 3)], [F(1), F(3), F(-1)], [F(3), F(7), F(-2, 3)]])
+        assert red == [[1, 0, F(5, 2)], [0, 1, F(-7, 6)]] and pivots == [0, 1]
+        assert reduced(red) == (red, pivots)
 
     def test_nullspace_of_no_rows_is_the_unit_basis(self):
-        """`hrep_vertices` without equalities and `check_c_diversity` for a
-        lone agent take this basis."""
+        """`check_c_diversity` for a lone agent takes this basis, and
+        `hrep_vertices` reads it off an empty elimination when there are no
+        equalities."""
         assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
@@ -388,6 +386,9 @@ class TestInputGuards:
     def test_simplex_point(self, entries, message):
         with pytest.raises(ValueError, match=message):
             geometry.simplex_point(entries)
+
+    def test_simplex_point_accepts_a_probability_vector(self):
+        assert geometry.simplex_point(["0.2", 0, "4/5"]) == (F(1, 5), F(0), F(4, 5))
 
 
 small_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=5)

@@ -45,6 +45,13 @@ class TestGenerator:
             prof = random_profile(GenParams(seed=seed, society_rule=rule))
             assert validate_profile(prof) == []
 
+    @pytest.mark.parametrize("rule", ["minkowski", "hull-union", "perturbed"])
+    def test_invalid_draw_raises_with_asserts_stripped(self, rule):
+        """Seed 280's society taste cancels to zero: the generator raises
+        AssertionError under python -O too, and never returns the profile."""
+        with pytest.raises(AssertionError, match="zero gradient"):
+            random_profile(GenParams(seed=280, n=2, m=2, d=1, society_rule=rule))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             GenParams(seed=0, n=1)

@@ -4,8 +4,9 @@
 their own denominator; `lp_oracle.simplex_standard` is the `Fraction`
 tableau it replaced.  Bland's rule reads only signs, zero tests and ratio
 comparisons, so both must return exactly the same `(status, z, value)`.
-`geometry.rref` runs Gauss-Jordan on the same pivot; RREF is unique, so it
-and everything built on it must equal `lp_oracle`'s `Fraction` elimination.
+`geometry._echelon` runs Gauss-Jordan on the same pivot and keeps the RREF
+in integer rows over their denominators; RREF is unique, so those rows and
+everything read off them must equal `lp_oracle`'s `Fraction` elimination.
 """
 
 import collections
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import lp_oracle
 from paretostar import DimensionMismatchError, characterizations, geometry
-from paretostar.geometry import nullspace, rank, rref, simplex_standard, solve_linear
+from paretostar.geometry import _echelon, nullspace, rank, simplex_standard
 from paretostar.harness import GenParams, random_profile
 from paretostar.preferences import check_c_minimal_agreement, validate_profile
 
@@ -238,7 +239,7 @@ def test_mismatched_shapes_are_rejected(rows, rhs, objective):
 
 
 # ---------------------------------------------------------------------------
-# rref and the linear algebra built on it
+# _echelon and the linear algebra read off it
 # ---------------------------------------------------------------------------
 
 COPRIME = (991, 997, 1009, 1013, 1019, 1021)
@@ -281,18 +282,25 @@ def _all_fractions(values):
     return all(type(x) is Fraction for v in values for x in v)
 
 
+def _check_echelon(rows):
+    """`_echelon`'s rows over their denominators are the oracle's RREF, and
+    each row's pivot entry is its denominator."""
+    mat, dens, pivots = _echelon(rows)
+    assert ([[F(a, q) for a in row] for row, q in zip(mat, dens)], pivots) == lp_oracle.rref(rows)
+    assert all(type(a) is int for row in mat for a in row)
+    assert [row[p] for row, p in zip(mat, pivots)] == dens and all(q > 0 for q in dens)
+    return pivots
+
+
 def _check_linear_algebra(rows, rhs):
+    """The coefficient rows and the augmented system, as the V<->H solves
+    eliminate them."""
     width = len(rows[0]) if rows else 0
-    red, pivots = rref(rows)
-    assert (red, pivots) == lp_oracle.rref(rows)
-    assert _all_fractions(red)
+    pivots = _check_echelon(rows)
+    _check_echelon([[*r, b] for r, b in zip(rows, rhs)])
     assert rank(rows) == lp_oracle.rank(rows) == len(pivots)
     null = nullspace(rows, width)
     assert null == lp_oracle.nullspace(rows, width) and _all_fractions(null)
-    sol = solve_linear(rows, rhs)
-    assert sol == lp_oracle.solve_linear(rows, rhs)
-    if sol is not None:
-        assert _all_fractions([sol[0], *sol[1]])
     return pivots
 
 

@@ -1,9 +1,9 @@
 """Differential tests: the margin-LP builders against the old hand-built LPs.
 
 `axioms._exchange_star_prior` used to build its margin LP over free
-variables through `lp_solve`; it now runs `max_margin` over nonnegative
-columns, and for a holder with one belief vertex it solves no LP at all
-(the margin is the least value at that vertex).  `separate` and
+variables through `lp_solve`; it now runs `max_margin` over the unit
+simplex of hull weights, and for a holder with one belief vertex it solves
+no LP at all (the margin is the least value at that vertex).  `separate` and
 `check_c_minimal_agreement` built their box-bounded margin LPs row by row;
 both now call `geometry.box_margin`.  The
 old formulations are kept verbatim in `tests/lp_oracle.py`, and every
@@ -13,8 +13,6 @@ same hyperplane and direction pair, the same None.
 
 from collections import Counter
 from fractions import Fraction
-
-import pytest
 
 import lp_oracle
 from paretostar import axioms
@@ -140,15 +138,12 @@ class TestMaxMargin:
     def test_known_margin(self):
         # z on the unit simplex in R^2, rows z1 - z2 and z2: best t = 1/3
         # at z = (2/3, 1/3).
-        z, t = max_margin([(F(1), F(-1)), (F(0), F(1))], [(F(1), F(1))], [F(1)])
+        z, t = max_margin([(F(1), F(-1)), (F(0), F(1))])
         assert z == (F(2, 3), F(1, 3)) and t == F(1, 3)
 
     def test_zero_margin_is_none(self):
-        assert max_margin([(F(1), F(-1)), (F(-1), F(1))], [(F(1), F(1))], [F(1)]) is None
+        assert max_margin([(F(1), F(-1)), (F(-1), F(1))]) is None
 
-    def test_infeasible_is_none(self):
-        assert max_margin([(F(1), F(1))], [(F(1), F(1))], [F(-1)]) is None
-
-    def test_unbounded_margin_raises(self):
-        with pytest.raises(ValueError):
-            max_margin([(F(1), F(0))], [(F(0), F(1))], [F(1)])
+    def test_no_simplex_point_with_every_row_nonnegative_is_none(self):
+        # z1 >= z2 and z2 >= 3 z1 hold together only at z = 0, off the simplex.
+        assert max_margin([(F(1), F(-1)), (F(-3, 2), F(1, 2))]) is None

@@ -224,17 +224,48 @@ def _random_rows(rng, k):
     return rows
 
 
+EQUALITY_KINDS = ("none", "consistent", "duplicated", "rank-deficient", "inconsistent")
+
+
+def _random_equalities(rng, k, kind):
+    """Equality rows of one kind; all but the inconsistent ones hold at an
+    integer point, and the inconsistent ones are a row and its shift."""
+    if kind == "none":
+        return ()
+    x0 = [rng.randint(-1, 1) for _ in range(k)]
+
+    def row():
+        a = tuple(F(rng.randint(-2, 2)) for _ in range(k))
+        return a, sum((x * y for x, y in zip(a, x0)), F(0))
+
+    first = row()
+    if kind == "consistent":
+        return (first,)
+    if kind == "duplicated":
+        return (first, first)
+    if kind == "rank-deficient":
+        second = row()
+        total = tuple(x + y for x, y in zip(first[0], second[0])), first[1] + second[1]
+        return (first, second, total)
+    return (first, (first[0], first[1] + 1))
+
+
 def test_user_rows_match_oracle_on_empty_and_unbounded_regions():
-    """Raw inequality systems: bounded, empty and unbounded all occur."""
+    """Raw inequality systems with each kind of equality rows: bounded,
+    empty and unbounded all occur for every consistent kind, and
+    inconsistent equalities give None."""
     rng = random.Random(20260303)
-    seen = {"polytope": 0, "empty": 0, "unbounded": 0}
-    for _ in range(300):
+    seen = {(kind, outcome): 0 for kind in EQUALITY_KINDS
+            for outcome in ("polytope", "empty", "unbounded")}
+    for i in range(1500):
+        kind = EQUALITY_KINDS[i % len(EQUALITY_KINDS)]
         k = rng.randint(1, 3)
-        H = HRep(tuple(_random_rows(rng, k)))
+        H = HRep(tuple(_random_rows(rng, k)), _random_equalities(rng, k, kind))
         new = _outcome(hrep_vertices, H)
         assert new == _outcome(vh_oracle.hrep_vertices, H)
-        seen["empty" if new is None else "unbounded" if new is ValueError else "polytope"] += 1
-    assert min(seen.values()) >= 30, seen
+        seen[kind, "empty" if new is None else "unbounded" if new is ValueError else "polytope"] += 1
+    assert seen["inconsistent", "empty"] == 300, seen
+    assert min(n for (kind, _), n in seen.items() if kind != "inconsistent") >= 20, seen
 
 
 @st.composite
