@@ -285,7 +285,7 @@ def check_thm1_condition(prof: Profile) -> ConditionReport:
     """Taste weights exist and either the supported agents share one single
     prior lying in the social set, or one agent is a taste dictator whose
     whole belief set the social set contains."""
-    soc = _society(prof)
+    _society(prof)
     if check_c_diversity(prof) is None:
         raise PreconditionError("profile is not c-diverse; the condition is undefined")
     # Independent gradients admit at most one alpha, so the LP's is the one.
@@ -295,34 +295,30 @@ def check_thm1_condition(prof: Profile) -> ConditionReport:
     support = dec.support
     details: dict = {"decomposition": dec, "support": support}
 
-    singles = [prof.agents[i].beliefs for i in support]
-    if all(P.is_singleton() for P in singles):
-        common = singles[0].vertices[0]
-        if all(P.vertices[0] == common for P in singles):
-            weights, outside = _hull_weights([common], soc.beliefs)
-            if outside is None:
-                details["clause"] = "common-single-prior"
-                details["shared_prior"] = common
-                details["membership"] = weights[common]
-                return ConditionReport("thm1", True, details)
-
-    # Every weighted belief set inside the social one (Lemma 1) is what a
-    # taste dictator needs; a prior outside it is the first failure class.
+    # Every weighted belief set inside the social one (Lemma 1) is what both
+    # clauses need; a prior outside it is the first failure class.
     inclusion = check_lemma1_superset(prof, dec)
     if not inclusion.holds:
         details.update(inclusion.details, failure="belief-outside-society")
         return ConditionReport("thm1", False, details)
-    if len(support) == 1:
+    memberships = inclusion.details["memberships"]
+    first = prof.agents[support[0]].beliefs
+    if len(support) == 1 and not first.is_singleton():
         details["clause"] = "taste-dictator"
         details["dictator"] = support[0]
-        memberships = inclusion.details["memberships"]
         details["memberships"] = {v: mu for (_, v), mu in memberships.items()}
         return ConditionReport("thm1", True, details)
     pair = distinct_prior_pair(prof, dec)
-    if pair.holds:
+    if not pair.holds:
+        details.update(pair.details)
+        return ConditionReport("thm1", False, details)
+    # No two weighted agents hold distinct priors: one shared single prior.
+    if not all(prof.agents[i].beliefs.is_singleton() for i in support):
         raise InternalError("thm1 failure must fall in one of the two classes")
-    details.update(pair.details)
-    return ConditionReport("thm1", False, details)
+    details["clause"] = "common-single-prior"
+    details["shared_prior"] = first.vertices[0]
+    details["membership"] = memberships[support[0], first.vertices[0]]
+    return ConditionReport("thm1", True, details)
 
 
 def distinct_priors(P1: Polytope, P2: Polytope) -> tuple[Vec, Vec] | None:

@@ -162,11 +162,6 @@ def is_simplex_point(p: Vec) -> bool:
     return all(x >= 0 for x in p) and sum(p) == 1
 
 
-def delta(s: int, m: int) -> Vec:
-    """The degenerate distribution putting mass 1 on state `s` out of `m`."""
-    return tuple(_ONE if i == s else _ZERO for i in range(m))
-
-
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination
 # ---------------------------------------------------------------------------
@@ -182,10 +177,7 @@ def _echelon(rows) -> tuple[list[list[int]], list[int], list[int]]:
     """
     if not rows:
         return [], [], []
-    mat = []
-    for row in rows:
-        s = lcm(*(x.denominator for x in row))
-        mat.append([s * x.numerator // x.denominator for x in row])
+    mat = [list(vec_parts(row)[0]) for row in rows]
     dens = [1] * len(mat)
     d = 1
     pivots: list[int] = []
@@ -636,8 +628,8 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
 
     Input order of the survivors is preserved; duplicates collapse to their
     first occurrence, and one or two distinct points are returned as they
-    are.  Otherwise the points are cleared to integers over one denominator
-    and `_affine_basis` gives the pivot columns of their affine hull, of
+    are.  Otherwise `_affine_frame` clears the points to integers over one
+    denominator and gives the pivot columns of their affine hull, of
     dimension k; reading a point at those columns is injective on the hull,
     so vertices go to vertices.  For k <= 2 (every point set over three
     states) the vertices are read off with no LP: the least and greatest
@@ -659,10 +651,7 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
         raise DimensionMismatchError("points of mixed dimension")
     if len(uniq) <= 2:
         return uniq
-    d = len(uniq[0])
-    flat, _ = vec_parts([x for p in uniq for x in p])
-    ints = [flat[i:i + d] for i in range(0, len(flat), d)]
-    pivots = _affine_basis(ints)[2]
+    ints, _, _, pivots = _affine_frame(uniq)
     if len(pivots) <= 2:
         coords = [tuple(q[c] for c in pivots) for q in ints]
         corners = {min(coords), max(coords)} if len(pivots) == 1 else _planar_corners(coords)
@@ -718,23 +707,21 @@ DIGIT_CAP = 4300
 
 def _primitive(normal: Vec, bound: Fraction) -> tuple[Vec, Fraction]:
     """Scale an inequality by a positive rational to coprime integer entries."""
-    mult = lcm(*(x.denominator for x in normal), bound.denominator)
-    ints = [int(x * mult) for x in normal] + [int(bound * mult)]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
+    ints, _ = vec_parts((*normal, bound))
+    g = gcd(*ints) or 1
+    return tuple(Fraction(x // g) for x in ints[:-1]), Fraction(ints[-1] // g)
 
 
-def _affine_basis(points: list[Vec]) -> tuple[Vec, list[list[int]], list[int]]:
-    """Base point, a basis of the direction span, and its pivot columns.
-
-    The basis is the RREF of the differences from the base point, each row
-    kept as integers (a positive multiple of the RREF row, `_echelon`).
-    """
-    base = points[0]
-    mat, _, pivots = _echelon([vsub(p, base) for p in points[1:]])
-    return base, mat, pivots
+def _affine_frame(points) -> tuple[list[tuple[int, ...]], int, list[list[int]], list[int]]:
+    """(ints, den, basis, pivots): the points as integers over one
+    denominator `den` (`vec_parts` of all their entries), and `_echelon` of
+    their offsets from the first, whose RREF is that of the points'
+    differences (scaling by `den` leaves an RREF as it is)."""
+    d = len(points[0])
+    flat, den = vec_parts([x for p in points for x in p])
+    ints = [flat[i:i + d] for i in range(0, len(flat), d)]
+    basis, _, pivots = _echelon([[a - b for a, b in zip(q, ints[0])] for q in ints[1:]])
+    return ints, den, basis, pivots
 
 
 def _tight_vertices(
@@ -764,32 +751,32 @@ def _tight_vertices(
 def vrep_to_hrep(P: Polytope) -> HRep:
     """Exact facet description of a vertex-represented polytope.
 
-    Equalities pin the affine hull.  In the hull's coordinate frame, centred
-    on the vertex centroid, each facet is a vertex y of the polar dual
-    {y : q·y <= 1 for every shifted vertex q}; those are found by solving
-    the k-subsets of the dual rows.  Every row is brought to primitive
-    integers and the rows are sorted, so equal polytopes give equal HReps.
-    Only sensible at desk scale, hence the ambient-dimension cap.
+    In the vertices' integer frame (`_affine_frame`), the kernel of the
+    basis gives the equalities that pin the affine hull.  Read at the pivot
+    columns (the basis is an RREF), the N vertices x over `den` give dual
+    rows q = N·x - Σx, each N·den times a vertex's offset from the centroid.
+    Each facet is a vertex y of the polar dual {y : q·y <= N·den for every
+    q}, found by solving the k-subsets of those rows, with bound
+    1 + y·Σx / (N·den).  Every row is brought to primitive integers and the
+    rows are sorted, so equal polytopes give equal HReps.  Only sensible at
+    desk scale, hence the ambient-dimension cap.
     """
     d = P.ambient_dim
     if d > DEFAULT_DIM_CAP:
         raise CapExceededError(f"ambient dimension {d} exceeds cap {DEFAULT_DIM_CAP}")
-    base, basis, pivots = _affine_basis(list(P.vertices))
+    ints, den, basis, pivots = _affine_frame(P.vertices)
     k = len(basis)
     # Normals vanishing on the direction span pin the affine hull; for a
     # single point this degenerates to one equality per coordinate.
-    eqs = [_primitive(w, dot(w, base)) for w in _kernel(basis, pivots, d)]
+    eqs = [_primitive(w, dot(w, P.vertices[0])) for w in _kernel(basis, pivots, d)]
     if k == 0:
         return HRep((), tuple(sorted(eqs)))
 
-    # basis is an RREF, so each vertex's coordinates are its offset from
-    # base at the pivot columns.
-    ts = [tuple(vsub(v, base)[c] for c in pivots) for v in P.vertices]
-    centroid = tuple(
-        sum((t[j] for t in ts), _ZERO) / len(ts) for j in range(k)
-    )
-    shifted = [vsub(t, centroid) for t in ts]
-    dual_ineqs = [(q, _ONE) for q in shifted]
+    xs = [[q[c] for c in pivots] for q in ints]
+    total = [sum(col) for col in zip(*xs)]
+    n = len(xs)
+    scale = n * den
+    dual_ineqs = [(tuple([n * a - t for a, t in zip(x, total)]), scale) for x in xs]
     dual_vertices = _tight_vertices(dual_ineqs, k)
     if not dual_vertices:
         raise InternalError("polar dual of a full-dimensional polytope has no vertex")
@@ -798,10 +785,7 @@ def vrep_to_hrep(P: Polytope) -> HRep:
         normal = [_ZERO] * d
         for yk, c in zip(y, pivots):
             normal[c] = yk
-        bound = _ONE + dot(y, centroid) + sum(
-            (yk * base[c] for yk, c in zip(y, pivots)), _ZERO
-        )
-        ineqs.append(_primitive(tuple(normal), bound))
+        ineqs.append(_primitive(tuple(normal), 1 + dot(y, total) / scale))
     ineqs.sort()
     return HRep(tuple(ineqs), tuple(sorted(eqs)))
 

@@ -210,10 +210,6 @@ def _general_act(rng: SplitMix64, states: int, dim: int, table) -> tuple[Act, st
     return _cleared_act(tuple(rows), tuple(ints), den), ";".join(texts)
 
 
-def _sample_general(rng: SplitMix64, prof: Profile, box: int, denom_bound: int) -> Act:
-    return _general_act(rng, prof.states, prof.outcome_dim, _entry_table(box, denom_bound))[0]
-
-
 def _segment_rows(pair, denom_bound: int):
     """Every row the common-taste sampler can draw, built once per fuzz run.
 
@@ -238,10 +234,6 @@ def _table_act(rng: SplitMix64, states: int, table) -> tuple[Act, str]:
     levels, den = table
     rows, ints, texts = zip(*[_draw(rng, levels) for _ in range(states)])
     return _cleared_act(rows, ints, den), ";".join(texts)
-
-
-def _segment_act(rng: SplitMix64, prof: Profile, pair, denom_bound: int) -> Act:
-    return _table_act(rng, prof.states, _segment_rows(pair, denom_bound))[0]
 
 
 @dataclass(frozen=True)

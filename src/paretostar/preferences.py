@@ -172,11 +172,7 @@ def expected_utility(u: AffineUtility, p: Vec, f: Act) -> Fraction:
         raise DimensionMismatchError("prior length differs from act's state count")
     if u.dim != f.outcome_dim:
         raise DimensionMismatchError("utility dimension differs from outcome dimension")
-    total = _ZERO
-    for ps, row in zip(p, f.rows):
-        if ps:
-            total += ps * (dot(u.coeffs, row) + u.constant)
-    return total
+    return dot(p, utility_profile(u, f))
 
 
 def utility_profile(u: AffineUtility, f: Act) -> Vec:

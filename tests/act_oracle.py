@@ -27,14 +27,15 @@ oracle that shares no act evaluation with the package.
 with three `Fraction` operations per entry.  `rref` is the `Fraction`
 elimination kept in `lp_oracle.py`.
 
-`segment_act` is `paretostar.harness._segment_act` as it drew each row's
-position with `unit_fraction` and built the row with `segment_point`, before
-the sampler drew its rows from a table built once per fuzz run; it is bound
-to the `segment_point` above.  `_sample_general` is
-`paretostar.harness._sample_general` as it drew every entry with
-`signed_fraction`, before the general sampler drew its entries from a table
-built once per fuzz run; it is kept verbatim.  Both table routes must draw
-equal acts and leave the generator in the same state.  The table routes
+`segment_act` is the common-taste sampler as it drew each row's position
+with `unit_fraction` and built the row with `segment_point`, before it drew
+its rows from a table built once per fuzz run (`harness._table_act` over
+`harness._segment_rows`); it is bound to the `segment_point` above.
+`_sample_general` is the general sampler as it drew every entry with
+`signed_fraction`, before it drew its entries from a table built once per
+fuzz run (`harness._general_act` over `harness._entry_table`); it is kept
+verbatim.  Both table routes must draw equal acts and leave the generator in
+the same state.  The table routes
 also hand each act over with its `cleared` cache filled over a table-wide
 denominator and with its digest text; neither has an oracle here, so they
 are checked against a fresh `Act` on the same rows and `harness._fmt_act`.

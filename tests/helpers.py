@@ -57,6 +57,11 @@ def wide_profile(n: int) -> Profile:
     return profile(agents, Agent(utility([1, 0]), interval("0.2", "0.8"), "society"))
 
 
+def delta(s: int, m: int):
+    """The degenerate distribution putting mass 1 on state `s` out of `m`."""
+    return tuple(Fraction(int(i == s)) for i in range(m))
+
+
 def random_simplex_point(rng: SplitMix64, m: int, denom_bound: int = 8):
     return rng.simplex_point(m, denom_bound)
 

@@ -39,7 +39,7 @@ from paretostar.characterizations import combo_meets, distinct_priors, enumerate
 from paretostar.cli import main
 from paretostar.documents import dumps
 from paretostar.geometry import intersect_polytopes
-from paretostar.harness import _segment_act
+from paretostar.harness import _segment_rows, _table_act
 from paretostar.preferences import bewley_incomparable, profile
 from paretostar.witnesses import revalidate
 
@@ -278,10 +278,10 @@ def test_criterion_08_exchange_and_delegation():
     pairs_checked = 0
     for i, prof in enumerate(profs):
         rng = SplitMix64(i)
-        cmin = check_c_minimal_agreement(prof)
+        table = _segment_rows(check_c_minimal_agreement(prof), 6)
         for _ in range(20):
-            f = _segment_act(rng, prof, cmin, 6)
-            g = _segment_act(rng, prof, cmin, 6)
+            f = _table_act(rng, prof.states, table)[0]
+            g = _table_act(rng, prof.states, table)[0]
             if exchange_pareto_check(prof, f, g).premise_holds:
                 ok = ok and ct_pareto_check(prof, f, g).premise_holds
             if exchange_pareto_star_check(prof, f, g).premise_holds:

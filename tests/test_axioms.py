@@ -185,13 +185,13 @@ class TestExchange:
 
 class TestInvariants:
     def sample_pairs(self, prof, count, seed):
-        from paretostar.harness import _segment_act
+        from paretostar.harness import _segment_rows, _table_act
         from paretostar.preferences import check_c_minimal_agreement
 
         rng = SplitMix64(seed)
-        pair = check_c_minimal_agreement(prof)
+        table = _segment_rows(check_c_minimal_agreement(prof), 6)
         return [
-            (_segment_act(rng, prof, pair, 6), _segment_act(rng, prof, pair, 6))
+            (_table_act(rng, prof.states, table)[0], _table_act(rng, prof.states, table)[0])
             for _ in range(count)
         ]
 

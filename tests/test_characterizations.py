@@ -41,7 +41,6 @@ from paretostar.characterizations import (
 )
 from paretostar.documents import dumps, load_profile
 from paretostar.geometry import (
-    delta,
     dot,
     intersect_polytopes,
     vadd,
@@ -53,7 +52,7 @@ from paretostar.harness import GenParams, random_profile
 from paretostar.preferences import AffineUtility
 
 import lp_oracle
-from helpers import interior_point, interval, scenario1, scenario2, singleton, wide_profile
+from helpers import delta, interior_point, interval, scenario1, scenario2, singleton, wide_profile
 
 F = Fraction
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import lp_oracle
 from paretostar import DimensionMismatchError, characterizations, geometry
-from paretostar.geometry import _echelon, nullspace, rank, simplex_standard
+from paretostar.geometry import _echelon, nullspace, rank, simplex_standard, vec_parts
 from paretostar.harness import GenParams, random_profile
 from paretostar.preferences import check_c_minimal_agreement, validate_profile
 
@@ -316,6 +316,21 @@ def test_rref_matches_oracle_on_seeded_matrices():
         first = next((r[pivots[0]] for r in rows if r[pivots[0]]), None) if pivots else None
         negative_pivot += first is not None and first < 0
     assert rank_deficient >= 500 and negative_pivot >= 500
+
+
+def test_echelon_of_int_rows_mixed_with_fraction_rows_matches_oracle():
+    """The integer frame hands `_echelon` rows cleared by `vec_parts`, the
+    dual and augmented systems bring `Fraction` rows; a matrix mixing both
+    reduces as the oracle's, with the pivots of its `Fraction` form."""
+    rng = random.Random(20261020)
+    mixed = 0
+    for _ in range(800):
+        rows, rhs = _random_matrix(rng)
+        cleared = [list(vec_parts(r)[0]) if rng.random() < 0.5 else r for r in rows]
+        assert _check_linear_algebra(cleared, rhs) == lp_oracle.rref(rows)[1]
+        kinds = {type(x) for r in cleared for x in r if x}
+        mixed += kinds == {int, Fraction}
+    assert mixed >= 200, mixed
 
 
 ratios = st.one_of(

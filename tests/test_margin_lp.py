@@ -22,8 +22,10 @@ from paretostar.geometry import max_margin, separate, vsub
 from paretostar.harness import (
     GenParams,
     SplitMix64,
-    _sample_general,
-    _segment_act,
+    _entry_table,
+    _general_act,
+    _segment_rows,
+    _table_act,
     random_profile,
 )
 from paretostar.preferences import (
@@ -52,6 +54,11 @@ def seeded_profiles(count):
         yield seed, random_profile(params)
 
 
+def _general(rng, prof):
+    """An act with entries in [-3, 3] and denominators up to 4."""
+    return _general_act(rng, prof.states, prof.outcome_dim, _entry_table(3, 4))[0]
+
+
 def _sign(x) -> str:
     return "positive" if x > 0 else "zero" if x == 0 else "negative"
 
@@ -65,9 +72,10 @@ def test_exchange_star_priors_match_oracle():
         pair = check_c_minimal_agreement(prof)
         pairs = []
         for _ in range(3):
-            pairs.append((_sample_general(rng, prof, 3, 4), _sample_general(rng, prof, 3, 4)))
+            pairs.append((_general(rng, prof), _general(rng, prof)))
             if pair is not None:
-                pairs.append((_segment_act(rng, prof, pair, 6), _segment_act(rng, prof, pair, 6)))
+                table = _segment_rows(pair, 6)
+                pairs.append((_table_act(rng, prof.states, table)[0], _table_act(rng, prof.states, table)[0]))
         for f, g in pairs:
             diffs = [
                 vsub(utility_profile(a.utility, g), utility_profile(a.utility, f))
@@ -103,7 +111,7 @@ def test_exchange_star_solves_one_margin_lp_per_multi_vertex_holder(monkeypatch)
     for seed, prof in seeded_profiles(60):
         rng = SplitMix64(seed)
         for _ in range(2):
-            f, g = _sample_general(rng, prof, 3, 4), _sample_general(rng, prof, 3, 4)
+            f, g = _general(rng, prof), _general(rng, prof)
             solved.clear()
             axioms.exchange_pareto_star_check(prof, f, g)
             sizes = [len(a.beliefs.vertices) for a in prof.agents]

@@ -30,8 +30,11 @@ import vh_oracle
 from paretostar.geometry import (
     HRep,
     Polytope,
+    _primitive,
+    _tight_vertices,
     hrep_vertices,
     intersect_polytopes,
+    vec_parts,
     vrep_to_hrep,
 )
 
@@ -184,6 +187,50 @@ def test_intersections_match_oracle(pinned):
             dim = len(vrep_to_hrep(inter).equalities)
             outcomes["full" if dim == 1 else "lower"] += 1
     assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_integer_frame_matches_fraction_frame_and_oracle():
+    """3-6 states, one vertex denominator in 7-13 per generator, so the
+    vertices clear over a product of coprime denominators.  Every hull
+    dimension 0-5 gives the `HRep` of the `Fraction` frame (a base vertex,
+    the centroid of the offsets, the base added back into every bound) with
+    the same dual-vertex solver, and its vertices back; up to dimension 3
+    also the live oracle's, which takes 10-30 s on one 4-dimensional hull
+    with these denominators."""
+    rng = random.Random(20261020)
+    dims = {k: 0 for k in range(6)}
+    wide = 0
+    for m in range(3, 7):
+        for g in range(1, m + 2):
+            for _ in range(2):
+                P = _poly(*(_simplex_point(rng, m, rng.randint(7, 13)) for _ in range(g)))
+                h = vrep_to_hrep(P)
+                assert h == vh_oracle.vrep_to_hrep(P, dual_vertices_of=_tight_vertices)
+                k = m - len(h.equalities)
+                if k <= 3:
+                    assert h == vh_oracle.vrep_to_hrep(P)
+                assert hrep_vertices(h) == P
+                dims[k] += 1
+                wide += vec_parts([x for v in P.vertices for x in v])[1] > 1000
+    assert min(dims.values()) >= 4 and wide >= 10, (dims, wide)
+
+
+@pytest.mark.parametrize(
+    "normal, bound, want",
+    [
+        ((F(1, 2), F(-2, 3), F(0)), F(5, 4), ((6, -8, 0), 15)),
+        ((F(2, 3), F(4, 3)), F(-2, 3), ((1, 2), -1)),
+        ((F(-4), F(6), F(-2)), F(-8), ((-2, 3, -1), -4)),
+        ((F(3), F(0), F(-5)), F(7), ((3, 0, -5), 7)),
+        ((F(0), F(0)), F(0), ((0, 0), 0)),
+    ],
+    ids=["fractional", "fractional-common-factor", "negative", "already-primitive", "zero"],
+)
+def test_primitive_rows(normal, bound, want):
+    """A positive multiple with coprime integer entries, as the oracle's."""
+    got = _primitive(normal, bound)
+    assert got == (tuple(F(x) for x in want[0]), F(want[1])) == vh_oracle._primitive(normal, bound)
+    assert all(type(x) is Fraction for x in (*got[0], got[1]))
 
 
 @pytest.mark.parametrize(

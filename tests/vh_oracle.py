@@ -9,6 +9,13 @@ the new kernel is differential-tested against (`tests/test_vh_kernel.py`):
 both must return the same `HRep` normal form and the same sorted vertices.
 Its linear algebra is the `Fraction` elimination kept in `lp_oracle.py`, and
 its redundancy passes are the one-LP-per-point `remove_redundant` kept there.
+
+`vrep_to_hrep(P, dual_vertices_of=geometry._tight_vertices)` is the
+package's conversion as it was before it moved to the vertices' integer
+frame: a `Fraction` base vertex, the centroid of the offsets from it and the
+base added back into every bound, with the package's dual-vertex solver.  It
+is the reference on hulls of dimension 4 and 5, where `_box_and_cut` takes
+seconds to minutes per set.
 """
 
 import itertools
@@ -93,7 +100,9 @@ def _box_and_cut(
     return verts
 
 
-def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
+def vrep_to_hrep(
+    P: Polytope, dim_cap: int = DEFAULT_DIM_CAP, dual_vertices_of=_box_and_cut
+) -> HRep:
     """Exact facet description of a vertex-represented polytope.
 
     Equalities pin the affine hull; facets are found by enumerating the
@@ -120,7 +129,7 @@ def vrep_to_hrep(P: Polytope, dim_cap: int = DEFAULT_DIM_CAP) -> HRep:
     )
     shifted = [vsub(t, centroid) for t in ts]
     dual_ineqs = [(q, _ONE) for q in shifted]
-    dual_vertices = _box_and_cut(dual_ineqs, k)
+    dual_vertices = dual_vertices_of(dual_ineqs, k)
     assert dual_vertices, "polar dual of a full-dimensional polytope has vertices"
     ineqs = []
     for y in dual_vertices:
