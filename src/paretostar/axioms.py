@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
 # wraps it in every module that binds it, and its smoke test checks this one.
@@ -162,9 +163,11 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
     `tastes` are the agents' `_on_pair` values on f and g.  Margin LP over the
     hull weights mu: maximize t subject to sum_k mu_k * (EU_k(g) - EU_k(f)) >= t
     for every taste and sum_k mu_k = 1, EU_k under the holder's k-th belief
-    vertex.  A holder with one vertex has mu = (1,) as its only weight, so no
-    LP is solved: every taste needs a strict prior at that vertex, and the
-    least of their margins, the first on a tie, is the answer's.
+    vertex; `max_margin` gets the integer gaps of `_vertex_gaps` over the
+    lcm of their denominators.  A holder with one vertex has mu = (1,) as
+    its only weight, so no LP is solved: every taste needs a strict prior at
+    that vertex, and the least of their margins, the first on a tie, is the
+    answer's.
     """
     vertices = holder.beliefs.cleared
     nv = len(vertices)
@@ -177,8 +180,9 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
             if least is None or -n * least[1] < least[0] * d:
                 least = -n, d
         return v, Fraction(*least)
-    rows = [[Fraction(-n, d) for _, n, d in _vertex_gaps(vertices, t)] for t in tastes]
-    found = max_margin(rows)
+    gaps = [list(_vertex_gaps(vertices, t)) for t in tastes]
+    den = lcm(*(d for row in gaps for _, _, d in row))
+    found = max_margin([[-n * (den // d) for _, n, d in row] for row in gaps], den)
     if found is None:
         return None
     mu, margin = found

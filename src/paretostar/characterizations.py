@@ -116,14 +116,19 @@ def _least_weight(prof: Profile, members, normalized: bool) -> Decomposition | N
 
     One LP: alpha_i >= 0 for i in `members` (every other weight 0) with
     sum alpha_i grad u_i = grad u0, minimizing sum alpha_i; `normalized` adds
-    the row sum alpha_i = 1.  None when it is infeasible or its optimum is 0.
+    the row sum alpha_i = 1.  The gradients are read from
+    `AffineUtility.cleared` and every row and rhs is scaled by L, the lcm of
+    their denominators.  None when it is infeasible or its optimum is 0.
     """
     members = list(members)
-    rows = [[prof.agents[i].utility.coeffs[k] for i in members] for k in range(prof.outcome_dim)]
-    rhs = list(prof.society.utility.coeffs)
+    grads = [prof.agents[i].utility.cleared for i in members]
+    grad0, den0 = prof.society.utility.cleared
+    L = lcm(den0, *(den for _, den in grads))
+    rows = [[ints[k] * (L // den) for ints, den in grads] for k in range(prof.outcome_dim)]
+    rhs = [x * (L // den0) for x in grad0]
     if normalized:
-        rows.append([1] * len(members))
-        rhs.append(1)
+        rows.append([L] * len(members))
+        rhs.append(L)
     status, z, _ = simplex_standard(rows, rhs, [-1] * len(members))
     if status != "optimal" or all(x == 0 for x in z):
         return None
@@ -223,12 +228,12 @@ def _hull_weights(points, P: Polytope) -> tuple[dict, Vec | None]:
     """Hull weights in P of each point up to the first one outside P.
 
     Returns (point -> weights over P's vertices, first point outside P or
-    None when every point lies in P).
+    None when every point lies in P).  `convex_weights` reads P's vertices
+    from its cached integers.
     """
-    vertices = list(P.vertices)
     weights = {}
     for p in points:
-        w = convex_weights(p, vertices)
+        w = convex_weights(p, P)
         if w is None:
             return weights, p
         weights[p] = tuple(w)
@@ -354,11 +359,20 @@ def distinct_prior_pair(prof: Profile, dec: Decomposition) -> ConditionReport:
 
 
 def check_lemma1_superset(prof: Profile, dec: Decomposition) -> ConditionReport:
-    """Every belief vertex of every positively weighted agent lies in P0."""
+    """Every belief vertex of every positively weighted agent lies in P0.
+
+    A vertex two agents share is decided once: the hull weights found for
+    an earlier agent are reused, and each agent's LPs run only on its
+    vertices not yet decided.  Every decided vertex lies in P0, so the
+    first of an agent's vertices outside P0 is the first of its new ones.
+    """
     soc = _society(prof)
     memberships = {}
+    decided: dict = {}
     for i in dec.support:
-        weights, outside = _hull_weights(prof.agents[i].beliefs.vertices, soc.beliefs)
+        vertices = prof.agents[i].beliefs.vertices
+        weights, outside = _hull_weights([v for v in vertices if v not in decided], soc.beliefs)
+        decided.update(weights)
         if outside is not None:
             return ConditionReport(
                 "lemma1",
@@ -370,7 +384,7 @@ def check_lemma1_superset(prof: Profile, dec: Decomposition) -> ConditionReport:
                     "decomposition": dec,
                 },
             )
-        memberships.update(((i, v), mu) for v, mu in weights.items())
+        memberships.update(((i, v), decided[v]) for v in vertices)
     return ConditionReport(
         "lemma1", True, {"memberships": memberships, "decomposition": dec}
     )
@@ -481,7 +495,9 @@ def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
     One joint feasibility LP over those combos, in product order
     (`_minkowski_vertices` with unit weights): the candidate prior p plus
     one simplex weight vector per combo, tied together by
-    p = sum_i gamma^c_i combo^c_i.
+    p = sum_i gamma^c_i combo^c_i.  Every row is scaled by L, the lcm of
+    the belief sets' vertex denominators (their cached `Polytope.cleared`
+    forms), the -1 of p's column and the unit-sum rows included.
     """
     if len(belief_sets) < 2:
         raise ValueError("need at least two belief sets")
@@ -490,23 +506,26 @@ def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
         raise DimensionMismatchError("belief sets live on different state spaces")
     n = len(belief_sets)
     _, vertices = _minkowski_vertices(belief_sets, [1] * n)
+    L = lcm(*(d for P in belief_sets for _, _, d in P.cleared))
+    scaled = [{v: [x * (L // d) for x in ints] for v, ints, d in P.cleared} for P in belief_sets]
     nvars = m + n * len(vertices)
     rows = []
     rhs = []
     for c_idx, (_, combo) in enumerate(vertices):
         off = m + n * c_idx
+        columns = [scaled[i][v] for i, v in enumerate(combo)]
         for s in range(m):
             row = [0] * nvars
-            row[s] = -1
+            row[s] = -L
             for i in range(n):
-                row[off + i] = combo[i][s]
+                row[off + i] = columns[i][s]
             rows.append(row)
             rhs.append(0)
         row = [0] * nvars
         for i in range(n):
-            row[off + i] = 1
+            row[off + i] = L
         rows.append(row)
-        rhs.append(1)
+        rhs.append(L)
     z = feasible_nonneg(rows, rhs)
     if z is None:
         return None

@@ -5,10 +5,11 @@ tolerances and no floating point anywhere.  Values in and out are
 `fractions.Fraction`s.  The simplex and Gauss-Jordan elimination
 (`_echelon`) share one integer pivot: each row keeps its own positive
 denominator, a pivot rewrites only the rows it changes, and `Fraction`s are
-built only for what is returned.  Strict conditions ("is there a point
-strictly on one side?") are decided by margin-maximization LPs: the strict
-system is feasible iff the optimal margin is positive, which is an exact
-comparison.
+built only for what is returned.  The simplex takes `int` entries only: every
+LP entry clears its data to integers over one common scale first.  Strict
+conditions ("is there a point strictly on one side?") are decided by
+margin-maximization LPs: the strict system is feasible iff the optimal
+margin is positive, which is an exact comparison.
 
 Conventions
 -----------
@@ -108,6 +109,11 @@ def vec_parts(entries) -> tuple[tuple[int, ...], int]:
     """The entries as integers over their least common denominator (> 0)."""
     den = lcm(*[x.denominator for x in entries])
     return tuple([x.numerator * (den // x.denominator) for x in entries]), den
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """Each rational of `values` times `scale`, a multiple of every denominator."""
+    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -322,24 +328,25 @@ def _bland_loop(tab, dens, basis, d, n):
 
 
 def simplex_standard(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    objective: list[Fraction],
+    rows: list[list[int]],
+    rhs: list[int],
+    objective: list[int],
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Maximize objective·z subject to rows·z = rhs, z >= 0 (exact, two-phase).
 
-    The tableau is kept in integers, each row over its own positive
-    denominator (see `_pivot`).  Rows with a negative rhs are negated, then
-    every row and the rhs are multiplied by the lcm of all their
-    denominators: one scale for all rows, so the phase-1 reduced costs keep
-    their signs and Bland's rule picks the pivots a `Fraction` tableau
-    would.  Entries may be ints or `Fraction`s; when every entry is an int
-    that scale is 1 and the rows are copied as they are, so a caller that
-    clears its rows over one denominator gets the tableau the `Fraction`
-    rows would give.  An all-zero objective (a feasibility question) stops
-    after phase 1 and the artificial drive-out with value 0.  Only the
-    returned point and value are `Fraction`s; basic values equal to 0 and
-    nonbasic ones are the shared `_ZERO`.
+    Every entry must be an `int`; any other type (a `Fraction`, a `bool`)
+    raises TypeError.  A caller with rational data clears its rows and rhs
+    over one common positive scale first: one scale for all rows keeps the
+    phase-1 reduced costs' signs, so Bland's rule picks the pivots a
+    `Fraction` tableau would, and leaves z as it is; a positive scale on the
+    objective scales the value it returns.  The tableau keeps each row over
+    its own positive denominator (see `_pivot`); rows with a negative rhs
+    are negated.  An all-zero objective (a feasibility question) returns
+    right after phase 1's infeasibility test with value 0: an artificial
+    still basic there has rhs 0, and pivoting it out would change no basic
+    value, so only an LP with a phase 2 drives the artificials out.  Only
+    the returned point and value are `Fraction`s; basic values equal to 0
+    and nonbasic ones are the shared `_ZERO`.
     """
     m = len(rows)
     n = len(objective)
@@ -348,14 +355,9 @@ def simplex_standard(
     for r in rows:
         if len(r) != n:
             raise DimensionMismatchError("constraint width differs from objective length")
-    if all(type(x) is int for r in rows for x in r) and all(type(b) is int for b in rhs):
-        tab = [[*r, b] if b >= 0 else [-x for x in (*r, b)] for r, b in zip(rows, rhs)]
-    else:
-        scale = lcm(*{x.denominator for r in rows for x in r}, *{b.denominator for b in rhs})
-        tab = []
-        for r, b in zip(rows, rhs):
-            s = -scale if b < 0 else scale
-            tab.append([s * x.numerator // x.denominator for x in (*r, b)])
+    if set(map(type, itertools.chain(*rows, rhs, objective))) - {int}:
+        raise TypeError("simplex_standard takes int entries only; clear rationals first")
+    tab = [[*r, b] if b >= 0 else [-x for x in (*r, b)] for r, b in zip(rows, rhs)]
 
     # Phase 1 drives the sum of one artificial per row to zero.  Artificial
     # columns never enter, so only their basis indices are kept.
@@ -367,6 +369,8 @@ def simplex_standard(
     dens.pop()
     if any(tab[i][-1] for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
+    if not any(objective):
+        return "optimal", _basic_values(tab, dens, basis, n), _ZERO
 
     # Pivot surviving artificials out; rows that cannot pivot are redundant.
     keep = []
@@ -382,16 +386,12 @@ def simplex_standard(
         tab = [tab[i] for i in keep]
         dens = [dens[i] for i in keep]
         basis = [basis[i] for i in keep]
-    if not any(objective):
-        return "optimal", _basic_values(tab, dens, basis, n), _ZERO
 
-    # Phase 2 with the real objective, scaled to integers, over `d`: the
-    # rows it is built from are first brought up to `d`.
-    oscale = lcm(*{c.denominator for c in objective})
-    obj = [oscale * c.numerator // c.denominator for c in objective]
-    zrow = [d * c for c in obj] + [0]
+    # Phase 2 with the real objective, over `d`: the rows it is built from
+    # are first brought up to `d`.
+    zrow = [d * c for c in objective] + [0]
     for i, bi in enumerate(basis):
-        f = obj[bi]
+        f = objective[bi]
         if f:
             r = [a * d // dens[i] for a in tab[i]]
             zrow = [z - f * a for z, a in zip(zrow, r)]
@@ -400,13 +400,16 @@ def simplex_standard(
     status, d = _bland_loop(tab, dens, basis, d, n)
     if status == "unbounded":
         return "unbounded", None, None
-    # The cost row's rhs, over its own denominator, is -oscale·value.
-    value = Fraction(-tab[-1][-1], oscale * dens[-1])
-    return "optimal", _basic_values(tab, dens, basis, n), value
+    # The cost row's rhs, over its own denominator, is -value.
+    return "optimal", _basic_values(tab, dens, basis, n), Fraction(-tab[-1][-1], dens[-1])
 
 
 def _basic_values(tab, dens, basis, n) -> list[Fraction]:
-    """The basic solution: each basic column's rhs over its row's denominator."""
+    """The basic solution: each basic column's rhs over its row's denominator.
+
+    A row with rhs 0 sets nothing, so an artificial still basic after phase
+    1 (its rhs is 0) is never read as a column.
+    """
     z = [_ZERO] * n
     for r, q, bi in zip(tab, dens, basis):
         if r[-1]:
@@ -414,33 +417,35 @@ def _basic_values(tab, dens, basis, n) -> list[Fraction]:
     return z
 
 
-def feasible_nonneg(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Some z >= 0 with rows·z = rhs, or None. Phase 1 of the simplex only."""
+def feasible_nonneg(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """Some z >= 0 with rows·z = rhs, or None: phase 1 of the simplex only,
+    with no artificial drive-out.  Rows and rhs are `int`s, as
+    `simplex_standard` takes them."""
     n = len(rows[0]) if rows else 0
     status, z, _ = simplex_standard(rows, rhs, [0] * n)
     return z if status == "optimal" else None
 
 
-def max_margin(rows: list[Vec]) -> tuple[Vec, Fraction] | None:
+def max_margin(rows: list[list[int]], den: int) -> tuple[Vec, Fraction] | None:
     """Maximize t >= 0 over the unit simplex {z >= 0 : sum z = 1} with
-    row·z >= t per row.
+    row·z / den >= t per row; every row holds integers over the one
+    positive denominator `den`.
 
     Returns (z, t) when the largest margin t is positive, None when it is 0
     or no simplex point makes every row nonnegative; sum z = 1 keeps t
     bounded.  Unlike `lp_solve`, no variable is split: the standard-form
-    columns are z, then t, then one surplus per row.
+    columns are z, then t, then one surplus per row, and every row, the
+    unit-sum row and its rhs included, is scaled by `den`.
     """
     n = len(rows[0])
     k = len(rows)
     lp_rows = []
     for i, r in enumerate(rows):
         surplus = [0] * k
-        surplus[i] = -1
-        lp_rows.append([*r, -1, *surplus])
-    lp_rows.append([1] * n + [0] * (k + 1))
-    status, z, value = simplex_standard(lp_rows, [0] * k + [1], [0] * n + [1] + [0] * k)
+        surplus[i] = -den
+        lp_rows.append([*r, -den, *surplus])
+    lp_rows.append([den] * n + [0] * (k + 1))
+    status, z, value = simplex_standard(lp_rows, [0] * k + [den], [0] * n + [1] + [0] * k)
     if status != "optimal" or value <= 0:
         return None
     return tuple(z[:n]), value
@@ -449,34 +454,35 @@ def max_margin(rows: list[Vec]) -> tuple[Vec, Fraction] | None:
 def lp_solve(objective: Vec, constraints: HRep) -> LPResult:
     """Exact LP over free variables: maximize objective·x on the HRep region.
 
-    Free variables are split x = u - v with u, v >= 0 and inequalities get
-    slack columns, then the standard-form solver runs.  Deterministic by
-    Bland's rule.
+    Every row, bound and the objective are cleared to integers over one
+    scale, the lcm of all their denominators; free variables are split
+    x = u - v with u, v >= 0 and inequalities get slack columns (scaled
+    too), then the standard-form solver runs and its value is divided by
+    the scale.  Deterministic by Bland's rule.
     """
     d = len(objective)
-    ineqs = constraints.inequalities
-    eqs = constraints.equalities
-    for a, _ in list(ineqs) + list(eqs):
+    data = [*constraints.inequalities, *constraints.equalities]
+    for a, _ in data:
         if len(a) != d:
             raise DimensionMismatchError("constraint dimension differs from objective")
-    nslack = len(ineqs)
-    width = 2 * d + nslack
+    nslack = len(constraints.inequalities)
+    scale = lcm(*{x.denominator for a, b in data for x in (*a, b)},
+                *{x.denominator for x in objective})
     rows = []
     rhs = []
-    for k, (a, bound) in enumerate(ineqs):
-        row = [*a, *(-x for x in a)] + [0] * nslack
-        row[2 * d + k] = 1
+    for k, (a, bound) in enumerate(data):
+        *ints, b = _scaled((*a, bound), scale)
+        row = [*ints, *(-x for x in ints)] + [0] * nslack
+        if k < nslack:
+            row[2 * d + k] = scale
         rows.append(row)
-        rhs.append(bound)
-    for a, bound in eqs:
-        rows.append([*a, *(-x for x in a)] + [0] * nslack)
-        rhs.append(bound)
-    obj = [*objective, *(-x for x in objective)] + [0] * nslack
-    status, z, value = simplex_standard(rows, rhs, obj)
+        rhs.append(b)
+    obj = _scaled(objective, scale)
+    status, z, value = simplex_standard(rows, rhs, [*obj, *(-x for x in obj)] + [0] * nslack)
     if status != "optimal":
         return LPResult(status)
     point = tuple(z[j] - z[d + j] for j in range(d))
-    return LPResult("optimal", point, value)
+    return LPResult("optimal", point, value / scale)
 
 
 def box_margin(rows: list[Vec], boxed: int) -> tuple[Vec, Fraction] | None:
@@ -542,41 +548,50 @@ class Polytope:
         return len(self.vertices) == 1
 
 
-def _outside_box(p: Vec, points) -> bool:
-    """Some coordinate of p lies strictly below or strictly above every
-    point's, so p is outside the points' coordinate box and hence their hull.
+def _outside_box(p: list[int], coords: list[list[int]]) -> bool:
+    """Some coordinate p[k] lies strictly below or strictly above every
+    point's, coords[k], so p is outside the points' coordinate box and hence
+    their hull.  p and the points are integers over one common scale.
 
     True for any p of positive length when there are no points.
     """
     return any(
-        all(x < q[k] for q in points) or all(x > q[k] for q in points)
-        for k, x in enumerate(p)
+        not row or x < min(row) or x > max(row) for x, row in zip(p, coords)
     )
 
 
-def convex_weights(p: Vec, points: list[Vec]) -> list[Fraction] | None:
+def convex_weights(p: Vec, points) -> list[Fraction] | None:
     """Weights mu >= 0, sum 1, with sum mu_j points_j = p; None if impossible.
 
-    A p outside the points' coordinate box (`_outside_box`) gets None without
-    an LP, the answer the LP would give; every other p is decided by one
-    phase-1 LP, which also returns the weights.
+    `points` is a list of points or a `Polytope`, whose vertices are read
+    from its cached `cleared` integers.  The points and p are cleared to
+    integers over one common scale L, the lcm of their denominators.  A p
+    outside the points' coordinate box (`_outside_box`, on those integers)
+    gets None without an LP, the answer the LP would give; every other p is
+    decided by one phase-1 LP over the integer rows, the unit-sum row and
+    its rhs scaled by L too, which also returns the weights.
     """
+    if isinstance(points, Polytope):
+        cleared = points.cleared
+    else:
+        cleared = [(q, *vec_parts(q)) for q in points]
     d = len(p)
-    for q in points:
-        if len(q) != d:
+    for _, ints, _ in cleared:
+        if len(ints) != d:
             raise DimensionMismatchError("point dimension differs from target")
-    if _outside_box(p, points):
+    L = lcm(*{den for _, _, den in cleared}, *{x.denominator for x in p})
+    rows = [[ints[k] * (L // den) for _, ints, den in cleared] for k in range(d)]
+    target = _scaled(p, L)
+    if _outside_box(target, rows):
         return None
-    rows = [[q[k] for q in points] for k in range(d)]
-    rows.append([1] * len(points))
-    rhs = list(p) + [1]
-    return feasible_nonneg(rows, rhs)
+    rows.append([L] * len(cleared))
+    return feasible_nonneg(rows, [*target, L])
 
 
 def membership(p: Vec, P: Polytope) -> bool:
     """Exact convex-hull membership: `convex_weights` finds weights, by one
     LP unless p lies outside the vertices' coordinate box."""
-    return convex_weights(p, list(P.vertices)) is not None
+    return convex_weights(p, P) is not None
 
 
 def support(P: Polytope, direction: Vec) -> Fraction:
@@ -832,11 +847,12 @@ def hrep_vertices(H: HRep) -> Polytope | None:
                 return None
             continue
         reduced.append((a_t, b_t))
-    # Rows of A^T; lambda = 1 + mu with mu >= 0 gives A^T mu = -A^T 1.
-    cols = [list(c) for c in zip(*(a for a, _ in reduced))]
-    if rank(cols) < k or feasible_nonneg(
-        cols, [-sum(c, _ZERO) for c in cols]
-    ) is None:
+    # Rows of A^T, cleared over one scale; lambda = 1 + mu with mu >= 0
+    # gives A^T mu = -A^T 1.
+    cols = list(zip(*(a for a, _ in reduced)))
+    scale = lcm(*{x.denominator for c in cols for x in c})
+    cols = [_scaled(c, scale) for c in cols]
+    if rank(cols) < k or feasible_nonneg(cols, [-sum(c) for c in cols]) is None:
         if lp_solve(zero_vec(k), HRep(tuple(reduced))).status == "infeasible":
             return None
         raise ValueError("region is unbounded; expected a polytope")

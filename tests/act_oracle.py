@@ -46,7 +46,7 @@ from fractions import Fraction
 from lp_oracle import rref
 from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
-from paretostar.geometry import Vec, is_zero, max_margin, vsub
+from paretostar.geometry import Vec, is_zero, max_margin, vec_parts, vsub
 from paretostar.harness import SplitMix64
 from paretostar.preferences import Act, Profile
 
@@ -261,7 +261,9 @@ def _exchange_star_prior(agent_diffs: list[Vec], holder) -> tuple[Vec, Fraction]
     """
     verts = holder.beliefs.vertices
     nv = len(verts)
-    found = max_margin([[dot(v, diff) for v in verts] for diff in agent_diffs])
+    # max_margin takes integer rows over one denominator.
+    ints, den = vec_parts([dot(v, diff) for diff in agent_diffs for v in verts])
+    found = max_margin([ints[i:i + nv] for i in range(0, len(ints), nv)], den)
     if found is None:
         return None
     mu, margin = found

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from math import lcm
 
 from paretostar import (
     Agent,
@@ -75,3 +76,16 @@ def interior_point(rng: SplitMix64, P: Polytope, weight_bound: int = 7):
         for k, x in enumerate(v):
             point[k] += Fraction(w, total) * x
     return tuple(point)
+
+
+def cleared_lp(rows, rhs, objective):
+    """(rows, rhs, objective, scale): rational LP data as `int`s over one
+    common positive scale, the lcm of all their denominators, which is what
+    `geometry.simplex_standard` takes.  z is unchanged and the value is
+    `scale` times the rational LP's."""
+    scale = lcm(*{Fraction(x).denominator for v in (*rows, rhs, objective) for x in v})
+
+    def ints(v):
+        return [int(Fraction(x) * scale) for x in v]
+
+    return [ints(r) for r in rows], ints(rhs), ints(objective), scale

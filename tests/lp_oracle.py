@@ -50,9 +50,10 @@ only the combos that label a vertex of the Minkowski sum.  It is kept
 verbatim as the oracle the labelled LP's priors are compared with
 (`tests/test_characterizations.py`).  What it checks is the choice of
 combos, not the kernel, so it solves its LP on the package's
-`geometry.feasible_nonneg`: this module's `Fraction` simplex would take
-seconds on each product LP of the sweep, and the two kernels are compared
-LP by LP in `tests/test_lp_kernel.py`.
+`geometry.feasible_nonneg`, its rows cleared to integers by
+`helpers.cleared_lp`: this module's `Fraction` simplex would take seconds on
+each product LP of the sweep, and the two kernels are compared LP by LP in
+`tests/test_lp_kernel.py`.
 
 `combo_meets` is `characterizations.combo_meets` as it built its rows from
 `Fraction` entries (P0's vertices negated) and let the simplex find the
@@ -72,6 +73,7 @@ in `vh_oracle.py` and in `act_oracle.py` do not share the kernel they check
 import itertools
 from fractions import Fraction
 
+from helpers import cleared_lp
 from paretostar.characterizations import (
     ConditionReport,
     Decomposition,
@@ -597,7 +599,8 @@ def check_seu_existence(belief_sets: list[Polytope]) -> Vec | None:
             row[off + i] = 1
         rows.append(row)
         rhs.append(1)
-    z = geometry.feasible_nonneg(rows, rhs)
+    ints, ints_rhs, _, _ = cleared_lp(rows, rhs, [])
+    z = geometry.feasible_nonneg(ints, ints_rhs)
     if z is None:
         return None
     return tuple(z[:m])

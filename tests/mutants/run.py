@@ -41,9 +41,17 @@ MUTANTS = [
      "g = 1",
      ["tests/test_vh_kernel.py"]),
     ("outside-box-non-strict", "geometry.py",
-     "all(x < q[k] for q in points)",
-     "all(x <= q[k] for q in points)",
+     "x < min(row)",
+     "x <= min(row)",
      ["tests/test_box_precheck.py"]),
+    ("hull-point-own-denominator", "geometry.py",
+     "target = _scaled(p, L)",
+     "target = list(vec_parts(p)[0])",
+     ["tests/test_box_precheck.py"]),
+    ("feasibility-stop-with-objective", "geometry.py",
+     "    if not any(objective):\n",
+     "    if True:\n",
+     ["tests/test_lp_kernel.py"]),
     ("planar-corners-keep-collinear", "geometry.py",
      "(ay - oy) * (x - ox) > 0:",
      "(ay - oy) * (x - ox) >= 0:",
@@ -56,6 +64,10 @@ MUTANTS = [
     ("combo-meets-without-dimension-check", "characterizations.py",
      "    if any(len(c) != m for c in combo):\n",
      "    if False:\n",
+     ["tests/test_characterizations.py"]),
+    ("seu-prior-column-unscaled", "characterizations.py",
+     "row[s] = -L",
+     "row[s] = -1",
      ["tests/test_characterizations.py"]),
     ("thm1-dictator-for-any-multi-vertex-support", "characterizations.py",
      "if len(support) == 1 and not first.is_singleton():",

@@ -328,6 +328,16 @@ class TestThm1:
         rep = check_thm1_condition(profile([a1, a2], soc))
         assert rep.holds and rep.details["clause"] == "common-single-prior"
 
+    def test_shared_prior_is_decided_by_one_hull_lp(self, monkeypatch, profiles_dir):
+        """Both weighted agents of common_singleton hold the one prior; lemma 1
+        reuses its hull weights for the second agent."""
+        prof = load_profile(profiles_dir / "common_singleton.profile")
+        lps = _count_lps(monkeypatch)
+        rep = check_thm1_condition(prof)
+        assert rep.holds and rep.details["support"] == (0, 1)
+        assert rep.details["membership"] == (F(1),)
+        assert lps["hull"] == 1 and lps["decomposition"] == 1
+
     def test_taste_dictator_passes(self):
         base = scenario1()
         soc = Agent(base.agents[0].utility, interval("0.1", "0.9"), "society")

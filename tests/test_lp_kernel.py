@@ -2,8 +2,11 @@
 
 `geometry.simplex_standard` pivots an integer tableau whose rows each keep
 their own denominator; `lp_oracle.simplex_standard` is the `Fraction`
-tableau it replaced.  Bland's rule reads only signs, zero tests and ratio
-comparisons, so both must return exactly the same `(status, z, value)`.
+tableau it replaced.  The kernel takes `int` entries only, so rational data
+is cleared over one common scale first (`helpers.cleared_lp`) and the
+oracle gets the `Fraction` data.  Bland's rule reads only signs, zero tests
+and ratio comparisons, so both must return exactly the same
+`(status, z, value)`.
 `geometry._echelon` runs Gauss-Jordan on the same pivot and keeps the RREF
 in integer rows over their denominators; RREF is unique, so those rows and
 everything read off them must equal `lp_oracle`'s `Fraction` elimination.
@@ -20,9 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
-from paretostar import DimensionMismatchError, characterizations, geometry
+from helpers import cleared_lp, interior_point
+from paretostar import DimensionMismatchError, axioms, characterizations, geometry
 from paretostar.geometry import _echelon, nullspace, rank, simplex_standard, vec_parts
-from paretostar.harness import GenParams, random_profile
+from paretostar.harness import GenParams, SplitMix64, _segment_rows, _table_act, random_profile
 from paretostar.preferences import check_c_minimal_agreement, validate_profile
 
 F = Fraction
@@ -42,8 +46,16 @@ def _assert_exact(rows, rhs, objective, result):
     assert value == _dot(objective, z)
 
 
+def _solve_cleared(rows, rhs, objective):
+    """`simplex_standard` on rational data cleared by `cleared_lp`, its value
+    divided back by the scale: the answer for the rational LP."""
+    *lp, scale = cleared_lp(rows, rhs, objective)
+    status, z, value = simplex_standard(*lp)
+    return status, z, None if value is None else value / scale
+
+
 def _solve_both(rows, rhs, objective):
-    new = simplex_standard(rows, rhs, objective)
+    new = _solve_cleared(rows, rhs, objective)
     old = lp_oracle.simplex_standard(rows, rhs, objective)
     assert new == old
     assert all(type(x) is Fraction for x in new[1] or ())
@@ -200,29 +212,68 @@ def _zero_objective_lp(rng):
     return [rows[i] for i in order], [rhs[i] for i in order], [0 if ints else F(0)] * n
 
 
-def test_zero_objective_lps_with_redundant_rows_match_oracle():
-    """Phase 1 and the artificial drive-out alone give the oracle's answer."""
-    rng = random.Random(20261020)
+def test_zero_objective_lps_with_redundant_rows_match_oracle(monkeypatch):
+    """A feasibility LP stops right after phase 1, often with an artificial
+    still basic at zero, and gives the oracle's answer.  The same rows under
+    a nonzero objective still drive every such artificial out: phase 2
+    starts on a basis of structural columns only."""
+    loops = []  # per Bland loop: (an artificial basic on entry, on exit)
+    loop = geometry._bland_loop
+
+    def spy_loop(tab, dens, basis, d, n):
+        entry = any(b >= n for b in basis)
+        result = loop(tab, dens, basis, d, n)
+        loops.append((entry, any(b >= n for b in basis)))
+        return result
+
+    monkeypatch.setattr(geometry, "_bland_loop", spy_loop)
+    rng, objectives = random.Random(20261020), random.Random(20261026)
     seen = collections.Counter()
     for _ in range(800):
         rows, rhs, objective = _zero_objective_lp(rng)
-        got = simplex_standard(rows, rhs, objective)
+        loops.clear()
+        got = _solve_cleared(rows, rhs, objective)
         want = lp_oracle.simplex_standard(
             [_as_fractions(r) for r in rows], _as_fractions(rhs), _as_fractions(objective)
         )
         assert got == want, (rows, rhs)
         assert got[0] != "unbounded"
+        assert len(loops) == 1  # no phase 2
         if got[0] == "optimal":
             assert type(got[2]) is Fraction and got[2] == 0
             assert all(type(x) is Fraction for x in got[1])
             _assert_exact(rows, rhs, objective, got)
-        assert geometry.feasible_nonneg(rows, rhs) == lp_oracle.feasible_nonneg(rows, rhs)
+            seen["artificial left basic"] += loops[0][1]
+        ints, ints_rhs, _, _ = cleared_lp(rows, rhs, objective)
+        assert geometry.feasible_nonneg(ints, ints_rhs) == lp_oracle.feasible_nonneg(rows, rhs)
         seen[got[0]] += 1
         seen["int rows"] += type(objective[0]) is int
         augmented = [_as_fractions([*r, b]) for r, b in zip(rows, rhs)]
         seen["rank deficient"] += lp_oracle.rank(augmented) < len(rows)
+
+        costs = [F(objectives.randint(-4, 4), objectives.randint(1, 3)) for _ in objective]
+        costs[objectives.randrange(len(costs))] = F(1)
+        loops.clear()
+        assert _solve_both(rows, rhs, costs)[0] == got[0] or got[0] == "optimal"
+        if got[0] == "optimal":
+            assert len(loops) == 2 and not loops[1][0], (rows, rhs, costs)
+            seen["drive-out before phase 2"] += loops[0][1]
     assert seen["optimal"] >= 400 and seen["infeasible"] >= 100, seen
     assert seen["int rows"] >= 300 and seen["rank deficient"] == 800, seen
+    assert seen["artificial left basic"] >= 200, seen
+    assert seen["drive-out before phase 2"] == seen["artificial left basic"], seen
+
+
+@pytest.mark.parametrize("where", ["rows", "rhs", "objective"])
+@pytest.mark.parametrize("bad", [F(1), F(1, 2), True, 1.0])
+def test_non_int_entries_raise_type_error(where, bad):
+    lp = {"rows": [[1, 2], [0, 1]], "rhs": [3, 1], "objective": [1, 0]}
+    if where == "rows":
+        lp["rows"][1][0] = bad
+    else:
+        lp[where][0] = bad
+    with pytest.raises(TypeError, match="int entries"):
+        simplex_standard(lp["rows"], lp["rhs"], lp["objective"])
 
 
 @pytest.mark.parametrize(
@@ -445,6 +496,67 @@ def test_every_lp_of_a_many_agent_sweep_matches_oracle():
 def test_rows_lag_behind_the_pivot_in_the_sweep():
     _, lagging = _sweep_lps()
     assert lagging >= 1000
+
+
+def _lp_guard_lps():
+    """Every kernel LP of an lp-guard-style batch, as (rows, rhs, objective).
+
+    Per profile (2-3 agents, 2-3 states, Minkowski and pooled societies):
+    the c-minimal pair's box LP, three interior combos through `combo_meets`,
+    two common-taste segment act pairs through the exchange margin LPs, and
+    the separation of each agent's vertices from P0.
+    """
+    lps = []
+    solve = geometry.simplex_standard
+
+    def spy_solve(rows, rhs, objective):
+        lps.append((rows, rhs, objective))
+        return solve(rows, rhs, objective)
+
+    ch = characterizations
+    patched = [(geometry, "simplex_standard"), (ch, "simplex_standard")]
+    saved = [(mod, name, getattr(mod, name)) for mod, name in patched]
+    try:
+        for mod, name in patched:
+            setattr(mod, name, spy_solve)
+        for seed in range(60):
+            params = GenParams(seed=seed, n=2 + seed % 2, m=2 + (seed // 2) % 2, d=1 + seed % 3,
+                               max_vertices=1 + seed % 3, denom_bound=6,
+                               society_rule=("minkowski", "hull-union")[seed % 2])
+            try:
+                prof = random_profile(params)
+            except AssertionError:
+                continue
+            rng = SplitMix64(seed)
+            soc = prof.society.beliefs
+            pair = check_c_minimal_agreement.__wrapped__(prof)
+            for _ in range(3):
+                ch.combo_meets(tuple(interior_point(rng, a.beliefs) for a in prof.agents), soc)
+            if pair is not None:
+                table = _segment_rows(pair, 6)
+                for _ in range(2):
+                    f, g = (_table_act(rng, prof.states, table)[0] for _ in range(2))
+                    axioms.exchange_pareto_star_check(prof, f, g)
+            for a in prof.agents:
+                geometry.separate(list(a.beliefs.vertices), soc)
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+    return lps
+
+
+def test_every_kernel_call_carries_int_data():
+    """Every LP entry clears its data: the sweep's hull, meet, decomposition
+    and single-prior LPs and an lp-guard batch's box, meet and margin LPs all
+    reach `simplex_standard` with `int` rows, rhs and objective."""
+    sweep, _ = _sweep_lps()
+    batch = _lp_guard_lps()
+    seen = collections.Counter()
+    for source, lps in (("sweep", sweep), ("lp-guard", batch)):
+        for rows, rhs, objective in lps:
+            assert all(type(x) is int for v in (*rows, rhs, objective) for x in v)
+            seen[source, "feasibility" if not any(objective) else "optimization"] += 1
+    assert len(batch) >= 300 and min(seen.values()) >= 50, seen
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,20 @@ class TestMaxMargin:
     def test_known_margin(self):
         # z on the unit simplex in R^2, rows z1 - z2 and z2: best t = 1/3
         # at z = (2/3, 1/3).
-        z, t = max_margin([(F(1), F(-1)), (F(0), F(1))])
+        z, t = max_margin([[1, -1], [0, 1]], 1)
         assert z == (F(2, 3), F(1, 3)) and t == F(1, 3)
 
     def test_zero_margin_is_none(self):
-        assert max_margin([(F(1), F(-1)), (F(-1), F(1))]) is None
+        assert max_margin([[1, -1], [-1, 1]], 1) is None
 
     def test_no_simplex_point_with_every_row_nonnegative_is_none(self):
         # z1 >= z2 and z2 >= 3 z1 hold together only at z = 0, off the simplex.
-        assert max_margin([(F(1), F(-1)), (F(-3, 2), F(1, 2))]) is None
+        assert max_margin([[2, -2], [-3, 1]], 2) is None
+
+    def test_rows_over_a_denominator(self):
+        # The known margin's rows over 6: t and z as over 1.
+        z, t = max_margin([[6, -6], [0, 6]], 6)
+        assert z == (F(2, 3), F(1, 3)) and t == F(1, 3)
+        # Rows z1 - z2 / 3 and z2 / 2 over 6: best t = 3/11 at z = (5/11, 6/11).
+        z, t = max_margin([[6, -2], [0, 3]], 6)
+        assert z == (F(5, 11), F(6, 11)) and t == F(3, 11)
