@@ -6,6 +6,14 @@ conditions are decided on belief vertices (the relevant expressions are
 linear in the prior); existential strict conditions are decided by
 margin-maximization LPs, so every "there is a prior such that ..." claim
 comes back with the prior and its positive margin as a certificate.
+
+Each checker is the one implementation of its premise and conclusion.
+`harness.fuzz_axiom` calls it with ``certify=False`` on every trial, where
+only the two bits are read: the checker then records no certificate, so no
+certificate dict, no margin `Fraction` and no least margin is built (an
+exchange-pareto-star premise is still its margin LP's answer), and the
+verdict's certificates are empty.  On a violation the fuzzer calls the
+checker again in full.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .preferences import (
     Agent,
     Profile,
     _least_margin,
-    _on_pair,
+    _on_acts,
     _society,
     _strict_prior,
     _tastes_agree,
@@ -60,9 +68,17 @@ class AxiomVerdict:
 
 
 def _evaluations(prof: Profile, f: Act, g: Act) -> list[tuple[list[int], int]]:
-    """Every agent's taste, then the society's, on the rows of f and g, once per
-    check; every premise and conclusion below reads these values."""
-    return [_on_pair(a.utility, f, g) for a in (*prof.agents, _society(prof))]
+    """Every agent's taste, then the society's, on the rows of f and g, in one
+    `_on_acts` call per check; every premise and conclusion below reads these
+    values."""
+    return _on_acts([a.utility for a in (*prof.agents, _society(prof))], f, g)
+
+
+def _certificate(witness) -> dict:
+    """A `_strict_prior` witness as a certificate: its prior and its margin,
+    the one `Fraction` built from it."""
+    v, n, d = witness
+    return {"prior": v, "margin": Fraction(n, d)}
 
 
 def _unanimous_weak(prof: Profile, tastes) -> bool:
@@ -70,97 +86,96 @@ def _unanimous_weak(prof: Profile, tastes) -> bool:
     return all(_strict_prior(a.beliefs.cleared, t) is None for a, t in zip(prof.agents, tastes))
 
 
-def _society_conclusion_weak(prof: Profile, values, certs: dict) -> bool:
-    """Conclusion 'f >=_0 g'. On failure stores the society's strict witness."""
+def _society_conclusion_weak(prof: Profile, values, certs: dict | None) -> bool:
+    """Conclusion 'f >=_0 g'. On failure stores the society's strict witness.
+
+    Here and below, `certs` is None in a certificate-free check, and nothing
+    is stored."""
     witness = _strict_prior(prof.society.beliefs.cleared, values)
-    if witness is None:
-        return True
-    certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
-    return False
+    if witness is not None and certs is not None:
+        certs["society_strict"] = _certificate(witness)
+    return witness is None
 
 
-def _society_conclusion_not_weak(prof: Profile, values, certs: dict) -> bool:
+def _society_conclusion_not_weak(prof: Profile, values, certs: dict | None) -> bool:
     """Conclusion 'not f >=_0 g'. Stores the strict witness or the weak margin."""
     vertices = prof.society.beliefs.cleared
     witness = _strict_prior(vertices, values)
-    if witness is not None:
-        certs["society_strict"] = {"prior": witness[0], "margin": witness[1]}
-        return True
-    certs["society_weak_margin"] = _least_margin(vertices, values)
-    return False
-
-
-def _star_premise(prof: Profile, tastes, certs: dict) -> bool:
-    """Every agent declines to rank f weakly above g, each with a certificate."""
-    agent_certs = {}
-    ok = True
-    for i, (a, values) in enumerate(zip(prof.agents, tastes)):
-        witness = _strict_prior(a.beliefs.cleared, values)
-        if witness is None:
-            ok = False
+    if certs is not None:
+        if witness is not None:
+            certs["society_strict"] = _certificate(witness)
         else:
-            agent_certs[i] = {"prior": witness[0], "margin": witness[1]}
-    certs["agents"] = agent_certs
-    return ok
+            certs["society_weak_margin"] = _least_margin(vertices, values)
+    return witness is not None
 
 
-def pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
+def _star_premise(prof: Profile, tastes, certs: dict | None) -> bool:
+    """Every agent declines to rank f weakly above g, each with a certificate."""
+    witnesses = [_strict_prior(a.beliefs.cleared, t) for a, t in zip(prof.agents, tastes)]
+    if certs is not None:
+        certs["agents"] = {i: _certificate(w) for i, w in enumerate(witnesses) if w is not None}
+    return None not in witnesses
+
+
+def pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """If every agent weakly prefers f to g, society must as well."""
     *tastes, soc = _evaluations(prof, f, g)
-    certs: dict = {}
+    certs = {} if certify else None
     premise = _unanimous_weak(prof, tastes)
     conclusion = _society_conclusion_weak(prof, soc, certs)
-    return AxiomVerdict("pareto", premise, conclusion, certs)
+    return AxiomVerdict("pareto", premise, conclusion, certs or {})
 
 
-def pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
+def pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """If no agent weakly prefers f to g, society must not either."""
     *tastes, soc = _evaluations(prof, f, g)
-    certs: dict = {}
+    certs = {} if certify else None
     premise = _star_premise(prof, tastes, certs)
     conclusion = _society_conclusion_not_weak(prof, soc, certs)
-    return AxiomVerdict("pareto-star", premise, conclusion, certs)
+    return AxiomVerdict("pareto-star", premise, conclusion, certs or {})
 
 
-def ct_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
+def ct_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """Unanimous weak preference binds society only without taste disagreement."""
     *tastes, soc = _evaluations(prof, f, g)
-    certs: dict = {}
+    certs = {} if certify else None
     taste_ok = _tastes_agree(tastes)
-    certs["taste_agreement"] = taste_ok
+    if certify:
+        certs["taste_agreement"] = taste_ok
     premise = taste_ok and _unanimous_weak(prof, tastes)
     conclusion = _society_conclusion_weak(prof, soc, certs)
-    return AxiomVerdict("ct-pareto", premise, conclusion, certs)
+    return AxiomVerdict("ct-pareto", premise, conclusion, certs or {})
 
 
-def ct_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
+def ct_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """Unanimous withheld judgment binds society only without taste disagreement."""
     *tastes, soc = _evaluations(prof, f, g)
-    certs: dict = {}
+    certs = {} if certify else None
     taste_ok = _tastes_agree(tastes)
-    certs["taste_agreement"] = taste_ok
+    if certify:
+        certs["taste_agreement"] = taste_ok
     premise = _star_premise(prof, tastes, certs) if taste_ok else False
-    if not taste_ok:
+    if certify and not taste_ok:
         certs["agents"] = {}
     conclusion = _society_conclusion_not_weak(prof, soc, certs)
-    return AxiomVerdict("ct-pareto-star", premise, conclusion, certs)
+    return AxiomVerdict("ct-pareto-star", premise, conclusion, certs or {})
 
 
-def exchange_pareto_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
+def exchange_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """Weak dominance must survive evaluating every taste under every belief set."""
     *tastes, soc = _evaluations(prof, f, g)
-    certs: dict = {}
+    certs = {} if certify else None
     premise = all(
         _strict_prior(holder.beliefs.cleared, t) is None for holder in prof.agents for t in tastes
     )
     conclusion = _society_conclusion_weak(prof, soc, certs)
-    return AxiomVerdict("exchange-pareto", premise, conclusion, certs)
+    return AxiomVerdict("exchange-pareto", premise, conclusion, certs or {})
 
 
 def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
     """A prior in the holder's belief set that strictly favors g for every taste.
 
-    `tastes` are the agents' `_on_pair` values on f and g.  Margin LP over the
+    `tastes` are the agents' `_on_acts` values on f and g.  Margin LP over the
     hull weights mu: maximize t subject to sum_k mu_k * (EU_k(g) - EU_k(f)) >= t
     for every taste and sum_k mu_k = 1, EU_k under the holder's k-th belief
     vertex; `max_margin` gets the integer gaps of `_vertex_gaps` over the
@@ -194,25 +209,22 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
     return prior, margin
 
 
-def exchange_pareto_star_check(prof: Profile, f: Act, g: Act) -> AxiomVerdict:
+def exchange_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """Society must withhold judgment when a belief exchange makes everyone do so.
 
     Premise: from every agent's belief set one can pick a prior under which
     every agent's utility strictly favors g over f.
     """
     *tastes, soc = _evaluations(prof, f, g)
-    certs: dict = {}
-    exchange_certs = {}
-    premise = True
-    for j, holder in enumerate(prof.agents):
-        found = _exchange_star_prior(holder, tastes)
-        if found is None:
-            premise = False
-        else:
-            exchange_certs[j] = {"prior": found[0], "margin": found[1]}
-    certs["exchange"] = exchange_certs
+    certs = {} if certify else None
+    found = [_exchange_star_prior(holder, tastes) for holder in prof.agents]
+    if certify:
+        certs["exchange"] = {
+            j: {"prior": w[0], "margin": w[1]} for j, w in enumerate(found) if w is not None
+        }
+    premise = None not in found
     conclusion = _society_conclusion_not_weak(prof, soc, certs)
-    return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs)
+    return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs or {})
 
 
 AXIOM_CHECKS = {

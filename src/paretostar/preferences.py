@@ -9,10 +9,14 @@ checking the belief vertices is exact and sufficient.
 Act evaluation runs on integers.  Gradients, act rows and belief vertices
 are cleared to integers over one denominator on first use (`.cleared`,
 cached outside the dataclass fields, so equality, hashing and documents
-never see it).  A taste on two acts is plain `int` dot products (the utility
-constant cancels from every gap), each belief vertex's weighted sum of the
-gaps is one integer numerator whose sign decides dominance, and a `Fraction`
-is built only for a margin that is returned.  `utility_profile` and
+never see it).  `_on_acts` evaluates every taste of a check on an act pair
+in one call, with one shape check and one lcm of the acts' denominators: a
+taste is plain `int` dot products (the utility constant cancels from every
+gap), and `_on_pair` is its one-taste case.  Each belief vertex's weighted
+sum of the gaps is one integer numerator whose sign decides dominance;
+`_strict_prior` returns the integer witness (v, n, d), and a `Fraction` is
+built from it only where a certificate records it or
+`strict_prior_against` returns it.  `utility_profile` and
 `expected_utility` still evaluate in `Fraction`s.  The fuzz samplers build
 their acts with `_cleared_act`, whose rows arrive already cleared over a
 denominator shared by a whole table of draws.
@@ -100,7 +104,7 @@ def _cleared_act(rows: tuple[Vec, ...], ints: tuple[tuple[int, ...], ...], den: 
     """An `Act` on `rows` whose `cleared` cache already holds `(ints, den)`.
 
     `rows[s][j] == ints[s][j] / den` must hold; `den` need not be the least
-    common denominator (`_on_pair` rescales both acts to `lcm(den_f, den_g)`
+    common denominator (`_on_acts` rescales both acts to `lcm(den_f, den_g)`
     and every margin leaves as a reduced `Fraction`), so a sampler can clear
     a whole table of rows over one denominator once.  The value sits in the
     instance `__dict__`, where `functools.cached_property` keeps it, so
@@ -180,21 +184,35 @@ def utility_profile(u: AffineUtility, f: Act) -> Vec:
     return tuple(dot(u.coeffs, row) + u.constant for row in f.rows)
 
 
-def _on_pair(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
-    """u's gradient on every row of f, then of g, over one denominator: the one
-    evaluation of a taste."""
+def _on_acts(utilities, f: Act, g: Act) -> list[tuple[list[int], int]]:
+    """Each utility's gradient on every row of f, then of g, over one
+    denominator per taste: the one evaluation of tastes on an act pair.
+
+    One shape check and one lcm of the acts' denominators serve every taste;
+    the rows are rescaled to that lcm once per pair, and not at all when the
+    acts share a denominator (every sampled act does).
+    """
     if f.states != g.states:
         raise DimensionMismatchError(f"acts have {f.states} and {g.states} states")
-    if f.outcome_dim != u.dim or g.outcome_dim != u.dim:
+    dim = f.outcome_dim
+    if g.outcome_dim != dim or any(u.dim != dim for u in utilities):
         raise DimensionMismatchError("acts live in a different outcome space")
-    coeffs, den_u = u.cleared
     rows_f, den_f = f.cleared
     rows_g, den_g = g.cleared
-    den = lcm(den_f, den_g)
-    sf, sg = den // den_f, den // den_g
-    nums = [sum(map(mul, coeffs, r)) * sf for r in rows_f]
-    nums += [sum(map(mul, coeffs, r)) * sg for r in rows_g]
-    return nums, den_u * den
+    if den_f == den_g:
+        den, rows = den_f, rows_f + rows_g
+    else:
+        den = lcm(den_f, den_g)
+        sf, sg = den // den_f, den // den_g
+        rows = [tuple([x * sf for x in r]) for r in rows_f]
+        rows += [tuple([x * sg for x in r]) for r in rows_g]
+    return [([sum(map(mul, coeffs, r)) for r in rows], den_u * den)
+            for coeffs, den_u in [u.cleared for u in utilities]]
+
+
+def _on_pair(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
+    """One taste's `_on_acts` values."""
+    return _on_acts((u,), f, g)[0]
 
 
 def _vertex_gaps(vertices, values: tuple[list[int], int]):
@@ -211,11 +229,16 @@ def _vertex_gaps(vertices, values: tuple[list[int], int]):
         yield v, sum(map(mul, ints, gaps)), d * den
 
 
-def _strict_prior(vertices, values) -> tuple[Vec, Fraction] | None:
-    """The first vertex under which g strictly beats f, with its margin."""
+def _strict_prior(vertices, values) -> tuple[Vec, int, int] | None:
+    """The first vertex v under which g strictly beats f, as the integer
+    witness (v, n, d): EU_v(g) - EU_v(f) = n / d with n, d > 0.
+
+    No `Fraction` is built here; a certificate builds its margin from the
+    witness only where one is recorded.
+    """
     for v, n, d in _vertex_gaps(vertices, values):
         if n < 0:
-            return v, Fraction(-n, d)
+            return v, -n, d
     return None
 
 
@@ -242,7 +265,11 @@ def strict_prior_against(a: Agent, f: Act, g: Act) -> tuple[Vec, Fraction] | Non
     Existence is exactly the failure of ``bewley_geq(a, f, g)``; the first
     such vertex in canonical order is returned.
     """
-    return _strict_prior(a.beliefs.cleared, _on_pair(a.utility, f, g))
+    witness = _strict_prior(a.beliefs.cleared, _on_pair(a.utility, f, g))
+    if witness is None:
+        return None
+    v, n, d = witness
+    return v, Fraction(n, d)
 
 
 def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
@@ -254,7 +281,7 @@ def bewley_incomparable(a: Agent, f: Act, g: Act) -> bool:
 # ---------------------------------------------------------------------------
 
 def _tastes_agree(evaluations) -> bool:
-    """Taste agreement from each taste's `_on_pair` values on the rows of f, then g."""
+    """Taste agreement from each taste's `_on_acts` values on the rows of f, then g."""
     restricted = [[x - nums[0] for x in nums[1:]] for nums, _ in evaluations]
     nonzero = [r for r in restricted if any(r)]
     if not nonzero:
@@ -279,7 +306,7 @@ def no_taste_disagreement(prof: Profile, f: Act, g: Act) -> bool:
     compared through its values on the differences p - p_0 of the acts' rows,
     cleared to integers: by sign, and by integer cross-products.
     """
-    return _tastes_agree([_on_pair(a.utility, f, g) for a in prof.agents])
+    return _tastes_agree(_on_acts([a.utility for a in prof.agents], f, g))
 
 
 @functools.lru_cache(maxsize=256)

@@ -39,16 +39,26 @@ the same state.  The table routes
 also hand each act over with its `cleared` cache filled over a table-wide
 denominator and with its digest text; neither has an oracle here, so they
 are checked against a fresh `Act` on the same rows and `harness._fmt_act`.
+
+`fuzz_axiom` is the fuzz loop as it called the package's full checker on
+every trial and kept each violation's verdict as it came back, before a
+trial asked the checker for its two bits alone and re-ran it in full only
+on a violation.  It draws its acts through `fuzz_pairs`, with `segment_act`
+and `_sample_general` above, and formats them with `harness._fmt_act`, so
+it shares no sampler table and no certificate-free route with the package;
+`harness.fuzz_axiom` must return an equal report.
 """
 
+import hashlib
 from fractions import Fraction
 
 from lp_oracle import rref
+from paretostar import axioms
 from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
 from paretostar.geometry import Vec, is_zero, max_margin, vec_parts, vsub
-from paretostar.harness import SplitMix64
-from paretostar.preferences import Act, Profile
+from paretostar.harness import FUZZ_BOX, FUZZ_DENOM_BOUND, FuzzReport, SplitMix64, _fmt_act
+from paretostar.preferences import Act, Profile, check_c_minimal_agreement
 
 _ZERO = Fraction(0)
 
@@ -307,3 +317,38 @@ AXIOM_CHECKS = {
     "exchange-pareto": exchange_pareto_check,
     "exchange-pareto-star": exchange_pareto_star_check,
 }
+
+
+def fuzz_pairs(prof, sampler, trials, seed, planted=()):
+    """The trial stream of a fuzz run: the planted pairs, then sampled pairs."""
+    rng = SplitMix64(seed)
+    pair = check_c_minimal_agreement(prof) if sampler == "common-taste" else None
+    for idx in range(trials):
+        if idx < len(planted):
+            yield planted[idx]
+        elif pair is None:
+            yield (_sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND),
+                   _sample_general(rng, prof, FUZZ_BOX, FUZZ_DENOM_BOUND))
+        else:
+            yield (segment_act(rng, prof, pair, FUZZ_DENOM_BOUND),
+                   segment_act(rng, prof, pair, FUZZ_DENOM_BOUND))
+
+
+def fuzz_axiom(prof, axiom, trials, sampler="general", seed=0, planted=()) -> FuzzReport:
+    """The full checker on every trial; a violation keeps the verdict it returned."""
+    check = axioms.AXIOM_CHECKS[axiom]
+    sha = hashlib.sha256()
+    premise_hits = 0
+    violations = []
+    for idx, (f, g) in enumerate(fuzz_pairs(prof, sampler, trials, seed, planted)):
+        verdict = check(prof, f, g)
+        if verdict.premise_holds:
+            premise_hits += 1
+        if verdict.violation:
+            violations.append((f, g, verdict))
+        sha.update(
+            f"{idx}|{_fmt_act(f)}|{_fmt_act(g)}|{int(verdict.premise_holds)}{int(verdict.conclusion_holds)}\n".encode()
+        )
+    return FuzzReport(
+        axiom, sampler, trials, premise_hits, tuple(violations), sha.hexdigest()
+    )

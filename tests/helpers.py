@@ -10,6 +10,7 @@ from paretostar import (
     SplitMix64,
     act,
     constant_act,
+    expected_utility,
     profile,
     utility,
 )
@@ -89,3 +90,33 @@ def cleared_lp(rows, rhs, objective):
         return [int(Fraction(x) * scale) for x in v]
 
     return [ints(r) for r in rows], ints(rhs), ints(objective), scale
+
+
+def revalidate_certs(prof, f, g, verdict):
+    """Every strict claim in the certificates must re-prove by evaluation."""
+    for i, cert in verdict.certificates.get("agents", {}).items():
+        agent = prof.agents[i]
+        diff = expected_utility(agent.utility, cert["prior"], g) - expected_utility(
+            agent.utility, cert["prior"], f
+        )
+        assert diff == cert["margin"] > 0
+    for j, cert in verdict.certificates.get("exchange", {}).items():
+        for agent in prof.agents:
+            diff = expected_utility(agent.utility, cert["prior"], g) - expected_utility(
+                agent.utility, cert["prior"], f
+            )
+            assert diff >= cert["margin"] > 0
+    soc = prof.society
+    if "society_strict" in verdict.certificates:
+        cert = verdict.certificates["society_strict"]
+        diff = expected_utility(soc.utility, cert["prior"], g) - expected_utility(
+            soc.utility, cert["prior"], f
+        )
+        assert diff == cert["margin"] > 0
+    if "society_weak_margin" in verdict.certificates:
+        margin = verdict.certificates["society_weak_margin"]
+        assert margin >= 0
+        assert margin == min(
+            expected_utility(soc.utility, w, f) - expected_utility(soc.utility, w, g)
+            for w in soc.beliefs.vertices
+        )

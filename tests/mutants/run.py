@@ -73,6 +73,18 @@ MUTANTS = [
      "if len(support) == 1 and not first.is_singleton():",
      "if not first.is_singleton():",
      ["tests/test_characterizations.py"]),
+    ("evaluations-g-rows-scaled-by-f-factor", "preferences.py",
+     "rows += [tuple([x * sg for x in r]) for r in rows_g]",
+     "rows += [tuple([x * sf for x in r]) for r in rows_g]",
+     ["tests/test_fuzz_trial.py"]),
+    ("fuzz-keeps-certificate-free-violation", "harness.py",
+     "violations.append((f, g, check(prof, f, g)))",
+     "violations.append((f, g, verdict))",
+     ["tests/test_fuzz_trial.py"]),
+    ("draw-without-level-offset", "harness.py",
+     "levels[1 + rng.next_u64() % (len(levels) - 1)]",
+     "levels[rng.next_u64() % (len(levels) - 1)]",
+     ["tests/test_fuzz_trial.py"]),
     ("expected-utility-without-state-check", "preferences.py",
      '    if len(p) != f.states:\n'
      '        raise DimensionMismatchError("prior length differs from act\'s state count")\n',
