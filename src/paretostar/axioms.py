@@ -10,10 +10,11 @@ comes back with the prior and its positive margin as a certificate.
 Each checker is the one implementation of its premise and conclusion.
 `harness.fuzz_axiom` calls it with ``certify=False`` on every trial, where
 only the two bits are read: the checker then records no certificate, so no
-certificate dict, no margin `Fraction` and no least margin is built (an
-exchange-pareto-star premise is still its margin LP's answer), and the
-verdict's certificates are empty.  On a violation the fuzzer calls the
-checker again in full.
+certificate dict, no margin `Fraction`, no least margin and no exchange
+prior is built (an exchange-pareto-star premise is still its margin LPs'
+answer), a starred premise stops at the first agent or holder that decides
+it, and the verdict's certificates are empty.  On a violation the fuzzer
+calls the checker again in full.
 """
 
 from __future__ import annotations
@@ -110,10 +111,14 @@ def _society_conclusion_not_weak(prof: Profile, values, certs: dict | None) -> b
 
 
 def _star_premise(prof: Profile, tastes, certs: dict | None) -> bool:
-    """Every agent declines to rank f weakly above g, each with a certificate."""
+    """Every agent declines to rank f weakly above g, each with a certificate.
+
+    Without certificates the first agent with no strict prior decides it."""
+    if certs is None:
+        return all(_strict_prior(a.beliefs.cleared, t) is not None
+                   for a, t in zip(prof.agents, tastes))
     witnesses = [_strict_prior(a.beliefs.cleared, t) for a, t in zip(prof.agents, tastes)]
-    if certs is not None:
-        certs["agents"] = {i: _certificate(w) for i, w in enumerate(witnesses) if w is not None}
+    certs["agents"] = {i: _certificate(w) for i, w in enumerate(witnesses) if w is not None}
     return None not in witnesses
 
 
@@ -172,7 +177,7 @@ def exchange_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True
     return AxiomVerdict("exchange-pareto", premise, conclusion, certs or {})
 
 
-def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
+def _exchange_star_prior(holder: Agent, tastes, certify: bool = True) -> tuple[Vec, Fraction] | bool | None:
     """A prior in the holder's belief set that strictly favors g for every taste.
 
     `tastes` are the agents' `_on_acts` values on f and g.  Margin LP over the
@@ -182,7 +187,8 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
     lcm of their denominators.  A holder with one vertex has mu = (1,) as
     its only weight, so no LP is solved: every taste needs a strict prior at
     that vertex, and the least of their margins, the first on a tie, is the
-    answer's.
+    answer's.  Without `certify` a found prior comes back as True, and
+    neither it nor its margin is built.
     """
     vertices = holder.beliefs.cleared
     nv = len(vertices)
@@ -194,12 +200,14 @@ def _exchange_star_prior(holder: Agent, tastes) -> tuple[Vec, Fraction] | None:
                 return None
             if least is None or -n * least[1] < least[0] * d:
                 least = -n, d
-        return v, Fraction(*least)
-    gaps = [list(_vertex_gaps(vertices, t)) for t in tastes]
+        return (v, Fraction(*least)) if certify else True
+    gaps = [_vertex_gaps(vertices, t) for t in tastes]
     den = lcm(*(d for row in gaps for _, _, d in row))
     found = max_margin([[-n * (den // d) for _, n, d in row] for row in gaps], den)
     if found is None:
         return None
+    if not certify:
+        return True
     mu, margin = found
     verts = holder.beliefs.vertices
     prior = tuple(
@@ -213,16 +221,19 @@ def exchange_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool =
     """Society must withhold judgment when a belief exchange makes everyone do so.
 
     Premise: from every agent's belief set one can pick a prior under which
-    every agent's utility strictly favors g over f.
+    every agent's utility strictly favors g over f.  Without certificates the
+    first holder with no such prior decides it.
     """
     *tastes, soc = _evaluations(prof, f, g)
     certs = {} if certify else None
-    found = [_exchange_star_prior(holder, tastes) for holder in prof.agents]
     if certify:
+        found = [_exchange_star_prior(holder, tastes) for holder in prof.agents]
         certs["exchange"] = {
             j: {"prior": w[0], "margin": w[1]} for j, w in enumerate(found) if w is not None
         }
-    premise = None not in found
+        premise = None not in found
+    else:
+        premise = all(_exchange_star_prior(holder, tastes, False) for holder in prof.agents)
     conclusion = _society_conclusion_not_weak(prof, soc, certs)
     return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs or {})
 

@@ -274,7 +274,9 @@ def _pivot(tab, dens, d, row, col):
     negative, then every row with a nonzero entry f in `col` becomes
     (p*a - f*r) // dens[i], an exact division equal to the row an eager
     update over one common denominator would hold.  Rows with f = 0 keep
-    their values and are not rewritten.  The pivot becomes the denominator
+    their values and are not rewritten; in a rewritten row, a cell whose
+    pivot-row entry is 0 becomes p*a // dens[i], the same integer without
+    the product f*0 (and 0 when a is 0).  The pivot becomes the denominator
     of every row it rewrote.  The rows are walked by index; the pivot row is
     told apart by identity, as it was just stored.
     """
@@ -289,7 +291,8 @@ def _pivot(tab, dens, d, row, col):
         r = tab[i]
         f = r[col]
         if f and r is not pr:
-            tab[i] = [(p * a - f * b) // dens[i] for a, b in zip(r, pr)]
+            q = dens[i]
+            tab[i] = [(p * a - f * b) // q if b else a and p * a // q for a, b in zip(r, pr)]
             dens[i] = p
     return p
 

@@ -12,7 +12,7 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .axioms import AXIOM_CHECKS, AxiomVerdict
 from .characterizations import CONDITION_CHECKS, aggregate_society
@@ -186,15 +186,20 @@ def _entry_table(box: int, denom_bound: int):
 
     `(levels, den)` with `levels[d][k + box*d] = (x, x * den, str(x))` for
     `x = Fraction(k, d)`, 1 <= d <= denom_bound, |k| <= box*d, and
-    `den = lcm(1..denom_bound)`.
+    `den = lcm(1..denom_bound)`.  Each distinct x is built once, at its
+    reduced denominator's level, and shared by every level that reaches it.
     """
     den = lcm(*range(1, denom_bound + 1))
     levels = [()]
     for d in range(1, denom_bound + 1):
         level = []
         for k in range(-box * d, box * d + 1):
-            x = Fraction(k, d)
-            level.append((x, k * (den // d), str(x)))
+            g = gcd(k, d)
+            if g > 1:
+                level.append(levels[d // g][(k + box * d) // g])
+            else:
+                x = Fraction(k, d)
+                level.append((x, k * (den // d), str(x)))
         levels.append(level)
     return levels, den
 
@@ -219,16 +224,26 @@ def _segment_rows(pair, denom_bound: int):
     `(levels, den)` with `levels[d][k] = (row, ints, text)` for
     `row = segment_point(k/d, *pair)`, 1 <= d <= denom_bound, 0 <= k <= d:
     `ints` is the row over `den`, the least common denominator of the whole
-    table, and `text` is `",".join(map(str, row))`.
+    table, and `text` is `",".join(map(str, row))`.  Each distinct position
+    k/d is built once, at its reduced denominator's level, and shared by
+    every level that reaches it.
     """
-    rows = [[segment_point(Fraction(k, d), *pair) for k in range(d + 1)]
-            for d in range(1, denom_bound + 1)]
-    den = lcm(*[x.denominator for level in rows for row in level for x in row])
-    return [()] + [
-        [(row, tuple([x.numerator * (den // x.denominator) for x in row]),
-          ",".join(map(str, row))) for row in level]
-        for level in rows
-    ], den
+    at = [()]  # at[d][k]: the row's index in `rows`
+    rows = []
+    for d in range(1, denom_bound + 1):
+        level = []
+        for k in range(d + 1):
+            g = gcd(k, d)
+            if g > 1:
+                level.append(at[d // g][k // g])
+            else:
+                level.append(len(rows))
+                rows.append(segment_point(Fraction(k, d), *pair))
+        at.append(level)
+    den = lcm(*[x.denominator for row in rows for x in row])
+    entries = [(row, tuple([x.numerator * (den // x.denominator) for x in row]),
+                ",".join(map(str, row))) for row in rows]
+    return [()] + [[entries[i] for i in level] for level in at[1:]], den
 
 
 def _table_act(rng: SplitMix64, states: int, table) -> tuple[Act, str]:

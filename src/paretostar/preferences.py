@@ -215,18 +215,24 @@ def _on_pair(u: AffineUtility, f: Act, g: Act) -> tuple[list[int], int]:
     return _on_acts((u,), f, g)[0]
 
 
-def _vertex_gaps(vertices, values: tuple[list[int], int]):
-    """(v, n, d) per `Polytope.cleared` vertex, EU_v(f) - EU_v(g) = n / d, d > 0.
+def _state_gaps(vertices, values: tuple[list[int], int]) -> tuple[list[int], int]:
+    """The per-state gaps coeffs·(f(s) - g(s)) of one taste's `_on_acts`
+    values, over their denominator; the utility constant cancels.
 
-    The per-state gap is coeffs·(f(s) - g(s)); the utility constant cancels.
+    `vertices` are `Polytope.cleared` vertices, all of one length, which must
+    be the acts' state count.
     """
     nums, den = values
     m = len(nums) // 2
-    gaps = [a - b for a, b in zip(nums[:m], nums[m:])]
-    for v, ints, d in vertices:
-        if len(ints) != m:
-            raise DimensionMismatchError(f"prior has {len(ints)} entries for {m} states")
-        yield v, sum(map(mul, ints, gaps)), d * den
+    if vertices and len(vertices[0][1]) != m:
+        raise DimensionMismatchError(f"prior has {len(vertices[0][1])} entries for {m} states")
+    return [a - b for a, b in zip(nums[:m], nums[m:])], den
+
+
+def _vertex_gaps(vertices, values: tuple[list[int], int]) -> list[tuple[Vec, int, int]]:
+    """(v, n, d) per `Polytope.cleared` vertex, EU_v(f) - EU_v(g) = n / d, d > 0."""
+    gaps, den = _state_gaps(vertices, values)
+    return [(v, sum(map(mul, ints, gaps)), d * den) for v, ints, d in vertices]
 
 
 def _strict_prior(vertices, values) -> tuple[Vec, int, int] | None:
@@ -234,11 +240,14 @@ def _strict_prior(vertices, values) -> tuple[Vec, int, int] | None:
     witness (v, n, d): EU_v(g) - EU_v(f) = n / d with n, d > 0.
 
     No `Fraction` is built here; a certificate builds its margin from the
-    witness only where one is recorded.
+    witness only where one is recorded.  It stops at that vertex, so the
+    later vertices' gaps, which `_vertex_gaps` would build, are not summed.
     """
-    for v, n, d in _vertex_gaps(vertices, values):
+    gaps, den = _state_gaps(vertices, values)
+    for v, ints, d in vertices:
+        n = sum(map(mul, ints, gaps))
         if n < 0:
-            return v, -n, d
+            return v, -n, d * den
     return None
 
 

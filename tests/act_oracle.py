@@ -40,6 +40,12 @@ also hand each act over with its `cleared` cache filled over a table-wide
 denominator and with its digest text; neither has an oracle here, so they
 are checked against a fresh `Act` on the same rows and `harness._fmt_act`.
 
+`segment_rows` and `entry_table` are the sampler tables as they were
+before each distinct position was built once and shared across levels:
+every (k, d) got its own entry.  They are kept verbatim (renamed without
+the leading underscore), with `segment_point` bound to the package's, so
+the tables must be equal.
+
 `fuzz_axiom` is the fuzz loop as it called the package's full checker on
 every trial and kept each violation's verdict as it came back, before a
 trial asked the checker for its two bits alone and re-ran it in full only
@@ -51,9 +57,10 @@ it shares no sampler table and no certificate-free route with the package;
 
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 from lp_oracle import rref
-from paretostar import axioms
+from paretostar import axioms, geometry
 from paretostar.axioms import AxiomVerdict, _society
 from paretostar.errors import DimensionMismatchError
 from paretostar.geometry import Vec, is_zero, max_margin, vec_parts, vsub
@@ -317,6 +324,42 @@ AXIOM_CHECKS = {
     "exchange-pareto": exchange_pareto_check,
     "exchange-pareto-star": exchange_pareto_star_check,
 }
+
+
+def entry_table(box: int, denom_bound: int):
+    """Every entry the general sampler can draw, built once per fuzz run.
+
+    `(levels, den)` with `levels[d][k + box*d] = (x, x * den, str(x))` for
+    `x = Fraction(k, d)`, 1 <= d <= denom_bound, |k| <= box*d, and
+    `den = lcm(1..denom_bound)`.
+    """
+    den = lcm(*range(1, denom_bound + 1))
+    levels = [()]
+    for d in range(1, denom_bound + 1):
+        level = []
+        for k in range(-box * d, box * d + 1):
+            x = Fraction(k, d)
+            level.append((x, k * (den // d), str(x)))
+        levels.append(level)
+    return levels, den
+
+
+def segment_rows(pair, denom_bound: int):
+    """Every row the common-taste sampler can draw, built once per fuzz run.
+
+    `(levels, den)` with `levels[d][k] = (row, ints, text)` for
+    `row = segment_point(k/d, *pair)`, 1 <= d <= denom_bound, 0 <= k <= d:
+    `ints` is the row over `den`, the least common denominator of the whole
+    table, and `text` is `",".join(map(str, row))`.
+    """
+    rows = [[geometry.segment_point(Fraction(k, d), *pair) for k in range(d + 1)]
+            for d in range(1, denom_bound + 1)]
+    den = lcm(*[x.denominator for level in rows for row in level for x in row])
+    return [()] + [
+        [(row, tuple([x.numerator * (den // x.denominator) for x in row]),
+          ",".join(map(str, row))) for row in level]
+        for level in rows
+    ], den
 
 
 def fuzz_pairs(prof, sampler, trials, seed, planted=()):

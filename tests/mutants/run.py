@@ -85,6 +85,18 @@ MUTANTS = [
      "levels[1 + rng.next_u64() % (len(levels) - 1)]",
      "levels[rng.next_u64() % (len(levels) - 1)]",
      ["tests/test_fuzz_trial.py"]),
+    ("distinct-rows-denominator-from-first-level", "harness.py",
+     "den = lcm(*[x.denominator for row in rows for x in row])",
+     "den = lcm(*[x.denominator for row in rows[:2] for x in row])",
+     ["tests/test_act_kernel.py"]),
+    ("star-premise-short-circuit-with-any", "axioms.py",
+     "        return all(_strict_prior(a.beliefs.cleared, t) is not None\n",
+     "        return any(_strict_prior(a.beliefs.cleared, t) is not None\n",
+     ["tests/test_fuzz_trial.py"]),
+    ("pivot-zero-cell-without-division", "geometry.py",
+     "if b else a and p * a // q",
+     "if b else a and p * a",
+     ["tests/test_lp_kernel.py"]),
     ("expected-utility-without-state-check", "preferences.py",
      '    if len(p) != f.states:\n'
      '        raise DimensionMismatchError("prior length differs from act\'s state count")\n',

@@ -501,3 +501,45 @@ def test_table_acts_carry_their_cleared_rows_and_text():
     levels, den = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)
     assert sum(map(len, levels)) == 216 and den == 60
     assert entries > 10000
+
+
+def _segment_pairs():
+    """(x_star, x_low) over 1-4 coordinates: x_low has a nonzero entry,
+    negative entries occur, and the two points' denominators are coprime."""
+    rng = random.Random(28)
+    for i in range(60):
+        dim = 1 + i % 4
+        star_den, low_den = ((1, 7), (2, 3), (5, 11), (9, 4), (13, 6))[i % 5]
+        star = tuple(F(rng.randint(-12, 12), star_den) for _ in range(dim))
+        low = tuple(F(rng.randint(-12, 12), low_den) for _ in range(dim))
+        if not any(low):
+            low = (F(-5, low_den), *low[1:])
+        yield star, low
+
+
+def test_distinct_position_tables_match_per_position_oracle():
+    """Each table equals the one built entry by entry for every (k, d), and
+    each reduced position is built once and shared by the levels above it."""
+    compared = negative = 0
+    for pair in _segment_pairs():
+        negative += any(x < 0 for point in pair for x in point)
+        for bound in range(1, 9):
+            levels, den = _segment_rows(pair, bound)
+            assert (levels, den) == act_oracle.segment_rows(pair, bound)
+            compared += 1
+            positions = {}
+            for d, level in enumerate(levels[1:], 1):
+                for k, entry in enumerate(level):
+                    assert positions.setdefault(F(k, d), entry) is entry
+            assert len({id(e) for level in levels[1:] for e in level}) == len(positions)
+    assert compared == 480 and negative > 40
+    for box in range(1, 6):
+        for bound in range(1, 9):
+            assert _entry_table(box, bound) == act_oracle.entry_table(box, bound)
+    # 13 of 27 rows and 121 of 216 entries at the fuzz bounds.
+    def distinct(levels):
+        entries = [e for level in levels[1:] for e in level]
+        return len({id(e) for e in entries}), len(entries)
+
+    assert distinct(_segment_rows(next(_segment_pairs()), FUZZ_DENOM_BOUND)[0]) == (13, 27)
+    assert distinct(_entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)[0]) == (121, 216)

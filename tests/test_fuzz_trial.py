@@ -21,8 +21,6 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 import act_oracle
 from paretostar import Act, Agent, AffineUtility, Polytope, Profile, act, axioms, preferences
 from paretostar.axioms import AXIOM_CHECKS
@@ -125,8 +123,10 @@ def test_reports_match_reference_loop():
 
 
 def test_certificate_free_trial_builds_no_fraction(monkeypatch):
-    """Five checkers decide their bits on integers alone; exchange-pareto-star's
-    premise is a margin LP's answer, which comes back in `Fraction`s."""
+    """Every checker decides its bits without building a `Fraction` in
+    `axioms` or `preferences`: exchange-pareto-star's margin LPs build theirs
+    in `geometry`, and without certificates neither a one-vertex holder's
+    margin nor a multi-vertex holder's hull-weighted prior is built."""
     cases = [(prof, f, g) for seed, prof in _profiles(36)
              for sampler in SAMPLERS if sampler == "general" or check_c_minimal_agreement(prof)
              for f, g in act_oracle.fuzz_pairs(prof, sampler, 6, seed, _planted(prof, seed))]
@@ -134,15 +134,33 @@ def test_certificate_free_trial_builds_no_fraction(monkeypatch):
     def refused(*args):
         raise AssertionError("a Fraction was built")
 
+    class NoPrior:
+        """`axioms._ZERO`, the start of the hull-weighted prior's sums."""
+
+        def __add__(self, other):
+            raise AssertionError("a Fraction was built for an exchange prior")
+
+        __radd__ = __add__
+
     monkeypatch.setattr(axioms, "Fraction", refused)
     monkeypatch.setattr(preferences, "Fraction", refused)
+    monkeypatch.setattr(axioms, "_ZERO", NoPrior())
     for prof, f, g in cases:
-        for axiom, check in AXIOM_CHECKS.items():
-            if axiom != "exchange-pareto-star":
-                check(prof, f, g, certify=False)
-    with pytest.raises(AssertionError, match="Fraction"):
-        for prof, f, g in cases:
-            AXIOM_CHECKS["pareto-star"](prof, f, g)
+        for check in AXIOM_CHECKS.values():
+            check(prof, f, g, certify=False)
+    # The full checks do build them, on these cases.
+    built = set()
+    for prof, f, g in cases:
+        for axiom in ("pareto-star", "exchange-pareto-star"):
+            try:
+                AXIOM_CHECKS[axiom](prof, f, g)
+            except AssertionError as exc:
+                built.add((axiom, str(exc)))
+    assert built == {
+        ("pareto-star", "a Fraction was built"),
+        ("exchange-pareto-star", "a Fraction was built"),
+        ("exchange-pareto-star", "a Fraction was built for an exchange prior"),
+    }
 
 
 # ---------------------------------------------------------------------------
