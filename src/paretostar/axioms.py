@@ -7,14 +7,19 @@ linear in the prior); existential strict conditions are decided by
 margin-maximization LPs, so every "there is a prior such that ..." claim
 comes back with the prior and its positive margin as a certificate.
 
-Each checker is the one implementation of its premise and conclusion.
-`harness.fuzz_axiom` calls it with ``certify=False`` on every trial, where
-only the two bits are read: the checker then records no certificate, so no
-certificate dict, no margin `Fraction`, no least margin and no exchange
-prior is built (an exchange-pareto-star premise is still its margin LPs'
-answer), a starred premise stops at the first agent or holder that decides
-it, and the verdict's certificates are empty.  On a violation the fuzzer
-calls the checker again in full.
+Each checker is `_evaluations(prof, f, g)`, every agent's taste and then
+the society's on the acts in one `_on_acts` call, followed by its verdict
+function (`_VERDICTS`), which reads those values alone and is the one
+implementation of the axiom's premise and conclusion.  `harness.fuzz_axiom`
+reads a drawn trial's values off per-run taste tables and calls the
+verdict function with ``certify=False`` directly, where only the two bits
+are read: it then records no certificate, so no certificate dict, no
+margin `Fraction`, no least margin and no exchange prior is built (an
+exchange-pareto-star premise is decided by phase 1 of one feasibility LP
+per multi-vertex holder, in place of its margin LP), a starred premise
+stops at the first agent or holder that decides it, and the certificates
+come back empty.  On a violation the fuzzer calls the public checker again
+in full.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import lcm
 
 # lp_solve is not called here; it stays bound because perfbench/tracing.py
 # wraps it in every module that binds it, and its smoke test checks this one.
-from .geometry import Vec, lp_solve, max_margin  # noqa: F401
+from .geometry import Vec, lp_solve, max_margin, positive_margin  # noqa: F401
 from .preferences import (
     Act,
     Agent,
@@ -68,11 +73,16 @@ class AxiomVerdict:
         return self.premise_holds and not self.conclusion_holds
 
 
+def _utilities(prof: Profile) -> list:
+    """Every agent's utility, then the society's: the order of the values
+    that `_evaluations` returns and every verdict function reads."""
+    return [a.utility for a in (*prof.agents, _society(prof))]
+
+
 def _evaluations(prof: Profile, f: Act, g: Act) -> list[tuple[list[int], int]]:
-    """Every agent's taste, then the society's, on the rows of f and g, in one
-    `_on_acts` call per check; every premise and conclusion below reads these
-    values."""
-    return _on_acts([a.utility for a in (*prof.agents, _society(prof))], f, g)
+    """Every taste of `_utilities` on the rows of f and g, in one `_on_acts`
+    call per check; every premise and conclusion below reads these values."""
+    return _on_acts(_utilities(prof), f, g)
 
 
 def _certificate(witness) -> dict:
@@ -122,39 +132,55 @@ def _star_premise(prof: Profile, tastes, certs: dict | None) -> bool:
     return None not in witnesses
 
 
-def pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
-    """If every agent weakly prefers f to g, society must as well."""
-    *tastes, soc = _evaluations(prof, f, g)
+def _pareto(prof: Profile, values, certify: bool):
+    """`pareto_check` on `_evaluations` values: (premise, conclusion,
+    certificates), as the verdict functions below all return them."""
+    *tastes, soc = values
     certs = {} if certify else None
     premise = _unanimous_weak(prof, tastes)
     conclusion = _society_conclusion_weak(prof, soc, certs)
-    return AxiomVerdict("pareto", premise, conclusion, certs or {})
+    return premise, conclusion, certs or {}
+
+
+def pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
+    """If every agent weakly prefers f to g, society must as well."""
+    return AxiomVerdict("pareto", *_pareto(prof, _evaluations(prof, f, g), certify))
+
+
+def _pareto_star(prof: Profile, values, certify: bool):
+    """`pareto_star_check` on `_evaluations` values."""
+    *tastes, soc = values
+    certs = {} if certify else None
+    premise = _star_premise(prof, tastes, certs)
+    conclusion = _society_conclusion_not_weak(prof, soc, certs)
+    return premise, conclusion, certs or {}
 
 
 def pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
     """If no agent weakly prefers f to g, society must not either."""
-    *tastes, soc = _evaluations(prof, f, g)
-    certs = {} if certify else None
-    premise = _star_premise(prof, tastes, certs)
-    conclusion = _society_conclusion_not_weak(prof, soc, certs)
-    return AxiomVerdict("pareto-star", premise, conclusion, certs or {})
+    return AxiomVerdict("pareto-star", *_pareto_star(prof, _evaluations(prof, f, g), certify))
 
 
-def ct_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
-    """Unanimous weak preference binds society only without taste disagreement."""
-    *tastes, soc = _evaluations(prof, f, g)
+def _ct_pareto(prof: Profile, values, certify: bool):
+    """`ct_pareto_check` on `_evaluations` values."""
+    *tastes, soc = values
     certs = {} if certify else None
     taste_ok = _tastes_agree(tastes)
     if certify:
         certs["taste_agreement"] = taste_ok
     premise = taste_ok and _unanimous_weak(prof, tastes)
     conclusion = _society_conclusion_weak(prof, soc, certs)
-    return AxiomVerdict("ct-pareto", premise, conclusion, certs or {})
+    return premise, conclusion, certs or {}
 
 
-def ct_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
-    """Unanimous withheld judgment binds society only without taste disagreement."""
-    *tastes, soc = _evaluations(prof, f, g)
+def ct_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
+    """Unanimous weak preference binds society only without taste disagreement."""
+    return AxiomVerdict("ct-pareto", *_ct_pareto(prof, _evaluations(prof, f, g), certify))
+
+
+def _ct_pareto_star(prof: Profile, values, certify: bool):
+    """`ct_pareto_star_check` on `_evaluations` values."""
+    *tastes, soc = values
     certs = {} if certify else None
     taste_ok = _tastes_agree(tastes)
     if certify:
@@ -163,18 +189,28 @@ def ct_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True)
     if certify and not taste_ok:
         certs["agents"] = {}
     conclusion = _society_conclusion_not_weak(prof, soc, certs)
-    return AxiomVerdict("ct-pareto-star", premise, conclusion, certs or {})
+    return premise, conclusion, certs or {}
 
 
-def exchange_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
-    """Weak dominance must survive evaluating every taste under every belief set."""
-    *tastes, soc = _evaluations(prof, f, g)
+def ct_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
+    """Unanimous withheld judgment binds society only without taste disagreement."""
+    return AxiomVerdict("ct-pareto-star", *_ct_pareto_star(prof, _evaluations(prof, f, g), certify))
+
+
+def _exchange_pareto(prof: Profile, values, certify: bool):
+    """`exchange_pareto_check` on `_evaluations` values."""
+    *tastes, soc = values
     certs = {} if certify else None
     premise = all(
         _strict_prior(holder.beliefs.cleared, t) is None for holder in prof.agents for t in tastes
     )
     conclusion = _society_conclusion_weak(prof, soc, certs)
-    return AxiomVerdict("exchange-pareto", premise, conclusion, certs or {})
+    return premise, conclusion, certs or {}
+
+
+def exchange_pareto_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
+    """Weak dominance must survive evaluating every taste under every belief set."""
+    return AxiomVerdict("exchange-pareto", *_exchange_pareto(prof, _evaluations(prof, f, g), certify))
 
 
 def _exchange_star_prior(holder: Agent, tastes, certify: bool = True) -> tuple[Vec, Fraction] | bool | None:
@@ -187,8 +223,9 @@ def _exchange_star_prior(holder: Agent, tastes, certify: bool = True) -> tuple[V
     lcm of their denominators.  A holder with one vertex has mu = (1,) as
     its only weight, so no LP is solved: every taste needs a strict prior at
     that vertex, and the least of their margins, the first on a tie, is the
-    answer's.  Without `certify` a found prior comes back as True, and
-    neither it nor its margin is built.
+    answer's.  Without `certify` the answer is a bool, and neither the prior
+    nor its margin is built: a holder with more vertices asks
+    `positive_margin` for phase 1 of one feasibility LP on the same rows.
     """
     vertices = holder.beliefs.cleared
     nv = len(vertices)
@@ -203,11 +240,12 @@ def _exchange_star_prior(holder: Agent, tastes, certify: bool = True) -> tuple[V
         return (v, Fraction(*least)) if certify else True
     gaps = [_vertex_gaps(vertices, t) for t in tastes]
     den = lcm(*(d for row in gaps for _, _, d in row))
-    found = max_margin([[-n * (den // d) for _, n, d in row] for row in gaps], den)
+    rows = [[-n * (den // d) for _, n, d in row] for row in gaps]
+    if not certify:
+        return positive_margin(rows, den)
+    found = max_margin(rows, den)
     if found is None:
         return None
-    if not certify:
-        return True
     mu, margin = found
     verts = holder.beliefs.vertices
     prior = tuple(
@@ -217,14 +255,9 @@ def _exchange_star_prior(holder: Agent, tastes, certify: bool = True) -> tuple[V
     return prior, margin
 
 
-def exchange_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
-    """Society must withhold judgment when a belief exchange makes everyone do so.
-
-    Premise: from every agent's belief set one can pick a prior under which
-    every agent's utility strictly favors g over f.  Without certificates the
-    first holder with no such prior decides it.
-    """
-    *tastes, soc = _evaluations(prof, f, g)
+def _exchange_pareto_star(prof: Profile, values, certify: bool):
+    """`exchange_pareto_star_check` on `_evaluations` values."""
+    *tastes, soc = values
     certs = {} if certify else None
     if certify:
         found = [_exchange_star_prior(holder, tastes) for holder in prof.agents]
@@ -235,8 +268,29 @@ def exchange_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool =
     else:
         premise = all(_exchange_star_prior(holder, tastes, False) for holder in prof.agents)
     conclusion = _society_conclusion_not_weak(prof, soc, certs)
-    return AxiomVerdict("exchange-pareto-star", premise, conclusion, certs or {})
+    return premise, conclusion, certs or {}
 
+
+def exchange_pareto_star_check(prof: Profile, f: Act, g: Act, *, certify: bool = True) -> AxiomVerdict:
+    """Society must withhold judgment when a belief exchange makes everyone do so.
+
+    Premise: from every agent's belief set one can pick a prior under which
+    every agent's utility strictly favors g over f.  Without certificates the
+    first holder with no such prior decides it.
+    """
+    return AxiomVerdict(
+        "exchange-pareto-star", *_exchange_pareto_star(prof, _evaluations(prof, f, g), certify)
+    )
+
+
+_VERDICTS = {
+    "pareto": _pareto,
+    "pareto-star": _pareto_star,
+    "ct-pareto": _ct_pareto,
+    "ct-pareto-star": _ct_pareto_star,
+    "exchange-pareto": _exchange_pareto,
+    "exchange-pareto-star": _exchange_pareto_star,
+}
 
 AXIOM_CHECKS = {
     "pareto": pareto_check,

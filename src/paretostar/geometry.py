@@ -454,6 +454,19 @@ def max_margin(rows: list[list[int]], den: int) -> tuple[Vec, Fraction] | None:
     return tuple(z[:n]), value
 
 
+def positive_margin(rows: list[list[int]], den: int) -> bool:
+    """Whether `max_margin(rows, den)` is not None, from phase 1 alone.
+
+    Feasibility of mu >= 0 with row·mu >= den for every row, one surplus
+    column per row: a simplex point with margin t > 0, scaled by 1/t, is
+    such a mu, and such a mu, scaled to sum 1, has margin at least
+    1/sum(mu) > 0.
+    """
+    k = len(rows)
+    lp_rows = [[*r, *[-1 if j == i else 0 for j in range(k)]] for i, r in enumerate(rows)]
+    return feasible_nonneg(lp_rows, [den] * k) is not None
+
+
 def lp_solve(objective: Vec, constraints: HRep) -> LPResult:
     """Exact LP over free variables: maximize objective·x on the HRep region.
 

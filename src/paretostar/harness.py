@@ -3,6 +3,16 @@
 Randomness comes from an explicitly specified 64-bit generator (splitmix64)
 rather than a platform default, so fuzz reports and their digests reproduce
 bit-for-bit across runs and platforms.
+
+A fuzz run builds its sampler's table once, and with it every entry's value
+under every taste (each agent's, then the society's), in integers over the
+taste's denominator times the table's: the common-taste sampler stores each
+segment row's dot product with each integer gradient, the general sampler
+each entry's contribution c_k * x at each coordinate k.  A drawn trial sums
+and joins what it looked up into the values `axioms._evaluations` would
+return on the drawn acts, and hands them to the axiom's verdict function;
+no `Act` is built unless the trial is a violation, which is checked again
+in full.
 """
 
 from __future__ import annotations
@@ -13,10 +23,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .axioms import AXIOM_CHECKS, AxiomVerdict
+from .axioms import _VERDICTS, AXIOM_CHECKS, AxiomVerdict, _evaluations, _utilities
 from .characterizations import CONDITION_CHECKS, aggregate_society
-from .errors import PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .geometry import Polytope, Vec, segment_point
 from .preferences import (
     Act,
@@ -181,15 +192,18 @@ def _draw(rng: SplitMix64, levels):
     return level[rng.next_u64() % len(level)]
 
 
-def _entry_table(box: int, denom_bound: int):
+def _entry_table(box: int, denom_bound: int, gradients):
     """Every entry the general sampler can draw, built once per fuzz run.
 
-    `(levels, den)` with `levels[d][k + box*d] = (x, x * den, str(x))` for
-    `x = Fraction(k, d)`, 1 <= d <= denom_bound, |k| <= box*d, and
-    `den = lcm(1..denom_bound)`.  Each distinct x is built once, at its
+    `(levels, den)` with `levels[d][k + box*d] = (x, x * den, str(x), parts)`
+    for `x = Fraction(k, d)`, 1 <= d <= denom_bound, |k| <= box*d, and
+    `den = lcm(1..denom_bound)`; `parts[j]` holds `c[j] * (x * den)` for
+    each integer gradient c of `gradients`, the entry's contribution to each
+    taste's value at coordinate j.  Each distinct x is built once, at its
     reduced denominator's level, and shared by every level that reaches it.
     """
     den = lcm(*range(1, denom_bound + 1))
+    columns = list(zip(*gradients))
     levels = [()]
     for d in range(1, denom_bound + 1):
         level = []
@@ -198,35 +212,32 @@ def _entry_table(box: int, denom_bound: int):
             if g > 1:
                 level.append(levels[d // g][(k + box * d) // g])
             else:
-                x = Fraction(k, d)
-                level.append((x, k * (den // d), str(x)))
+                x, xi = Fraction(k, d), k * (den // d)
+                parts = tuple([tuple([c * xi for c in column]) for column in columns])
+                level.append((x, xi, str(x), parts))
         levels.append(level)
     return levels, den
 
 
-def _general_act(rng: SplitMix64, states: int, dim: int, table) -> tuple[Act, str]:
-    """An act whose entries come from `_entry_table`, drawn row by row as
-    `signed_fraction` draws them, with its cleared cache filled, and its
-    digest text."""
-    levels, den = table
-    rows, ints, texts = [], [], []
-    for _ in range(states):
-        row, row_ints, row_texts = zip(*[_draw(rng, levels) for _ in range(dim)])
-        rows.append(row)
-        ints.append(row_ints)
-        texts.append(",".join(row_texts))
-    return _cleared_act(tuple(rows), tuple(ints), den), ";".join(texts)
+def _general_row(rng: SplitMix64, levels, dim: int) -> tuple:
+    """One row of the general sampler from `_entry_table`, drawn entry by
+    entry as `signed_fraction` draws them: `(row, ints, text, values)` as a
+    `_segment_rows` entry is, each taste's value the sum of the entries'
+    parts at their coordinates."""
+    row, ints, texts, parts = zip(*[_draw(rng, levels) for _ in range(dim)])
+    return row, ints, ",".join(texts), tuple(map(sum, zip(*[p[j] for j, p in enumerate(parts)])))
 
 
-def _segment_rows(pair, denom_bound: int):
+def _segment_rows(pair, denom_bound: int, gradients):
     """Every row the common-taste sampler can draw, built once per fuzz run.
 
-    `(levels, den)` with `levels[d][k] = (row, ints, text)` for
+    `(levels, den)` with `levels[d][k] = (row, ints, text, values)` for
     `row = segment_point(k/d, *pair)`, 1 <= d <= denom_bound, 0 <= k <= d:
     `ints` is the row over `den`, the least common denominator of the whole
-    table, and `text` is `",".join(map(str, row))`.  Each distinct position
-    k/d is built once, at its reduced denominator's level, and shared by
-    every level that reaches it.
+    table, `text` is `",".join(map(str, row))`, and `values` holds each
+    integer gradient of `gradients` dotted with `ints`.  Each distinct
+    position k/d is built once, at its reduced denominator's level, and
+    shared by every level that reaches it.
     """
     at = [()]  # at[d][k]: the row's index in `rows`
     rows = []
@@ -241,17 +252,37 @@ def _segment_rows(pair, denom_bound: int):
                 rows.append(segment_point(Fraction(k, d), *pair))
         at.append(level)
     den = lcm(*[x.denominator for row in rows for x in row])
-    entries = [(row, tuple([x.numerator * (den // x.denominator) for x in row]),
-                ",".join(map(str, row))) for row in rows]
+    entries = []
+    for row in rows:
+        ints = tuple([x.numerator * (den // x.denominator) for x in row])
+        entries.append((row, ints, ",".join(map(str, row)),
+                        tuple([sum(map(mul, c, ints)) for c in gradients])))
     return [()] + [[entries[i] for i in level] for level in at[1:]], den
 
 
-def _table_act(rng: SplitMix64, states: int, table) -> tuple[Act, str]:
-    """One row per state from `_segment_rows`, drawn as `unit_fraction` draws its
-    position, with its cleared cache filled, and its digest text."""
-    levels, den = table
-    rows, ints, texts = zip(*[_draw(rng, levels) for _ in range(states)])
-    return _cleared_act(rows, ints, den), ";".join(texts)
+def _sampled_pair(draw_row, states: int, dens) -> tuple:
+    """One trial's drawn act pair: `(rows_f, rows_g, text_f, text_g, values)`.
+
+    The rows are the drawn table entries, f's first, then g's, each state's
+    row one `draw_row()`; the texts are what the digest hashes; `values` is
+    what `_on_acts` returns on the acts `_drawn_act` builds from the rows,
+    each taste's table values over `dens`, its denominator times the
+    table's.
+    """
+    rows_f = [draw_row() for _ in range(states)]
+    rows_g = [draw_row() for _ in range(states)]
+    values = [
+        ([*a, *b], d)
+        for a, b, d in zip(zip(*[r[3] for r in rows_f]), zip(*[r[3] for r in rows_g]), dens)
+    ]
+    return (rows_f, rows_g, ";".join([r[2] for r in rows_f]),
+            ";".join([r[2] for r in rows_g]), values)
+
+
+def _drawn_act(rows, den: int) -> Act:
+    """The act on drawn table rows, with its cleared cache filled over the
+    table's denominator."""
+    return _cleared_act(tuple([r[0] for r in rows]), tuple([r[1] for r in rows]), den)
 
 
 @dataclass(frozen=True)
@@ -282,16 +313,23 @@ def fuzz_axiom(
     missed by unlucky sampling.  The digest hashes the full trial stream
     (acts plus verdict bits) and is reproducible from (seed, params).  A
     trial reads only the premise and conclusion bits, so it calls the
-    checker with ``certify=False``; a violation calls it again in full, and
-    the report keeps that verdict with its certificates.
+    axiom's verdict function with ``certify=False``: a planted pair on its
+    `_evaluations`, a drawn pair on the values `_sampled_pair` reads off the
+    sampler table, which holds every entry's value under every taste, built
+    once per run.  No `Act` is built for a drawn pair unless it violates the
+    axiom; a violation is checked again in full, and the report keeps that
+    verdict with its certificates.
     """
-    _society(prof)
+    utilities = _utilities(prof)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if axiom not in AXIOM_CHECKS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if sampler not in SAMPLER_TAGS:
         raise ValueError(f"unknown sampler {sampler!r}")
+    # The tables' dot products would truncate a gradient of the wrong length.
+    if any(u.dim != prof.outcome_dim for u in utilities):
+        raise DimensionMismatchError("a utility lives in a different outcome space")
     if axiom.startswith("ct-") and sampler == "general":
         warnings.warn(
             "general sampler rarely hits common-taste premises; "
@@ -304,29 +342,33 @@ def fuzz_axiom(
             raise PreconditionError(
                 "common-taste sampler needs a commonly strictly ranked outcome pair"
             )
-    check = AXIOM_CHECKS[axiom]
+    check, decide = AXIOM_CHECKS[axiom], _VERDICTS[axiom]
     rng = SplitMix64(seed)
-    # Each drawn act comes with its digest text; the table is built once per run.
+    cleared = [u.cleared for u in utilities]
+    gradients = [c for c, _ in cleared]
     if sampler == "general":
-        draw = functools.partial(_general_act, rng, prof.states, prof.outcome_dim,
-                                 _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND))
+        levels, den = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND, gradients)
+        draw_row = functools.partial(_general_row, rng, levels, prof.outcome_dim)
     else:
-        draw = functools.partial(_table_act, rng, prof.states,
-                                 _segment_rows(cmin, FUZZ_DENOM_BOUND))
+        levels, den = _segment_rows(cmin, FUZZ_DENOM_BOUND, gradients)
+        draw_row = functools.partial(_draw, rng, levels)
+    dens = [den_u * den for _, den_u in cleared]
     sha = hashlib.sha256()
     premise_hits = 0
     violations = []
     for idx in range(trials):
         if idx < len(planted):
-            f, g = planted[idx]
+            acts = f, g = planted[idx]
             text_f, text_g = _fmt_act(f), _fmt_act(g)
+            values = _evaluations(prof, f, g)
         else:
-            (f, text_f), (g, text_g) = draw(), draw()
-        verdict = check(prof, f, g, certify=False)
-        premise, conclusion = verdict.premise_holds, verdict.conclusion_holds
+            acts = None
+            rows_f, rows_g, text_f, text_g, values = _sampled_pair(draw_row, prof.states, dens)
+        premise, conclusion, _ = decide(prof, values, False)
         if premise:
             premise_hits += 1
             if not conclusion:
+                f, g = acts or (_drawn_act(rows_f, den), _drawn_act(rows_g, den))
                 violations.append((f, g, check(prof, f, g)))
         sha.update(f"{idx}|{text_f}|{text_g}|{int(premise)}{int(conclusion)}\n".encode())
     return FuzzReport(

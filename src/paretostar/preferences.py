@@ -17,9 +17,9 @@ sum of the gaps is one integer numerator whose sign decides dominance;
 `_strict_prior` returns the integer witness (v, n, d), and a `Fraction` is
 built from it only where a certificate records it or
 `strict_prior_against` returns it.  `utility_profile` and
-`expected_utility` still evaluate in `Fraction`s.  The fuzz samplers build
-their acts with `_cleared_act`, whose rows arrive already cleared over a
-denominator shared by a whole table of draws.
+`expected_utility` still evaluate in `Fraction`s.  A fuzz run builds an
+act only for a drawn violation, with `_cleared_act`, whose rows arrive
+already cleared over a denominator shared by a whole table of draws.
 """
 
 from __future__ import annotations

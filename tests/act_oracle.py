@@ -29,11 +29,11 @@ elimination kept in `lp_oracle.py`.
 
 `segment_act` is the common-taste sampler as it drew each row's position
 with `unit_fraction` and built the row with `segment_point`, before it drew
-its rows from a table built once per fuzz run (`harness._table_act` over
+its rows from a table built once per fuzz run (`harness._draw` over
 `harness._segment_rows`); it is bound to the `segment_point` above.
 `_sample_general` is the general sampler as it drew every entry with
 `signed_fraction`, before it drew its entries from a table built once per
-fuzz run (`harness._general_act` over `harness._entry_table`); it is kept
+fuzz run (`harness._general_row` over `harness._entry_table`); it is kept
 verbatim.  Both table routes must draw equal acts and leave the generator in
 the same state.  The table routes
 also hand each act over with its `cleared` cache filled over a table-wide

@@ -14,6 +14,7 @@ from paretostar import (
     profile,
     utility,
 )
+from paretostar.harness import _draw, _drawn_act, _general_row
 
 
 def interval(lo, hi) -> Polytope:
@@ -120,3 +121,25 @@ def revalidate_certs(prof, f, g, verdict):
             expected_utility(soc.utility, w, f) - expected_utility(soc.utility, w, g)
             for w in soc.beliefs.vertices
         )
+
+
+def gradients(prof):
+    """Each agent's integer gradient: the tastes a sampler table is built
+    for when only its draws are read."""
+    return [a.utility.cleared[0] for a in prof.agents]
+
+
+def table_act(rng, states, table):
+    """(act, digest text) drawn from a `harness._segment_rows` table, row by
+    row as the common-taste sampler draws them."""
+    levels, den = table
+    rows = [_draw(rng, levels) for _ in range(states)]
+    return _drawn_act(rows, den), ";".join(r[2] for r in rows)
+
+
+def general_act(rng, states, dim, table):
+    """(act, digest text) drawn from a `harness._entry_table` table, row by
+    row as the general sampler draws them."""
+    levels, den = table
+    rows = [_general_row(rng, levels, dim) for _ in range(states)]
+    return _drawn_act(rows, den), ";".join(r[2] for r in rows)

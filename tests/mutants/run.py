@@ -97,6 +97,22 @@ MUTANTS = [
      "if b else a and p * a // q",
      "if b else a and p * a",
      ["tests/test_lp_kernel.py"]),
+    ("trial-values-over-taste-denominator-alone", "harness.py",
+     "dens = [den_u * den for _, den_u in cleared]",
+     "dens = [den_u for _, den_u in cleared]",
+     ["tests/test_fuzz_trial.py"]),
+    ("trial-values-f-and-g-halves-swapped", "harness.py",
+     "([*a, *b], d)",
+     "([*b, *a], d)",
+     ["tests/test_fuzz_trial.py"]),
+    ("fuzz-without-dimension-check", "harness.py",
+     "    if any(u.dim != prof.outcome_dim for u in utilities):\n",
+     "    if False:\n",
+     ["tests/test_fuzz_trial.py"]),
+    ("exchange-feasibility-rhs-zero", "geometry.py",
+     "feasible_nonneg(lp_rows, [den] * k)",
+     "feasible_nonneg(lp_rows, [0] * k)",
+     ["tests/test_margin_lp.py"]),
     ("expected-utility-without-state-check", "preferences.py",
      '    if len(p) != f.states:\n'
      '        raise DimensionMismatchError("prior length differs from act\'s state count")\n',

@@ -7,8 +7,9 @@ take their per-vertex gaps from the same kernel; every axiom check
 evaluates each taste on the two acts once.  Utilities, acts and belief
 polytopes are cleared to integers once and cached outside their fields.
 `geometry.segment_point` builds each entry from integers, and both fuzz
-samplers draw from tables built once per fuzz run, whose acts arrive with
-their `cleared` cache filled and their digest text.
+samplers draw from tables built once per fuzz run, whose drawn rows carry
+their digest text and become acts (`harness._drawn_act`, through the
+`table_act` and `general_act` helpers) with their `cleared` cache filled.
 `act_oracle` holds the `Fraction` code they replaced.  Every answer must
 agree exactly: the same bool, the same vertex, an equal `Fraction` margin,
 an equal verdict (dumped bytes included) and an equal draw.
@@ -35,9 +36,7 @@ from paretostar.harness import (
     SplitMix64,
     _entry_table,
     _fmt_act,
-    _general_act,
     _segment_rows,
-    _table_act,
     random_profile,
 )
 from paretostar.preferences import (
@@ -49,6 +48,8 @@ from paretostar.preferences import (
     strict_prior_against,
     utility_profile,
 )
+
+from helpers import general_act, gradients, table_act
 
 F = Fraction
 
@@ -165,9 +166,9 @@ def _segment_cases():
         pair = check_c_minimal_agreement(prof)
         if pair is None:
             continue
-        rng, table = SplitMix64(seed), _segment_rows(pair, 6)
+        rng, table = SplitMix64(seed), _segment_rows(pair, 6, ())
         for _ in range(3):
-            yield prof, _table_act(rng, prof.states, table)[0], _table_act(rng, prof.states, table)[0]
+            yield prof, table_act(rng, prof.states, table)[0], table_act(rng, prof.states, table)[0]
 
 
 def _check_axioms(prof, f, g, seen):
@@ -352,7 +353,6 @@ def _identity(obj):
 
 def _table_drawn_cases():
     """Profiles with a society, with act pairs drawn from both sampler tables."""
-    general = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)
     for seed in range(60):
         prof = random_profile(GenParams(
             seed=seed, n=2 + seed % 3, m=2 + (seed // 3) % 3, d=1 + (seed // 5) % 4,
@@ -360,9 +360,10 @@ def _table_drawn_cases():
             society_rule=("minkowski", "hull-union", "perturbed")[seed % 3],
         ))
         rng = SplitMix64(seed)
-        tables = [(_general_act, (prof.states, prof.outcome_dim, general))]
+        general = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND, gradients(prof))
+        tables = [(general_act, (prof.states, prof.outcome_dim, general))]
         if (pair := check_c_minimal_agreement(prof)) is not None:
-            tables.append((_table_act, (prof.states, _segment_rows(pair, FUZZ_DENOM_BOUND))))
+            tables.append((table_act, (prof.states, _segment_rows(pair, FUZZ_DENOM_BOUND, ()))))
         for draw, args in tables:
             for _ in range(3):
                 yield prof, draw(rng, *args)[0], draw(rng, *args)[0]
@@ -421,11 +422,11 @@ def test_table_draws_match_oracle_sampler():
             pairs.append(cmin)
         for pair in pairs:
             for bound in (1, 2, 6, 9):
-                table = _segment_rows(pair, bound)
+                table = _segment_rows(pair, bound, ())
                 fast, slow = SplitMix64(seed), SplitMix64(seed)
                 for _ in range(15):
                     want = act_oracle.segment_act(slow, prof, pair, bound)
-                    got, _ = _table_act(fast, prof.states, table)
+                    got, _ = table_act(fast, prof.states, table)
                     assert got == want
                     assert fast.state == slow.state
                     assert all(type(x) is Fraction for row in got.rows for x in row)
@@ -442,11 +443,11 @@ def test_general_draws_match_oracle_sampler():
             seed=seed, n=2 + seed % 2, m=2 + seed % 3, d=1 + seed % 4, society_rule="none",
         ))
         for box, bound in ((FUZZ_BOX, FUZZ_DENOM_BOUND), (3, 4), (1, 1), (2, 9)):
-            table = _entry_table(box, bound)
+            table = _entry_table(box, bound, gradients(prof))
             fast, slow = SplitMix64(seed), SplitMix64(seed)
             for _ in range(10):
                 want = act_oracle._sample_general(slow, prof, box, bound)
-                got, _ = _general_act(fast, prof.states, prof.outcome_dim, table)
+                got, _ = general_act(fast, prof.states, prof.outcome_dim, table)
                 assert got == want
                 assert fast.state == slow.state
                 assert all(type(x) is Fraction for row in got.rows for x in row)
@@ -471,7 +472,7 @@ def _check_table(levels, den, bound):
     assert levels[0] == () and len(levels) == bound + 1
     count = 0
     for level in levels[1:]:
-        for value, ints, text in level:
+        for value, ints, text, _ in level:
             if not isinstance(value, tuple):  # an entry of the general table
                 value, ints = (value,), (ints,)
             _equal_entries(ints, den, value)
@@ -489,16 +490,16 @@ def test_table_acts_carry_their_cleared_rows_and_text():
         rng = SplitMix64(seed)
         pair = check_c_minimal_agreement(prof)
         for bound in (1, 2, FUZZ_DENOM_BOUND, 9):
-            general = _entry_table(FUZZ_BOX, bound)
+            general = _entry_table(FUZZ_BOX, bound, gradients(prof))
             entries += _check_table(*general, bound)
             for _ in range(5):
-                _check_table_act(*_general_act(rng, prof.states, prof.outcome_dim, general))
+                _check_table_act(*general_act(rng, prof.states, prof.outcome_dim, general))
             if pair is not None:
-                table = _segment_rows(pair, bound)
+                table = _segment_rows(pair, bound, ())
                 entries += _check_table(*table, bound)
                 for _ in range(5):
-                    _check_table_act(*_table_act(rng, prof.states, table))
-    levels, den = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)
+                    _check_table_act(*table_act(rng, prof.states, table))
+    levels, den = _entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND, ())
     assert sum(map(len, levels)) == 216 and den == 60
     assert entries > 10000
 
@@ -517,6 +518,12 @@ def _segment_pairs():
         yield star, low
 
 
+def _plain(levels):
+    """A sampler table without its entries' taste values, as the oracle
+    tables hold it."""
+    return [()] + [[e[:3] for e in level] for level in levels[1:]]
+
+
 def test_distinct_position_tables_match_per_position_oracle():
     """Each table equals the one built entry by entry for every (k, d), and
     each reduced position is built once and shared by the levels above it."""
@@ -524,8 +531,8 @@ def test_distinct_position_tables_match_per_position_oracle():
     for pair in _segment_pairs():
         negative += any(x < 0 for point in pair for x in point)
         for bound in range(1, 9):
-            levels, den = _segment_rows(pair, bound)
-            assert (levels, den) == act_oracle.segment_rows(pair, bound)
+            levels, den = _segment_rows(pair, bound, ())
+            assert (_plain(levels), den) == act_oracle.segment_rows(pair, bound)
             compared += 1
             positions = {}
             for d, level in enumerate(levels[1:], 1):
@@ -535,11 +542,12 @@ def test_distinct_position_tables_match_per_position_oracle():
     assert compared == 480 and negative > 40
     for box in range(1, 6):
         for bound in range(1, 9):
-            assert _entry_table(box, bound) == act_oracle.entry_table(box, bound)
+            levels, den = _entry_table(box, bound, ())
+            assert (_plain(levels), den) == act_oracle.entry_table(box, bound)
     # 13 of 27 rows and 121 of 216 entries at the fuzz bounds.
     def distinct(levels):
         entries = [e for level in levels[1:] for e in level]
         return len({id(e) for e in entries}), len(entries)
 
-    assert distinct(_segment_rows(next(_segment_pairs()), FUZZ_DENOM_BOUND)[0]) == (13, 27)
-    assert distinct(_entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND)[0]) == (121, 216)
+    assert distinct(_segment_rows(next(_segment_pairs()), FUZZ_DENOM_BOUND, ())[0]) == (13, 27)
+    assert distinct(_entry_table(FUZZ_BOX, FUZZ_DENOM_BOUND, ())[0]) == (121, 216)

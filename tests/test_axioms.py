@@ -35,6 +35,7 @@ from helpers import (
     scenario1,
     scenario2,
     singleton,
+    table_act,
 )
 
 F = Fraction
@@ -156,13 +157,13 @@ class TestExchange:
 
 class TestInvariants:
     def sample_pairs(self, prof, count, seed):
-        from paretostar.harness import _segment_rows, _table_act
+        from paretostar.harness import _segment_rows
         from paretostar.preferences import check_c_minimal_agreement
 
         rng = SplitMix64(seed)
-        table = _segment_rows(check_c_minimal_agreement(prof), 6)
+        table = _segment_rows(check_c_minimal_agreement(prof), 6, ())
         return [
-            (_table_act(rng, prof.states, table)[0], _table_act(rng, prof.states, table)[0])
+            (table_act(rng, prof.states, table)[0], table_act(rng, prof.states, table)[0])
             for _ in range(count)
         ]
 

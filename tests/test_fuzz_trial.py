@@ -10,6 +10,14 @@ one `act_oracle.fuzz_axiom` builds by calling the full checker on every
 trial.  Planted act pairs whose denominators differ run first in each
 report, so the rescaling to one denominator is on the compared path.
 
+A drawn trial builds no act: it reads its values off the sampler table,
+which holds every entry's value under every taste, and hands them to the
+axiom's verdict function.  Over the same sweep, those values must equal
+`_on_acts` on the act pair the trial stands for (the planted pair itself,
+or the drawn rows over the table's denominator), an `Act` may be built only
+for a drawn violation, and a utility of the wrong dimension must be refused
+before any trial.
+
 The symmetry sweep relabels a profile and an act pair without changing
 what they mean (states, agents, outcome coordinates, and one utility's
 positive affine rescaling); premise and conclusion must not move, and each
@@ -20,15 +28,37 @@ import dataclasses
 import warnings
 from collections import Counter
 from fractions import Fraction
+from math import lcm
+
+import pytest
 
 import act_oracle
-from paretostar import Act, Agent, AffineUtility, Polytope, Profile, act, axioms, preferences
-from paretostar.axioms import AXIOM_CHECKS
+from paretostar import (
+    Act,
+    Agent,
+    AffineUtility,
+    DimensionMismatchError,
+    Polytope,
+    Profile,
+    act,
+    axioms,
+    harness,
+    preferences,
+    utility,
+)
+from paretostar.axioms import _VERDICTS, AXIOM_CHECKS
 from paretostar.geometry import convex_weights
-from paretostar.harness import GenParams, SplitMix64, fuzz_axiom, random_profile
-from paretostar.preferences import check_c_minimal_agreement
+from paretostar.harness import (
+    FUZZ_DENOM_BOUND,
+    GenParams,
+    SplitMix64,
+    _segment_rows,
+    fuzz_axiom,
+    random_profile,
+)
+from paretostar.preferences import _cleared_act, _on_acts, check_c_minimal_agreement
 
-from helpers import revalidate_certs
+from helpers import interval, revalidate_certs, scenario2
 
 F = Fraction
 RULES = ("minkowski", "hull-union", "perturbed", "perturbed")
@@ -161,6 +191,109 @@ def test_certificate_free_trial_builds_no_fraction(monkeypatch):
         ("exchange-pareto-star", "a Fraction was built"),
         ("exchange-pareto-star", "a Fraction was built for an exchange prior"),
     }
+
+
+# ---------------------------------------------------------------------------
+# Per-run taste tables
+# ---------------------------------------------------------------------------
+
+def _as_drawn(f, den):
+    """The act on f's rows with its cleared cache over `den`, as a drawn
+    trial builds it over its sampler table's denominator."""
+    return _cleared_act(f.rows, tuple(tuple(int(x * den) for x in row) for row in f.rows), den)
+
+
+def test_trial_values_equal_on_acts_of_their_pair(monkeypatch):
+    seen = Counter()
+    verdicts = dict(_VERDICTS)
+    for seed, prof in _profiles(36):
+        utilities = [a.utility for a in (*prof.agents, prof.society)]
+        planted = _planted(prof, seed)
+        for sampler in SAMPLERS:
+            if sampler == "general":
+                den = lcm(*range(1, FUZZ_DENOM_BOUND + 1))
+            elif (pair := check_c_minimal_agreement(prof)) is not None:
+                den = _segment_rows(pair, FUZZ_DENOM_BOUND, ())[1]
+            else:
+                continue
+            axiom = list(AXIOM_CHECKS)[seed % 6]
+            got = []
+
+            def spy(prof, values, certify, decide=verdicts[axiom]):
+                got.append(values)
+                return decide(prof, values, certify)
+
+            monkeypatch.setitem(_VERDICTS, axiom, spy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the general sampler on ct- axioms
+                fuzz_axiom(prof, axiom, TRIALS, sampler, seed, planted)
+            pairs = list(act_oracle.fuzz_pairs(prof, sampler, TRIALS, seed, planted))
+            assert len(got) == len(pairs) == TRIALS
+            for idx, ((f, g), values) in enumerate(zip(pairs, got)):
+                if idx >= len(planted):
+                    f, g = _as_drawn(f, den), _as_drawn(g, den)
+                    seen[sampler, prof.states] += 1
+                else:
+                    seen["planted", f.cleared[1] != g.cleared[1]] += 1
+                assert values == _on_acts(utilities, f, g), (axiom, sampler, seed, idx)
+    for sampler in SAMPLERS:
+        for states in (2, 3, 4):
+            assert seen[sampler, states] >= 150, seen
+    assert seen["planted", True] >= 100, seen
+
+
+def test_fuzz_run_builds_an_act_only_for_a_drawn_violation(monkeypatch):
+    built = []
+    init = Act.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Act, "__init__", counting)
+    drawn_violations = planted_violations = quiet_runs = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the general sampler on ct- axioms
+        for prof, axiom, sampler, seed, planted in _runs():
+            built.clear()
+            report = fuzz_axiom(prof, axiom, TRIALS, sampler, seed, planted)
+            ours = [any(f is p for p, _ in planted) for f, _, _ in report.violations]
+            drawn = ours.count(False)
+            assert len(built) == 2 * drawn, (axiom, sampler, seed)
+            drawn_violations += drawn
+            planted_violations += ours.count(True)
+            quiet_runs += not report.violations
+    assert drawn_violations >= 150 and planted_violations >= 5 and quiet_runs >= 200, (
+        drawn_violations, planted_violations, quiet_runs)
+
+
+def _misshapen_profiles():
+    """Profiles, built without `validate_profile`, in which one utility (an
+    agent's or the society's) has one coordinate too few or too many."""
+    base = scenario2(interval("0.3", "0.6"))
+    for coeffs in ([1], [1, 0, 2]):
+        ann, bob = base.agents
+        yield dataclasses.replace(base, agents=(dataclasses.replace(ann, utility=utility(coeffs)), bob))
+        yield dataclasses.replace(
+            base, society=dataclasses.replace(base.society, utility=utility(coeffs)))
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_fuzz_refuses_a_utility_of_the_wrong_dimension_before_any_trial(sampler, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    for axiom in AXIOM_CHECKS:
+        monkeypatch.setitem(_VERDICTS, axiom, no_trial)
+    monkeypatch.setattr(harness, "_evaluations", no_trial)
+    planted = ((act([[1, 0], [0, 1]]), act([[0, 1], [1, 0]])),)
+    refused = 0
+    for prof in _misshapen_profiles():
+        for trials, pairs in ((0, ()), (5, ()), (5, planted)):
+            with pytest.raises(DimensionMismatchError):
+                fuzz_axiom(prof, "ct-pareto-star", trials, sampler, 1, pairs)
+            refused += 1
+    assert refused == 12
 
 
 # ---------------------------------------------------------------------------

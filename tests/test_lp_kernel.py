@@ -23,10 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
-from helpers import cleared_lp, interior_point
+from helpers import cleared_lp, interior_point, table_act
 from paretostar import DimensionMismatchError, axioms, characterizations, geometry
 from paretostar.geometry import _echelon, nullspace, rank, simplex_standard, vec_parts
-from paretostar.harness import GenParams, SplitMix64, _segment_rows, _table_act, random_profile
+from paretostar.harness import GenParams, SplitMix64, _segment_rows, random_profile
 from paretostar.preferences import check_c_minimal_agreement, validate_profile
 
 F = Fraction
@@ -533,9 +533,9 @@ def _lp_guard_lps():
             for _ in range(3):
                 ch.combo_meets(tuple(interior_point(rng, a.beliefs) for a in prof.agents), soc)
             if pair is not None:
-                table = _segment_rows(pair, 6)
+                table = _segment_rows(pair, 6, ())
                 for _ in range(2):
-                    f, g = (_table_act(rng, prof.states, table)[0] for _ in range(2))
+                    f, g = (table_act(rng, prof.states, table)[0] for _ in range(2))
                     axioms.exchange_pareto_star_check(prof, f, g)
             for a in prof.agents:
                 geometry.separate(list(a.beliefs.vertices), soc)

@@ -9,8 +9,14 @@ both now call `geometry.box_margin`.  The
 old formulations are kept verbatim in `tests/lp_oracle.py`, and every
 certificate must come out exactly equal: the same prior and margin, the
 same hyperplane and direction pair, the same None.
+
+A certificate-free exchange-pareto-star check asks `positive_margin`, phase
+1 of one feasibility LP, in place of `max_margin`; it must answer whether
+`max_margin` finds a positive margin, on random rows and on every holder
+of the sweep.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,14 +24,13 @@ import lp_oracle
 from paretostar import axioms
 from paretostar.axioms import _exchange_star_prior
 from paretostar.documents import dumps
-from paretostar.geometry import max_margin, separate, vsub
+from paretostar import geometry
+from paretostar.geometry import max_margin, positive_margin, separate, vsub
 from paretostar.harness import (
     GenParams,
     SplitMix64,
     _entry_table,
-    _general_act,
     _segment_rows,
-    _table_act,
     random_profile,
 )
 from paretostar.preferences import (
@@ -34,6 +39,8 @@ from paretostar.preferences import (
     check_c_minimal_agreement,
     utility_profile,
 )
+
+from helpers import general_act, gradients, table_act
 
 F = Fraction
 RULES = ("minkowski", "hull-union", "perturbed")
@@ -56,7 +63,7 @@ def seeded_profiles(count):
 
 def _general(rng, prof):
     """An act with entries in [-3, 3] and denominators up to 4."""
-    return _general_act(rng, prof.states, prof.outcome_dim, _entry_table(3, 4))[0]
+    return general_act(rng, prof.states, prof.outcome_dim, _entry_table(3, 4, gradients(prof)))[0]
 
 
 def _sign(x) -> str:
@@ -74,8 +81,8 @@ def test_exchange_star_priors_match_oracle():
         for _ in range(3):
             pairs.append((_general(rng, prof), _general(rng, prof)))
             if pair is not None:
-                table = _segment_rows(pair, 6)
-                pairs.append((_table_act(rng, prof.states, table)[0], _table_act(rng, prof.states, table)[0]))
+                table = _segment_rows(pair, 6, ())
+                pairs.append((table_act(rng, prof.states, table)[0], table_act(rng, prof.states, table)[0]))
         for f, g in pairs:
             diffs = [
                 vsub(utility_profile(a.utility, g), utility_profile(a.utility, f))
@@ -86,6 +93,7 @@ def test_exchange_star_priors_match_oracle():
                 new = _exchange_star_prior(holder, tastes)
                 old = lp_oracle.exchange_star_prior(diffs, holder)
                 assert new == old, (seed, f, g)
+                assert bool(_exchange_star_prior(holder, tastes, False)) is (old is not None)
                 compared += 1
                 positive += old is not None
                 verts = holder.beliefs.cleared
@@ -119,6 +127,49 @@ def test_exchange_star_solves_one_margin_lp_per_multi_vertex_holder(monkeypatch)
             checks["one-vertex holders"] += 1 in sizes
             checks["multi-vertex holders"] += max(sizes) >= 2
     assert min(checks.values()) >= 40, checks
+
+
+def test_positive_margin_answers_max_margin():
+    """Some mu >= 0 has row·mu >= den for every row exactly when the unit
+    simplex holds a point with a positive margin."""
+    rng = random.Random(29)
+    answers = Counter()
+    for _ in range(6000):
+        k, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        den = rng.randint(1, 12)
+        want = max_margin(rows, den) is not None
+        assert positive_margin(rows, den) is want, (rows, den)
+        answers[want] += 1
+    assert answers[True] >= 2000 and answers[False] >= 2000, answers
+
+
+def test_certificate_free_exchange_star_solves_phase_one_only(monkeypatch):
+    """Without certificates a multi-vertex holder is decided by one
+    feasibility LP that stops at phase 1, and no margin LP is solved."""
+    margins, feasibility = [], []
+    feasible_nonneg = geometry.feasible_nonneg
+
+    def counting(rows, rhs):
+        feasibility.append(rows)
+        return feasible_nonneg(rows, rhs)
+
+    monkeypatch.setattr(axioms, "max_margin", lambda *args: margins.append(args))
+    monkeypatch.setattr(geometry, "feasible_nonneg", counting)
+    holders = Counter()
+    for seed, prof in seeded_profiles(60):
+        rng = SplitMix64(seed)
+        for _ in range(2):
+            f, g = _general(rng, prof), _general(rng, prof)
+            tastes = [_on_pair(a.utility, f, g) for a in prof.agents]
+            for holder in prof.agents:
+                feasibility.clear()
+                _exchange_star_prior(holder, tastes, False)
+                multi = len(holder.beliefs.vertices) >= 2
+                assert len(feasibility) == multi
+                holders[multi] += 1
+    assert margins == []
+    assert holders[True] >= 100 and holders[False] >= 100, holders
 
 
 def test_box_margin_lps_match_oracle():
