@@ -13,7 +13,6 @@ import argparse
 import functools
 import sys
 import traceback
-from fractions import Fraction
 from pathlib import Path
 
 from .axioms import AXIOM_CHECKS
@@ -23,7 +22,7 @@ from .characterizations import (
     distinct_prior_pair,
     required_decomposition,
 )
-from .documents import dumps, format_decimal, jsonable, load_acts, load_profile, render
+from .documents import decimal_cell, dumps, jsonable, load_acts, load_profile, render
 from .errors import (
     CapExceededError,
     DocumentError,
@@ -32,7 +31,7 @@ from .errors import (
     ParetoStarError,
     PreconditionError,
 )
-from .geometry import DIGIT_CAP
+from .geometry import DIGIT_CAP, vec_parts
 from .harness import SAMPLER_TAGS, fuzz_axiom
 from .preferences import utility_profile
 from .witnesses import witness_for
@@ -186,25 +185,28 @@ def cmd_plot_data(args) -> int:
         f"{ev_name}:{act_name}" for ev_name, _ in evaluators for act_name, _ in acts
     ]
     # Each curve is the line EU(p_A) = u(f(B)) + p_A * (u(f(A)) - u(f(B))),
-    # the same Fraction as expected_utility under the prior (p_A, 1 - p_A).
+    # the value of expected_utility under the prior (p_A, 1 - p_A), kept as
+    # integers (a, s, e): at p_A = n/d it is (a * d + s * n) / (e * d).
     curves = []
     for _, agent in evaluators:
         for _, act in acts:
             u_a, u_b = utility_profile(agent.utility, act)
-            curves.append((u_b, u_a - u_b))
+            (a, s), e = vec_parts((u_b, u_a - u_b))
+            curves.append((a, s, e))
+    digits, unit = args.precision, 10**args.precision
     rows = []
 
-    def emit_row(pa: Fraction, mark: str) -> None:
-        cells = [format_decimal(pa, args.precision), mark]
-        cells += [format_decimal(base + pa * slope, args.precision) for base, slope in curves]
+    def emit_row(n: int, d: int, mark: str) -> None:
+        cells = [decimal_cell(n, d, digits, unit), mark]
+        cells += [decimal_cell(a * d + s * n, e * d, digits, unit) for a, s, e in curves]
         rows.append(",".join(cells))
 
     for j in range(args.grid):
-        emit_row(Fraction(j, args.grid - 1), "")
+        emit_row(j, args.grid - 1, "")
     for ev_name, agent in evaluators:
         first_coords = [v[0] for v in agent.beliefs.vertices]
-        emit_row(min(first_coords), f"{ev_name}:min")
-        emit_row(max(first_coords), f"{ev_name}:max")
+        for mark, pa in (("min", min(first_coords)), ("max", max(first_coords))):
+            emit_row(pa.numerator, pa.denominator, f"{ev_name}:{mark}")
 
     text = "\n".join([",".join(header)] + rows) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:

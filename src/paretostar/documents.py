@@ -3,12 +3,13 @@
 Parsing is exact end to end: JSON numbers are read with ``parse_float=frac``
 so decimal literals like ``0.2`` become the rational 1/5, and strings are
 accepted in decimal ("0.2") or ratio ("1/5") form.  Every number written as
-text goes through `geometry.frac`, which refuses one too long to write back.
-Serialization renders every rational as a "p/q" string, with deterministic
-key order, so identical objects produce byte-identical documents; a
-rational whose numerator or denominator has more than DIGIT_CAP digits
-cannot be read back, so `jsonable` (and `format_decimal`, for a CSV cell's
-whole part) refuses it with CapExceededError.
+text goes through `geometry.frac`, which refuses one too long to write back,
+once per distinct string of a document.  Serialization renders every
+rational as a "p/q" string, with deterministic key order, so identical
+objects produce byte-identical documents; a rational whose numerator or
+denominator has more than DIGIT_CAP digits cannot be read back, so
+`jsonable` (and `decimal_cell`, for a CSV cell's whole part) refuses it with
+CapExceededError.
 """
 
 from __future__ import annotations
@@ -54,14 +55,22 @@ def _text(x: Fraction | int) -> str:
 
 
 def format_decimal(x: Fraction, digits: int) -> str:
-    """Exact decimal rendering with `digits` places (ties to even).
+    """Exact decimal rendering with `digits` places (ties to even)."""
+    return decimal_cell(x.numerator, x.denominator, digits, 10**digits)
 
-    Its whole part obeys `_text`'s cap; the fraction part has `digits`
-    places, which the CLI keeps within DIGIT_CAP.
+
+def decimal_cell(num: int, den: int, digits: int, unit: int) -> str:
+    """num/den (den > 0) with `digits` places, unit = 10**digits: the one
+    rounding rule of CSV cells.  One divmod of num * unit by den rounds it,
+    ties to even as `round(Fraction)` does; num/den need not be in lowest
+    terms.  The whole part obeys `_text`'s cap; the fraction part has
+    `digits` places, which the CLI keeps within DIGIT_CAP.
     """
-    scaled = round(x * 10**digits)
+    scaled, rest = divmod(num * unit, den)
+    if 2 * rest > den or (2 * rest == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    whole, part = divmod(abs(scaled), 10**digits)
+    whole, part = divmod(abs(scaled), unit)
     fraction = f".{str(part).zfill(digits)}" if digits else ""
     return f"{sign}{_text(whole)}{fraction}"
 
@@ -128,33 +137,39 @@ def load_json(path):
         raise DocumentError(f"{path} is not valid JSON: {e}") from e
 
 
-def _number(x, where: str) -> Fraction:
+def _number(x, where: str, seen: dict[str, Fraction]) -> Fraction:
+    """x as a Fraction; `seen` holds the strings this document has converted."""
+    if type(x) is str and x in seen:
+        return seen[x]
     try:
-        return frac(x)
+        value = frac(x)
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"bad number in {where}: {x!r} ({e})") from e
+    if type(x) is str:
+        seen[x] = value
+    return value
 
 
-def _vector(xs, where: str):
+def _vector(xs, where: str, seen: dict[str, Fraction]):
     if not isinstance(xs, list) or not xs:
         raise DocumentError(f"{where} must be a nonempty list of numbers")
-    return tuple(_number(x, where) for x in xs)
+    return tuple(_number(x, where, seen) for x in xs)
 
 
-def _agent_from_dict(data, where: str) -> Agent:
+def _agent_from_dict(data, where: str, seen: dict[str, Fraction]) -> Agent:
     if not isinstance(data, dict) or "utility" not in data or "beliefs" not in data:
         raise DocumentError(f"{where} needs 'utility' and 'beliefs'")
     util = data["utility"]
     if not isinstance(util, dict) or "coeffs" not in util:
         raise DocumentError(f"{where}: utility needs 'coeffs'")
-    coeffs = _vector(util["coeffs"], f"{where}.utility.coeffs")
-    constant = _number(util.get("constant", 0), f"{where}.utility.constant")
+    coeffs = _vector(util["coeffs"], f"{where}.utility.coeffs", seen)
+    constant = _number(util.get("constant", 0), f"{where}.utility.constant", seen)
     beliefs = data["beliefs"]
     if not isinstance(beliefs, list) or not beliefs:
         raise DocumentError(f"{where}: beliefs must list at least one prior")
     try:
         poly = Polytope.from_generators(
-            [_vector(v, f"{where}.beliefs") for v in beliefs]
+            [_vector(v, f"{where}.beliefs", seen) for v in beliefs]
         )
     except (DocumentError, ValueError, TypeError, DimensionMismatchError) as e:
         raise DocumentError(f"{where}: bad belief set ({e})") from e
@@ -176,13 +191,14 @@ def profile_from_dict(data) -> Profile:
         raise DocumentError("'states' and 'outcome_dim' must be integers")
     if not isinstance(data["agents"], list):
         raise DocumentError("'agents' must be a list")
+    seen: dict[str, Fraction] = {}
     agents = tuple(
-        _agent_from_dict(a, f"agents[{i}]") for i, a in enumerate(data["agents"])
+        _agent_from_dict(a, f"agents[{i}]", seen) for i, a in enumerate(data["agents"])
     )
     # Only an absent key or null means no society; {} or 0 is a malformed one.
     society = None
     if data.get("society") is not None:
-        society = _agent_from_dict(data["society"], "society")
+        society = _agent_from_dict(data["society"], "society", seen)
         if not society.name:
             society = Agent(society.utility, society.beliefs, name="society")
     prof = Profile(states, outcome_dim, agents, society)
@@ -208,6 +224,7 @@ def acts_from_dict(data, prof: Profile) -> list[tuple[str, Act]]:
     if not isinstance(data, dict) or "acts" not in data or not isinstance(data["acts"], list):
         raise DocumentError("acts document needs an 'acts' list")
     out = []
+    seen: dict[str, Fraction] = {}
     for i, entry in enumerate(data["acts"]):
         where = f"acts[{i}]"
         if not isinstance(entry, dict) or "rows" not in entry:
@@ -215,7 +232,7 @@ def acts_from_dict(data, prof: Profile) -> list[tuple[str, Act]]:
         rows = entry["rows"]
         if not isinstance(rows, list) or len(rows) < 2:
             raise DocumentError(f"{where}: need one outcome row per state (>= 2)")
-        act = Act(tuple(_vector(r, where) for r in rows))
+        act = Act(tuple(_vector(r, where, seen) for r in rows))
         if any(len(r) != act.outcome_dim for r in act.rows):
             raise DocumentError(f"{where}: rows of mixed outcome dimension")
         if act.states != prof.states or act.outcome_dim != prof.outcome_dim:

@@ -164,10 +164,6 @@ def simplex_point(entries) -> Vec:
     return p
 
 
-def is_simplex_point(p: Vec) -> bool:
-    return all(x >= 0 for x in p) and sum(p) == 1
-
-
 # ---------------------------------------------------------------------------
 # Exact Gaussian elimination
 # ---------------------------------------------------------------------------
@@ -598,10 +594,15 @@ def convex_weights(p: Vec, points) -> list[Fraction] | None:
     L = lcm(*{den for _, _, den in cleared}, *{x.denominator for x in p})
     rows = [[ints[k] * (L // den) for _, ints, den in cleared] for k in range(d)]
     target = _scaled(p, L)
+    return _hull_weights(target, rows, L)
+
+
+def _hull_weights(target: list[int], rows: list[list[int]], scale: int) -> list[Fraction] | None:
+    """`convex_weights` on integers over one positive `scale`: rows[k] holds
+    coordinate k of every point, target those of p."""
     if _outside_box(target, rows):
         return None
-    rows.append([L] * len(cleared))
-    return feasible_nonneg(rows, [*target, L])
+    return feasible_nonneg([*rows, [scale] * len(rows[0])], [*target, scale])
 
 
 def membership(p: Vec, P: Polytope) -> bool:
@@ -667,10 +668,10 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
     point on a line, the corners of `_planar_corners` in a plane.  For
     k >= 3 the lexicographically least and greatest points are kept, being
     vertices of any finite set's hull, and every other point gets one
-    `convex_weights` test against the points still kept, which needs no LP
-    when a coordinate of the point is strictly below or above all of theirs
-    (such a point is a vertex).  A finite set has one vertex set, so both
-    routes return the same list.
+    `_hull_weights` test on those integers against the points still kept,
+    which needs no LP when a coordinate of the point is strictly below or
+    above all of theirs (such a point is a vertex).  A finite set has one
+    vertex set, so both routes return the same list.
     """
     if not points:
         raise ValueError("no points given")
@@ -682,21 +683,23 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
         raise DimensionMismatchError("points of mixed dimension")
     if len(uniq) <= 2:
         return uniq
-    ints, _, _, pivots = _affine_frame(uniq)
+    ints, den, _, pivots = _affine_frame(uniq)
     if len(pivots) <= 2:
         coords = [tuple(q[c] for c in pivots) for q in ints]
         corners = {min(coords), max(coords)} if len(pivots) == 1 else _planar_corners(coords)
         return [p for p, t in zip(uniq, coords) if t in corners]
-    extremes = (min(uniq), max(uniq))
-    kept = list(uniq)
+    extremes = (ints.index(min(ints)), ints.index(max(ints)))
+    kept = list(range(len(uniq)))
     i = 0
     while i < len(kept):
-        p = kept[i]
-        if p not in extremes and convex_weights(p, kept[:i] + kept[i + 1:]) is not None:
-            kept.pop(i)
-        else:
+        j = kept[i]
+        if j in extremes or _hull_weights(
+            ints[j], [[ints[o][k] for o in kept if o != j] for k in range(len(ints[j]))], den
+        ) is None:
             i += 1
-    return kept
+        else:
+            kept.pop(i)
+    return [uniq[j] for j in kept]
 
 
 def _planar_corners(points: list[tuple[int, int]]) -> set[tuple[int, int]]:

@@ -37,7 +37,6 @@ from .geometry import (
     box_margin,
     dot,
     frac,
-    is_simplex_point,
     is_zero,
     nullspace,
     rank,
@@ -374,9 +373,10 @@ def validate_profile(prof: Profile) -> list[str]:
             problems.append(
                 f"{name}: utility dimension {a.utility.dim} != outcome dimension {prof.outcome_dim}"
             )
-        for v in a.beliefs.vertices:
+        # v = ints / den (den > 0); the sum goes first, so () is no vector.
+        for v, ints, den in a.beliefs.cleared:
             if len(v) != prof.states:
                 problems.append(f"{name}: belief vertex {v} has wrong length")
-            elif not is_simplex_point(v):
+            elif not (sum(ints) == den and min(ints) >= 0):
                 problems.append(f"{name}: belief vertex {v} is not a probability vector")
     return problems

@@ -15,6 +15,7 @@ from paretostar import (
     utility,
 )
 from paretostar.harness import _draw, _drawn_act, _general_row
+from paretostar.preferences import utility_profile
 
 
 def interval(lo, hi) -> Polytope:
@@ -143,3 +144,69 @@ def general_act(rng, states, dim, table):
     levels, den = table
     rows = [_general_row(rng, levels, dim) for _ in range(states)]
     return _drawn_act(rows, den), ";".join(r[2] for r in rows)
+
+
+def format_decimal_oracle(x: Fraction, digits: int) -> str:
+    """A CSV cell by the `Fraction` route: `round(x * 10**digits)`, ties to
+    even, split into whole and fraction parts (no digit cap)."""
+    scaled = round(x * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    whole, part = divmod(abs(scaled), 10**digits)
+    fraction = f".{str(part).zfill(digits)}" if digits else ""
+    return f"{sign}{whole}{fraction}"
+
+
+def plot_oracle(prof, acts, grid: int, precision: int, rows=None) -> tuple[str, dict]:
+    """(header, {row key: line}) of `plot-data` by the `Fraction` route: each
+    cell is `format_decimal_oracle(base + pa * slope)`.  A grid row's key is
+    its index j (every j, or those listed in `rows`); a mark row's key is its
+    mark, such as "Ann:min"."""
+    evaluators = list(zip(prof.agent_names(), prof.agents))
+    if prof.society is not None:
+        evaluators.append((prof.society.name or "society", prof.society))
+    header = ",".join(["p_A", "mark"] + [f"{e}:{a}" for e, _ in evaluators for a, _ in acts])
+    curves = []
+    for _, agent in evaluators:
+        for _, f in acts:
+            u_a, u_b = utility_profile(agent.utility, f)
+            curves.append((u_b, u_a - u_b))
+
+    def line(pa, mark):
+        cells = [format_decimal_oracle(pa, precision), mark]
+        return ",".join(cells + [format_decimal_oracle(b + pa * s, precision) for b, s in curves])
+
+    out = {j: line(Fraction(j, grid - 1), "") for j in (range(grid) if rows is None else rows)}
+    for name, agent in evaluators:
+        first = [v[0] for v in agent.beliefs.vertices]
+        out[f"{name}:min"] = line(min(first), f"{name}:min")
+        out[f"{name}:max"] = line(max(first), f"{name}:max")
+    return header, out
+
+
+def validate_profile_oracle(prof) -> list[str]:
+    """`preferences.validate_profile` by the `Fraction` route: a belief
+    vertex is a probability vector iff every entry is >= 0 and the entries
+    sum to 1 as `Fraction`s."""
+    problems = []
+    if prof.n < 2:
+        problems.append(f"profile has {prof.n} agents; at least 2 required")
+    if prof.states < 2:
+        problems.append(f"profile has {prof.states} states; at least 2 required")
+    if prof.outcome_dim < 1:
+        problems.append("outcome dimension must be at least 1")
+    everyone = list(zip(prof.agent_names(), prof.agents))
+    if prof.society is not None:
+        everyone.append((prof.society.name or "society", prof.society))
+    for name, a in everyone:
+        if all(c == 0 for c in a.utility.coeffs):
+            problems.append(f"{name}: utility is constant (zero gradient)")
+        if a.utility.dim != prof.outcome_dim:
+            problems.append(
+                f"{name}: utility dimension {a.utility.dim} != outcome dimension {prof.outcome_dim}"
+            )
+        for v in a.beliefs.vertices:
+            if len(v) != prof.states:
+                problems.append(f"{name}: belief vertex {v} has wrong length")
+            elif not (all(x >= 0 for x in v) and sum(v) == 1):
+                problems.append(f"{name}: belief vertex {v} is not a probability vector")
+    return problems

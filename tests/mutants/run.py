@@ -113,6 +113,18 @@ MUTANTS = [
      "feasible_nonneg(lp_rows, [den] * k)",
      "feasible_nonneg(lp_rows, [0] * k)",
      ["tests/test_margin_lp.py"]),
+    ("plot-cell-round-half-up", "documents.py",
+     "if 2 * rest > den or (2 * rest == den and scaled & 1):",
+     "if 2 * rest >= den:",
+     ["tests/test_document_boundary.py"]),
+    ("validate-sum-ge-den", "preferences.py",
+     "sum(ints) == den",
+     "sum(ints) >= den",
+     ["tests/test_document_boundary.py"]),
+    ("remove-redundant-frame-wrong-denominator", "geometry.py",
+     "            ints[j], [[ints[o][k]",
+     "            list(vec_parts(uniq[j])[0]), [[ints[o][k]",
+     ["tests/test_lp_kernel.py"]),
     ("expected-utility-without-state-check", "preferences.py",
      '    if len(p) != f.states:\n'
      '        raise DimensionMismatchError("prior length differs from act\'s state count")\n',

@@ -622,7 +622,7 @@ def test_two_point_set_solves_no_lp(monkeypatch):
     def no_lp(*args):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(geometry, "convex_weights", no_lp)
+    monkeypatch.setattr(geometry, "feasible_nonneg", no_lp)
     pair = [(F(3, 10), F(7, 10)), (F(3, 5), F(2, 5))]
     assert geometry.remove_redundant(pair + pair[::-1]) == pair
 
@@ -684,6 +684,42 @@ def test_three_dimensional_set_with_an_interior_point_solves_an_lp(monkeypatch):
     centre = (F(1, 4),) * 4
     assert geometry.remove_redundant([*corners[:2], centre, *corners[2:]]) == corners
     assert len(lps) >= 1
+
+
+def _spy(monkeypatch, name) -> list:
+    calls = []
+    wrapped = getattr(geometry, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(geometry, name, counting)
+    return calls
+
+
+def test_hull_tests_read_the_affine_frame(monkeypatch):
+    """The LP loop builds each hull test's rows from `_affine_frame`'s
+    integers: no point is cleared again, and the LPs are the ones the
+    per-test `convex_weights` route solved.  12 distinct points over four
+    states with denominator 12 keep 9 vertices; that route cleared points
+    102 times in 10 tests, 6 of them LPs."""
+    rng = random.Random(3)
+    points = []
+    for _ in range(12):
+        cuts = sorted(rng.randint(0, 12) for _ in range(3))
+        points.append(tuple(F(b - a, 12) for a, b in zip([0, *cuts], [*cuts, 12])))
+    frame_parts = _spy(monkeypatch, "vec_parts")
+    geometry._affine_frame(points)
+    in_frame = len(frame_parts)
+    frame_parts.clear()
+    weights = _spy(monkeypatch, "convex_weights")
+    lps = _spy(monkeypatch, "feasible_nonneg")
+    kept = geometry.remove_redundant(points)
+    assert kept == lp_oracle.remove_redundant(points) and len(kept) == 9
+    assert len(frame_parts) == in_frame == 12
+    assert weights == [] and len(lps) == 6
+    assert all(type(x) is int for rows, rhs in lps for row in [*rows, rhs] for x in row)
 
 
 @pytest.mark.parametrize(
