@@ -17,11 +17,10 @@ Conventions
 * `Polytope` is vertex-represented; `from_generators` removes redundant
   generators and sorts the surviving vertices in ascending lexicographic
   order, so equal point sets compare equal.  `remove_redundant` reads the
-  vertices of a point set whose affine hull is a line or a plane (every
-  set over three states) off integer cross products with no LP; only a
-  hull of dimension 3 or more (four or more states) takes one hull LP per
-  point that is not a lexicographic extreme.  A finite set has one vertex
-  set, so both routes give the same vertices.
+  vertices of a line or a plane (every set over three states) off integer
+  cross products; a larger hull takes one hull LP per point.  V->H
+  conversion and vertex enumeration solve no LP: they read the extreme
+  rays of one integer double description (`_cone_rays`), within DD_BUDGET.
 * The simplex solver uses Bland's rule, hence every LP answer (including
   returned certificates) is deterministic.
 """
@@ -668,10 +667,9 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
     point on a line, the corners of `_planar_corners` in a plane.  For
     k >= 3 the lexicographically least and greatest points are kept, being
     vertices of any finite set's hull, and every other point gets one
-    `_hull_weights` test on those integers against the points still kept,
-    which needs no LP when a coordinate of the point is strictly below or
-    above all of theirs (such a point is a vertex).  A finite set has one
-    vertex set, so both routes return the same list.
+    `_hull_weights` test against the points still kept (no LP when it
+    leaves their coordinate box): N small LPs, where the facets a double
+    description would list can outnumber the N points many times over.
     """
     if not points:
         raise ValueError("no points given")
@@ -690,15 +688,11 @@ def remove_redundant(points: list[Vec]) -> list[Vec]:
         return [p for p, t in zip(uniq, coords) if t in corners]
     extremes = (ints.index(min(ints)), ints.index(max(ints)))
     kept = list(range(len(uniq)))
-    i = 0
-    while i < len(kept):
-        j = kept[i]
-        if j in extremes or _hull_weights(
+    for j in range(len(uniq)):
+        if j not in extremes and _hull_weights(
             ints[j], [[ints[o][k] for o in kept if o != j] for k in range(len(ints[j]))], den
-        ) is None:
-            i += 1
-        else:
-            kept.pop(i)
+        ) is not None:
+            kept.remove(j)
     return [uniq[j] for j in kept]
 
 
@@ -726,12 +720,13 @@ def _planar_corners(points: list[tuple[int, int]]) -> set[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# V-representation <-> H-representation (desk scale)
+# V-representation <-> H-representation by double description
 # ---------------------------------------------------------------------------
 
-# The largest ambient dimension V<->H conversion accepts; more raise
-# CapExceededError.
-DEFAULT_DIM_CAP = 6
+# The most ray tests (row signs, ray pairs, third rays) one double
+# description may make; it bounds the time and the rays held at once.  Past
+# it, CapExceededError.  Read when called.
+DD_BUDGET = 40_000_000
 
 # The most digits a number read as text (`frac`) may give its numerator or
 # denominator, and the most decimal places the CLI writes: Python's default
@@ -741,9 +736,8 @@ DIGIT_CAP = 4300
 
 def _primitive(normal: Vec, bound: Fraction) -> tuple[Vec, Fraction]:
     """Scale an inequality by a positive rational to coprime integer entries."""
-    ints, _ = vec_parts((*normal, bound))
-    g = gcd(*ints) or 1
-    return tuple(Fraction(x // g) for x in ints[:-1]), Fraction(ints[-1] // g)
+    *ints, b = _reduced(vec_parts((*normal, bound))[0])
+    return tuple(map(Fraction, ints)), Fraction(b)
 
 
 def _affine_frame(points) -> tuple[list[tuple[int, ...]], int, list[list[int]], list[int]]:
@@ -758,28 +752,66 @@ def _affine_frame(points) -> tuple[list[tuple[int, ...]], int, list[list[int]], 
     return ints, den, basis, pivots
 
 
-def _tight_vertices(
-    ineqs: list[tuple[Vec, Fraction]], k: int
-) -> list[Vec] | None:
-    """Vertices of the bounded region {y in R^k : a·y <= b for each row}.
+def _cone_rays(rows: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """(ray, mask) per extreme ray of the pointed cone {z : r·z >= 0 per row}.
 
-    A vertex is a feasible point at which k linearly independent rows are
-    tight, so every k-subset of the rows is solved as a square system and
-    each unique solution that satisfies every row is kept, in no particular
-    order.  Returns None when no subset gives a vertex, which for a bounded
-    region means it is empty.
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+    Prodon 1996) on integer rows of full column rank n: the first n
+    independent rows (`_echelon` on the transpose) bound a simplicial cone,
+    whose rays are the columns of their inverse; each other row then keeps
+    the rays on its nonnegative side and adds, per adjacent pair of rays on
+    opposite sides, their positive combination on the row.  Bit i of a
+    mask says row i is tight on the ray, a primitive integer vector.  Two
+    rays are adjacent exactly when no third ray is tight on every row both
+    are, which needs at least n - 2 such rows.  Past DD_BUDGET ray tests
+    (each row's signs, ray pairs, third rays), CapExceededError.
     """
-    rows = list(dict.fromkeys(ineqs))
-    found: set[Vec] = set()
-    for subset in itertools.combinations(rows, k):
-        # The solution is unique iff the augmented system pivots on 0..k-1.
-        mat, dens, pivots = _echelon([[*a, b] for a, b in subset])
-        if pivots != list(range(k)):
+    n = len(rows[0])
+    basis = _echelon(list(zip(*rows)))[2]
+    inverse, dens, _ = _echelon(
+        [[*rows[i], *(int(j == c) for c in range(n))] for j, i in enumerate(basis)]
+    )
+    scale = lcm(*dens)
+    full = sum(1 << i for i in basis)
+    rays = [
+        (_reduced([row[n + c] * (scale // q) for row, q in zip(inverse, dens)]), full ^ 1 << i)
+        for c, i in enumerate(basis)
+    ]
+    work = 0
+    for i, row in enumerate(rows):
+        if full >> i & 1:
             continue
-        y = tuple(Fraction(row[k], q) for row, q in zip(mat, dens))
-        if y not in found and all(dot(a, y) <= b for a, b in rows):
-            found.add(y)
-    return list(found) or None
+        signed = [(sum([a * b for a, b in zip(row, z)]), z, mask) for z, mask in rays]
+        pos = [ray for ray in signed if ray[0] > 0]
+        neg = [ray for ray in signed if ray[0] < 0]
+        kept = [(z, mask | (s == 0) << i) for s, z, mask in signed if s >= 0]
+        work = _charge(work + len(rays) + len(pos) * len(neg))
+        masks = [mask for _, mask in rays]
+        for sp, zp, mp in pos:
+            for sq, zq, mq in neg:
+                common = mp & mq
+                if common.bit_count() >= n - 2:
+                    work = _charge(work + len(masks))
+                    if sum([m & common == common for m in masks]) == 2:
+                        z = _reduced([sp * a - sq * b for a, b in zip(zq, zp)])
+                        kept.append((z, common | 1 << i))
+        rays = kept
+    return rays
+
+
+def _charge(work: int) -> int:
+    """`work`, or CapExceededError once it passes DD_BUDGET ray tests."""
+    if work > DD_BUDGET:
+        raise CapExceededError(
+            f"vertex enumeration took {work} ray tests, over the budget {DD_BUDGET}"
+        )
+    return work
+
+
+def _reduced(z) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries (if nonzero)."""
+    g = gcd(*z) or 1
+    return tuple([x // g for x in z])
 
 
 def vrep_to_hrep(P: Polytope) -> HRep:
@@ -787,39 +819,35 @@ def vrep_to_hrep(P: Polytope) -> HRep:
 
     In the vertices' integer frame (`_affine_frame`), the kernel of the
     basis gives the equalities that pin the affine hull.  Read at the pivot
-    columns (the basis is an RREF), the N vertices x over `den` give dual
-    rows q = N·x - Σx, each N·den times a vertex's offset from the centroid.
-    Each facet is a vertex y of the polar dual {y : q·y <= N·den for every
-    q}, found by solving the k-subsets of those rows, with bound
-    1 + y·Σx / (N·den).  Every row is brought to primitive integers and the
-    rows are sorted, so equal polytopes give equal HReps.  Only sensible at
-    desk scale, hence the ambient-dimension cap.
+    columns (the basis is an RREF), the N vertices x over `den` give the
+    polar dual about their centroid, {y : q·y <= N·den} with q = N·x - Σx
+    per vertex, which is bounded.  Each ray (t, y) of its cone
+    (`_cone_rays`) is a dual vertex y/t and so a facet: y·x <= t + y·Σx /
+    (N·den) at the pivot columns x, scaled by N·den.  Every row is brought
+    to primitive integers and the rows are sorted, so equal polytopes give
+    equal HReps.
     """
     d = P.ambient_dim
-    if d > DEFAULT_DIM_CAP:
-        raise CapExceededError(f"ambient dimension {d} exceeds cap {DEFAULT_DIM_CAP}")
     ints, den, basis, pivots = _affine_frame(P.vertices)
-    k = len(basis)
     # Normals vanishing on the direction span pin the affine hull; for a
     # single point this degenerates to one equality per coordinate.
     eqs = [_primitive(w, dot(w, P.vertices[0])) for w in _kernel(basis, pivots, d)]
-    if k == 0:
+    if not basis:
         return HRep((), tuple(sorted(eqs)))
 
     xs = [[q[c] for c in pivots] for q in ints]
     total = [sum(col) for col in zip(*xs)]
     n = len(xs)
     scale = n * den
-    dual_ineqs = [(tuple([n * a - t for a, t in zip(x, total)]), scale) for x in xs]
-    dual_vertices = _tight_vertices(dual_ineqs, k)
-    if not dual_vertices:
-        raise InternalError("polar dual of a full-dimensional polytope has no vertex")
+    rows = [(scale, *[t - n * a for a, t in zip(x, total)]) for x in xs]
     ineqs = []
-    for y in dual_vertices:
-        normal = [_ZERO] * d
+    for (t, *y), _ in _cone_rays(rows):
+        if t <= 0:
+            raise InternalError("polar dual of a full-dimensional polytope is unbounded")
+        normal = [0] * d
         for yk, c in zip(y, pivots):
-            normal[c] = yk
-        ineqs.append(_primitive(tuple(normal), 1 + dot(y, total) / scale))
+            normal[c] = scale * yk
+        ineqs.append(_primitive(normal, scale * t + sum([a * b for a, b in zip(y, total)])))
     ineqs.sort()
     return HRep(tuple(ineqs), tuple(sorted(eqs)))
 
@@ -827,64 +855,34 @@ def vrep_to_hrep(P: Polytope) -> HRep:
 def hrep_vertices(H: HRep) -> Polytope | None:
     """Exact vertex set of an H-represented polytope; None when empty.
 
-    The equalities are eliminated by an exact parametrization of their
-    solution space.  In that frame {t : A t <= b} is bounded iff rank A = k
-    and some lambda >= 1 has A^T lambda = 0 (Stiemke's lemma), one phase-1
-    LP; its vertices are then the feasible solutions of the k-subsets of
-    rows.  Raises ValueError when the region is nonempty and unbounded.
+    Every row must have the length of the first.  Each inequality a·x <= b,
+    each equality as two opposite inequalities, and t >= 0 give the cone
+    {(t, y) : b·t - a·y >= 0} over the pivot columns y of the stacked
+    normals (`_echelon`), which is pointed.  Its extreme rays
+    (`_cone_rays`) decide the region: with no ray where t > 0 it is empty
+    (None); a ray with t = 0, or fewer pivot columns than coordinates, means
+    it is unbounded (ValueError); otherwise the rays scaled to t = 1 are its
+    vertices.
     """
-    if H.inequalities:
-        d = len(H.inequalities[0][0])
-    elif H.equalities:
-        d = len(H.equalities[0][0])
-    else:
+    rows = [*H.inequalities, *H.equalities]
+    if not rows:
         raise ValueError("empty H-representation")
-    if d > DEFAULT_DIM_CAP:
-        raise CapExceededError(f"ambient dimension {d} exceeds cap {DEFAULT_DIM_CAP}")
-
-    # One elimination of the augmented equalities: inconsistent iff column d
-    # pivots; else the base point is read at the pivots, free columns at 0.
-    mat, dens, pivots = _echelon([[*a, b] for a, b in H.equalities])
-    if d in pivots:
+    d = len(rows[0][0])
+    if any(len(a) != d for a, _ in rows):
+        raise DimensionMismatchError("H-representation rows of mixed dimension")
+    pivots = _echelon([a for a, _ in rows])[2]
+    cone = {(1, *[0] * len(pivots)): None}
+    for i, (a, b) in enumerate(rows):
+        ints = vec_parts((b, *[-a[c] for c in pivots]))[0]
+        cone[ints] = None
+        if i >= len(H.inequalities):
+            cone[tuple([-x for x in ints])] = None
+    rays = [z for z, _ in _cone_rays(list(cone))]
+    if not any(z[0] for z in rays):
         return None
-    base = [_ZERO] * d
-    for row, q, p in zip(mat, dens, pivots):
-        base[p] = Fraction(row[d], q)
-    base = tuple(base)
-    kernel = _kernel(mat, pivots, d)
-    k = len(kernel)
-    if k == 0:
-        ok = all(dot(a, base) <= b for a, b in H.inequalities)
-        return Polytope((base,)) if ok else None
-
-    reduced: list[tuple[Vec, Fraction]] = []
-    for a, b in H.inequalities:
-        a_t = tuple(dot(a, kb) for kb in kernel)
-        b_t = b - dot(a, base)
-        if is_zero(a_t):
-            if b_t < 0:
-                return None
-            continue
-        reduced.append((a_t, b_t))
-    # Rows of A^T, cleared over one scale; lambda = 1 + mu with mu >= 0
-    # gives A^T mu = -A^T 1.
-    cols = list(zip(*(a for a, _ in reduced)))
-    scale = lcm(*{x.denominator for c in cols for x in c})
-    cols = [_scaled(c, scale) for c in cols]
-    if rank(cols) < k or feasible_nonneg(cols, [-sum(c) for c in cols]) is None:
-        if lp_solve(zero_vec(k), HRep(tuple(reduced))).status == "infeasible":
-            return None
+    if len(pivots) < d or not all(z[0] for z in rays):
         raise ValueError("region is unbounded; expected a polytope")
-    verts_t = _tight_vertices(reduced, k)
-    if verts_t is None:
-        return None
-    verts = []
-    for t in verts_t:
-        x = base
-        for tk, kb in zip(t, kernel):
-            x = vadd(x, vscale(tk, kb))
-        verts.append(x)
-    return Polytope(tuple(sorted(verts)))
+    return Polytope(tuple(sorted(tuple(Fraction(x, t) for x in y) for t, *y in rays)))
 
 
 def intersect_polytopes(polys: list[Polytope]) -> Polytope | None:

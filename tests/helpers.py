@@ -61,6 +61,18 @@ def wide_profile(n: int) -> Profile:
     return profile(agents, Agent(utility([1, 0]), interval("0.2", "0.8"), "society"))
 
 
+def moment_curve_set(n: int = 30, states: int = 8) -> list[tuple]:
+    """n points in general position over `states` states: (t, t², ...,
+    t^(states-1), 1) at t = 1..n, scaled to sum 1.  Their hull is a cyclic
+    polytope, every point a vertex, with 2·C(n - 4, 3) = 5 200 facets at
+    n = 30 over eight states."""
+    pts = []
+    for t in range(1, n + 1):
+        v = [t ** e for e in range(1, states)] + [1]
+        pts.append(tuple(Fraction(x, sum(v)) for x in v))
+    return pts
+
+
 def delta(s: int, m: int):
     """The degenerate distribution putting mass 1 on state `s` out of `m`."""
     return tuple(Fraction(int(i == s)) for i in range(m))

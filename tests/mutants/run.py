@@ -25,19 +25,19 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 # (name, file, snippet, replacement, test files)
 MUTANTS = [
     ("vrep-dual-rhs-den", "geometry.py",
-     "for a, t in zip(x, total)]), scale) for x in xs]",
-     "for a, t in zip(x, total)]), den) for x in xs]",
+     "rows = [(scale, *[t - n * a",
+     "rows = [(den, *[t - n * a",
      ["tests/test_vh_kernel.py"]),
     ("vrep-centred-row-without-n", "geometry.py",
-     "tuple([n * a - t for a, t in zip(x, total)])",
-     "tuple([a - t for a, t in zip(x, total)])",
+     "[t - n * a for a, t in zip(x, total)]",
+     "[t - a for a, t in zip(x, total)]",
      ["tests/test_vh_kernel.py"]),
     ("vrep-bound-without-centre", "geometry.py",
-     "_primitive(tuple(normal), 1 + dot(y, total) / scale)",
-     "_primitive(tuple(normal), 1)",
+     "scale * t + sum([a * b for a, b in zip(y, total)])",
+     "scale * t",
      ["tests/test_vh_kernel.py"]),
     ("primitive-without-gcd", "geometry.py",
-     "g = gcd(*ints) or 1",
+     "g = gcd(*z) or 1",
      "g = 1",
      ["tests/test_vh_kernel.py"]),
     ("outside-box-non-strict", "geometry.py",
@@ -121,6 +121,14 @@ MUTANTS = [
      "sum(ints) == den",
      "sum(ints) >= den",
      ["tests/test_document_boundary.py"]),
+    ("dd-adjacency-without-third-ray", "geometry.py",
+     "if sum([m & common == common for m in masks]) == 2:",
+     "if True:",
+     ["tests/test_vh_kernel.py"]),
+    ("dd-zero-t-rays-ignored", "geometry.py",
+     "if len(pivots) < d or not all(z[0] for z in rays):",
+     "if len(pivots) < d:",
+     ["tests/test_vh_kernel.py"]),
     ("remove-redundant-frame-wrong-denominator", "geometry.py",
      "            ints[j], [[ints[o][k]",
      "            list(vec_parts(uniq[j])[0]), [[ints[o][k]",

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +44,7 @@ from paretostar.errors import (
 from paretostar.harness import FuzzReport, GenParams, cross_validate, random_profile
 from paretostar.witnesses import revalidate
 
-from helpers import scenario1, wide_profile
+from helpers import moment_curve_set, scenario1, wide_profile
 
 F = Fraction
 
@@ -526,7 +527,8 @@ class TestCliCaps:
         assert self.COMBOS in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dimension_cap_exit_2(self, tmp_path, capsys):
+    @pytest.fixture
+    def seven(self, tmp_path):
         path = tmp_path / "seven.profile"
         center = [F(1, 7)] * 7
         corner = [F(1, 2)] + [F(1, 12)] * 6
@@ -534,8 +536,37 @@ class TestCliCaps:
                   Agent(utility([1]), Polytope.from_generators([center]), "b")]
         soc = Agent(utility([1]), Polytope.from_generators([center]), "society")
         save_json(path, profile_to_dict(profile(agents, soc)))
-        assert main(["check", str(path), "corollary2"]) == 2
-        assert "ambient dimension 7 exceeds cap 6" in capsys.readouterr().err
+        return str(path)
+
+    def test_seven_states_answer(self, seven, capsys):
+        """No ambient-dimension cap: seven states get an answer."""
+        assert main(["check", seven, "corollary2", "--format", "machine"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["holds"] is True
+        assert report["details"]["intersection"] == [["1/7"] * 7]
+
+    def test_ray_budget_exit_2(self, seven, monkeypatch, capsys):
+        """Past the double description's work budget the CLI exits 2 and
+        names the count and the bound; the budget is read when called."""
+        monkeypatch.setattr(geometry, "DD_BUDGET", 3)
+        assert main(["check", seven, "corollary2"]) == 2
+        err = capsys.readouterr().err
+        match = re.search(r"vertex enumeration took (\d+) ray tests, over the budget 3\n", err)
+        assert match and int(match.group(1)) > 3, err
+
+    def test_high_dimensional_belief_set_answers(self, tmp_path, capsys):
+        """Loading a belief set needs no V<->H conversion: 30 generators
+        over eight states, whose hull has 5 200 facets, load as 30 vertices
+        and thm1 gets an answer, not a cap."""
+        common = moment_curve_set()
+        data = {**profile_to_dict(scenario1()), "states": 8}
+        for who in (*data["agents"], data["society"]):
+            who["beliefs"] = [[str(x) for x in p] for p in common + common[:2]]
+        path = tmp_path / "eight.profile"
+        save_json(path, data)
+        assert load_profile(path).agents[0].beliefs.vertices == tuple(sorted(common))
+        assert main(["check", str(path), "thm1", "--format", "machine"]) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["holds"] is False
 
     def test_cap_is_read_at_call_time(self, profiles_dir, monkeypatch, capsys):
         monkeypatch.setattr(characterizations, "DEFAULT_COMBO_CAP", 3)

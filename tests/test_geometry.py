@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paretostar import (
-    CapExceededError,
     DimensionMismatchError,
     HRep,
     Polytope,
@@ -206,16 +205,25 @@ class TestHRepConversion:
         assert hrep_vertices(h).vertices == poly.vertices
 
     def test_dimension_cap(self):
+        """No ambient-dimension cap: the simplex over seven states converts.
+        Its facets are x_i >= 0; that of the last state is written through
+        the equality sum x = 1."""
         poly = Polytope.from_generators([tuple(F(int(i == j)) for i in range(7)) for j in range(7)])
-        with pytest.raises(CapExceededError):
-            vrep_to_hrep(poly)
+        h = vrep_to_hrep(poly)
+        units = [tuple(F(-(i == j)) for i in range(6)) + (F(0),) for j in range(6)]
+        assert h.equalities == ((tuple([F(1)] * 7), F(1)),)
+        assert h.inequalities == tuple(sorted(
+            [(u, F(0)) for u in units] + [((F(1),) * 6 + (F(0),), F(1))]
+        ))
+        assert hrep_vertices(h) == poly
 
     def test_vertex_enumeration_dimension_cap(self):
-        # The 7-cube [0, 1]^7: two bounds per coordinate.
+        """No ambient-dimension cap: the 7-cube [0, 1]^7, two bounds per
+        coordinate, has its 128 corners as vertices."""
         rows = [(tuple(F(s * (i == j)) for i in range(7)), F(max(s, 0)))
                 for j in range(7) for s in (1, -1)]
-        with pytest.raises(CapExceededError, match="ambient dimension 7 exceeds cap 6"):
-            hrep_vertices(HRep(tuple(rows)))
+        got = hrep_vertices(HRep(tuple(rows)))
+        assert got.vertices == tuple(itertools.product((F(0), F(1)), repeat=7))
 
     def test_four_state_round_trips(self):
         from paretostar import SplitMix64
@@ -271,9 +279,9 @@ class TestHRepConversion:
         assert hrep_vertices(H) is None
 
     def test_six_state_hypersimplex_known_answer(self):
-        """At the dimension cap: the 15 points with mass 1/2 on two of six
-        states.  Its facets are x_i >= 0 and x_i <= 1/2; those of the last
-        state are written through the equality sum x = 1."""
+        """The 15 points with mass 1/2 on two of six states.  Its facets are
+        x_i >= 0 and x_i <= 1/2; those of the last state are written through
+        the equality sum x = 1."""
         half = F(1, 2)
         poly = Polytope.from_generators(
             [tuple(half if s in pair else F(0) for s in range(6))
@@ -374,6 +382,23 @@ class TestInputGuards:
     def test_empty_h_representation(self):
         with pytest.raises(ValueError, match="empty H-representation"):
             hrep_vertices(HRep(()))
+
+    @pytest.mark.parametrize(
+        "ineqs, eqs",
+        [
+            ([((1, 0), 1)], [((1, 1, 1), 1)]),  # a longer equality after an inequality
+            ([((1, 1, 1), 1)], [((1, 0), 1)]),  # a shorter one
+            ([((1, 0, 0), 1), ((1, 0), 1)], []),  # a short later inequality
+            ([((1, 0), 1), ((0, 1, 0), 1)], []),  # a long later inequality
+            ([], [((1, 0), 1), ((1, 1, 1), 1)]),  # equalities alone
+        ],
+    )
+    def test_h_representation_rows_of_mixed_dimension(self, ineqs, eqs):
+        def rows(pairs):
+            return tuple((vec(a), F(b)) for a, b in pairs)
+
+        with pytest.raises(DimensionMismatchError):
+            hrep_vertices(HRep(rows(ineqs), rows(eqs)))
 
     def test_intersect_nothing(self):
         with pytest.raises(ValueError, match="nothing to intersect"):

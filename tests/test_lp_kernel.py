@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracle
-from helpers import cleared_lp, interior_point, table_act
+from helpers import cleared_lp, interior_point, moment_curve_set, table_act
 from paretostar import DimensionMismatchError, axioms, characterizations, geometry
 from paretostar.geometry import _echelon, nullspace, rank, simplex_standard, vec_parts
 from paretostar.harness import GenParams, SplitMix64, _segment_rows, random_profile
@@ -616,6 +616,42 @@ def test_remove_redundant_matches_oracle():
         seen["single"] += len(got) == 1
     cases = {f"k={k} in R^{d}" for d in (2, 3, 4) for k in range(d + 1)}
     assert cases <= set(seen) and min(seen.values()) >= 30, seen
+
+
+def test_remove_redundant_five_states_match_oracle():
+    """Sets over five states, hull dimensions 1-4, with midpoints of two
+    points, the centroid and repeats mixed in: the LP loop keeps the
+    oracle's vertices in their order."""
+    rng = random.Random(20261022)
+    seen = collections.Counter()
+    for _ in range(200):
+        den = rng.randint(2, 6)
+        pts = [tuple(F(b - a, den) for a, b in zip((0, *cuts), (*cuts, den)))
+               for cuts in (sorted(rng.randint(0, den) for _ in range(4))
+                            for _ in range(rng.randint(3, 9)))]
+        if rng.random() < 0.5:
+            a, b = rng.sample(pts, 2)
+            pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+        if rng.random() < 0.5:
+            pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+        pts += rng.sample(pts, rng.randint(0, 2))
+        rng.shuffle(pts)
+        got = geometry.remove_redundant(pts)
+        assert got == lp_oracle.remove_redundant(pts), pts
+        seen[f"k={_hull_dim(pts)}"] += 1
+        seen["redundant"] += len(got) < len(set(pts))
+    assert min(seen[k] for k in ("k=2", "k=3", "k=4", "redundant")) >= 20, seen
+
+
+def test_high_dimensional_set_matches_oracle():
+    """A hull of dimension 7 with far more facets than points: one hull LP
+    per point keeps the 30 points and drops the centroid, a midpoint and a
+    repeat, as the oracle does."""
+    pts = moment_curve_set()
+    extra = [tuple(sum(c) / len(pts) for c in zip(*pts)),
+             tuple((a + b) / 2 for a, b in zip(pts[3], pts[17])), pts[5]]
+    mixed = pts[:10] + extra + pts[10:]
+    assert geometry.remove_redundant(mixed) == lp_oracle.remove_redundant(mixed) == pts
 
 
 def test_two_point_set_solves_no_lp(monkeypatch):

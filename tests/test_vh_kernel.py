@@ -1,21 +1,26 @@
-"""V<->H conversion by tight k-subsets against the double-description oracle.
+"""V<->H conversion by double description against the reference oracles.
 
-`geometry.vrep_to_hrep` / `hrep_vertices` enumerate vertices as the feasible
-solutions of k-subsets of rows; `vh_oracle` is the bounding-box-and-cut
-conversion they replaced.  Both bring facets to primitive integers and sort
-facets and vertices, so they must agree exactly: the same `HRep`, the same
-vertex tuples, and the same answer (None or ValueError) on empty and
-unbounded regions.
+`geometry.vrep_to_hrep` / `hrep_vertices` read vertices and facets off the
+extreme rays of one integer double description (`geometry._cone_rays`);
+`vh_oracle` keeps the bounding-box-and-cut conversion and the tight
+k-subset enumeration that came before it.  All bring facets to primitive
+integers and sort facets and vertices, so they must agree exactly: the same
+`HRep`, the same vertex tuples, and the same answer (None or ValueError) on
+empty and unbounded regions.
 
-The oracle is slow where the new kernel is not: on one full-dimensional
-five-state set with five or six vertices it takes from a second to over a
-minute.  So the two seeded sweeps (96 single sets covering every shape, 90
-intersections) compare the package with the oracle's answers pinned in
+The box-and-cut oracle is slow: on one full-dimensional five-state set with
+five or six vertices it takes from a second to over a minute.  So the two
+seeded sweeps (96 single sets covering every shape, 90 intersections)
+compare the package with the oracle's answers pinned in
 `tests/golden/vh_oracle.json`, which ``PYTHONPATH=src python
 tests/test_golden.py`` rebuilds from the live oracle; the named cases, the
 raw inequality systems and the Hypothesis property run the oracle live.
 Intersections and the property draw five-state sets with at most four
-generators, which keeps the oracle's side within seconds.
+generators, which keeps the oracle's side within seconds.  The k-subset
+oracle reaches three to eight states live (hull dimensions 1-7), on single
+sets, perturbed facet systems and intersections; the six-state corollary 2
+intersection, which neither oracle answers in test time, is checked vertex
+by vertex.
 """
 
 import json
@@ -26,12 +31,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lp_oracle
 import vh_oracle
+from paretostar import SplitMix64, geometry
 from paretostar.geometry import (
     HRep,
     Polytope,
     _primitive,
-    _tight_vertices,
+    dot,
     hrep_vertices,
     intersect_polytopes,
     vec_parts,
@@ -205,7 +212,7 @@ def test_integer_frame_matches_fraction_frame_and_oracle():
             for _ in range(2):
                 P = _poly(*(_simplex_point(rng, m, rng.randint(7, 13)) for _ in range(g)))
                 h = vrep_to_hrep(P)
-                assert h == vh_oracle.vrep_to_hrep(P, dual_vertices_of=_tight_vertices)
+                assert h == vh_oracle.vrep_to_hrep(P, dual_vertices_of=vh_oracle._tight_vertices)
                 k = m - len(h.equalities)
                 if k <= 3:
                     assert h == vh_oracle.vrep_to_hrep(P)
@@ -340,3 +347,162 @@ def test_property_conversion_and_intersection_match_oracle(polys):
     for P in polys:
         assert vrep_to_hrep(P) == vh_oracle.vrep_to_hrep(P)
     _assert_same_intersection(polys)
+
+
+# ---------------------------------------------------------------------------
+# The k-subset oracle on three to eight states
+# ---------------------------------------------------------------------------
+
+
+def _hull_dim(P: Polytope) -> int:
+    return lp_oracle.rank([[x - y for x, y in zip(v, P.vertices[0])] for v in P.vertices[1:]])
+
+
+def subset_sweep_sets() -> list[Polytope]:
+    """3-8 states, 2 to m + 3 generators with denominators 2-6: hull
+    dimensions 1-7, simplices and sets with more vertices than a simplex."""
+    rng = random.Random(20261022)
+    return [
+        Polytope.from_generators([_simplex_point(rng, m, rng.randint(2, 6)) for _ in range(g)])
+        for m in range(3, 9) for g in range(2, m + 4) for _ in range(2)
+    ]
+
+
+def _perturbed(h: HRep, P: Polytope) -> list[HRep]:
+    """The first facet dropped, cut halfway into P, and pushed past P; and
+    the equalities dropped (fewer pivot columns than coordinates)."""
+    (a, b), rest = h.inequalities[0], h.inequalities[1:]
+    low = min(dot(a, v) for v in P.vertices)
+    return [
+        HRep(rest, h.equalities),
+        HRep(((a, (low + b) / 2), *rest), h.equalities),
+        HRep(((a, low - 1), *rest), h.equalities),
+        HRep(h.inequalities, ()),
+    ]
+
+
+def test_single_sets_and_perturbed_facets_match_subset_oracle():
+    """Each set's `HRep` equals the k-subset oracle's and gives the set back;
+    on at most 12 facets, so is every answer of `hrep_vertices` on the
+    perturbed systems, with bounded, empty and unbounded regions at every
+    hull dimension 1-7."""
+    dims = {k: 0 for k in range(1, 8)}
+    seen = {(outcome, k): 0 for outcome in ("polytope", "empty", "unbounded") for k in dims}
+    for P in subset_sweep_sets():
+        h = vrep_to_hrep(P)
+        assert h == vh_oracle.vrep_to_hrep(P, 8, vh_oracle._tight_vertices)
+        assert hrep_vertices(h) == P
+        k = _hull_dim(P)
+        dims[k] = dims.get(k, 0) + 1
+        if k == 0 or len(h.inequalities) > 12:
+            continue
+        for H in _perturbed(h, P):
+            got = _outcome(hrep_vertices, H)
+            assert got == _outcome(vh_oracle.hrep_vertices, H, 8, vh_oracle.subset_vertices)
+            seen["empty" if got is None else "unbounded" if got is ValueError else "polytope", k] += 1
+    assert min(dims[k] for k in range(1, 8)) >= 4, dims
+    assert min(seen.values()) >= 2, seen
+
+
+def subset_intersection_inputs() -> list[list[Polytope]]:
+    """Two or three sets over 3-8 states, each kind twice per state count:
+    independent (often disjoint), around a shared point (often a point or
+    lower-dimensional), or simplices whose corners lie between a unit
+    vector and the uniform prior (full-dimensional)."""
+    rng = random.Random(20261023)
+    cases = []
+    for i in range(36):
+        m = 3 + i // 3 % 6
+        u = F(1, m)
+        polys = []
+        for _ in range(2 + (i % 4 == 0) * (m < 6)):
+            if i % 3 == 2:
+                ts = [F(rng.randint(1, 3), 4) for _ in range(m)]
+                pts = [tuple((1 - t) * (s == j) + t * u for s in range(m)) for j, t in enumerate(ts)]
+            else:
+                pts = [_simplex_point(rng, m, 4) for _ in range(rng.randint(1, m))]
+            polys.append(Polytope.from_generators(pts))
+        if i % 3 == 1:
+            shared = _simplex_point(rng, m, 4)
+            polys = [Polytope.from_generators([*P.vertices, shared]) for P in polys]
+        cases.append(polys)
+    return cases
+
+
+def test_intersections_match_subset_oracle():
+    outcomes = {"empty": 0, "point": 0, "lower": 0, "full": 0}
+    states = set()
+    for polys in subset_intersection_inputs():
+        inter = intersect_polytopes(polys)
+        assert inter == vh_oracle.intersect_polytopes(polys, 8, vh_oracle.subset_vertices)
+        if inter is None:
+            outcomes["empty"] += 1
+        elif inter.is_singleton():
+            outcomes["point"] += 1
+        else:
+            full = _hull_dim(inter) == inter.ambient_dim - 1
+            outcomes["full" if full else "lower"] += 1
+            states.add(inter.ambient_dim)
+    assert min(outcomes.values()) >= 4 and states == set(range(3, 9)), (outcomes, states)
+
+
+def test_vertex_sets_solve_no_lp(monkeypatch):
+    """`vrep_to_hrep`, `hrep_vertices` and `intersect_polytopes` on four-
+    and five-state sets, built with interior and repeated points, and on
+    empty and unbounded regions: no LP.  The sets are built first, as
+    `remove_redundant` takes one hull LP per point of a hull of dimension
+    3 or more."""
+    rng = random.Random(20261024)
+    pairs = []
+    for m in (4, 5):
+        for g in range(3, 10):
+            pts = [_simplex_point(rng, m, 6) for _ in range(g)]
+            pts += [tuple(sum(c) / g for c in zip(*pts)), pts[0]]
+            pairs.append((Polytope.from_generators(pts),
+                          Polytope.from_generators([_simplex_point(rng, m, 6) for _ in range(g)])))
+
+    def no_lp(*args):
+        raise RuntimeError("an LP was solved")
+
+    monkeypatch.setattr(geometry, "simplex_standard", no_lp)
+    kinds = set()
+    for P, Q in pairs:
+        h = vrep_to_hrep(P)
+        assert hrep_vertices(h) == P
+        for H in _perturbed(h, P):
+            got = _outcome(hrep_vertices, H)
+            kinds.add("empty" if got is None else "unbounded" if got is ValueError else "bounded")
+        kinds.add("disjoint" if intersect_polytopes([P, Q]) is None else "meeting")
+    assert kinds == {"empty", "unbounded", "bounded", "disjoint", "meeting"}, kinds
+
+
+def six_state_beliefs() -> list[Polytope]:
+    """The agents' belief sets of the six-state corollary 2 profile: ten
+    `SplitMix64(9).simplex_point(6, 12)` draws per agent, three agents on
+    one stream, each draw averaged with the uniform prior."""
+    rng = SplitMix64(9)
+    u = F(1, 6)
+    return [
+        Polytope.from_generators(
+            [tuple((x + u) / 2 for x in rng.simplex_point(6, 12)) for _ in range(10)]
+        )
+        for _ in range(3)
+    ]
+
+
+def test_six_state_intersection_vertices():
+    """The 726 vertices of the six-state intersection: each satisfies every
+    stacked row and is tight on six independent ones, equalities included."""
+    sets = six_state_beliefs()
+    inter = intersect_polytopes(sets)
+    assert len(inter.vertices) == 726
+    ineqs, eqs = [], []
+    for P in sets:
+        h = vrep_to_hrep(P)
+        ineqs += h.inequalities
+        eqs += h.equalities
+    for v in inter.vertices:
+        assert all(dot(a, v) == b for a, b in eqs)
+        assert all(dot(a, v) <= b for a, b in ineqs)
+        tight = [list(a) for a, b in ineqs if dot(a, v) == b] + [list(a) for a, _ in eqs]
+        assert lp_oracle.rank(tight) == 6

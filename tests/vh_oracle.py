@@ -1,21 +1,31 @@
-"""Reference V<->H conversion by incremental double description.
+"""Reference V<->H conversions: incremental double description by LPs, and
+tight k-subsets of rows.
 
-This is how `paretostar.geometry` converted between vertex and facet
-descriptions before it enumerated vertices from tight k-subsets of rows: 2k
-bounding LPs, then one halfspace cut at a time with a `remove_redundant`
-pass after each.  `_primitive`, `_box_and_cut`, `vrep_to_hrep`,
-`hrep_vertices` and `intersect_polytopes` are kept verbatim as the oracle
-the new kernel is differential-tested against (`tests/test_vh_kernel.py`):
-both must return the same `HRep` normal form and the same sorted vertices.
-Its linear algebra is the `Fraction` elimination kept in `lp_oracle.py`, and
-its redundancy passes are the one-LP-per-point `remove_redundant` kept there.
+Two earlier ways `paretostar.geometry` converted between vertex and facet
+descriptions are kept here as the oracles its integer double description
+(`geometry._cone_rays`) is differential-tested against
+(`tests/test_vh_kernel.py`): all must return the same `HRep` normal form and
+the same sorted vertices.
 
-`vrep_to_hrep(P, dual_vertices_of=geometry._tight_vertices)` is the
-package's conversion as it was before it moved to the vertices' integer
-frame: a `Fraction` base vertex, the centroid of the offsets from it and the
-base added back into every bound, with the package's dual-vertex solver.  It
-is the reference on hulls of dimension 4 and 5, where `_box_and_cut` takes
-seconds to minutes per set.
+* `_box_and_cut`: 2k bounding LPs, then one halfspace cut at a time with a
+  `remove_redundant` pass after each.  `_primitive`, `_box_and_cut`,
+  `vrep_to_hrep`, `hrep_vertices` and `intersect_polytopes` are kept
+  verbatim, with their own ambient-dimension cap `DIM_CAP` = 6.  Their
+  linear algebra is the `Fraction` elimination kept in `lp_oracle.py`, and
+  their redundancy passes are the one-LP-per-point `remove_redundant` kept
+  there.
+* `_tight_vertices`: every k-subset of the rows solved as a square system,
+  keeping the feasible solutions.  It is how the package enumerated
+  vertices before double description, and it reaches hulls of dimension 6
+  and 7 (seven and eight states), where `_box_and_cut` takes minutes.
+  `subset_vertices` puts the bounding LPs of `_box_and_cut` in front of it,
+  so it answers empty and unbounded regions as `_box_and_cut` does; pass it
+  as `vertices_of`, and `_tight_vertices` as `dual_vertices_of`.
+
+`vrep_to_hrep(P, dual_vertices_of=_tight_vertices)` is also the package's
+conversion as it was before it moved to the vertices' integer frame: a
+`Fraction` base vertex, the centroid of the offsets from it and the base
+added back into every bound.
 """
 
 import itertools
@@ -25,10 +35,10 @@ from math import gcd
 from lp_oracle import _affine_basis, _coords, nullspace, remove_redundant, solve_linear
 from paretostar.errors import CapExceededError
 from paretostar.geometry import (
-    DEFAULT_DIM_CAP,
     HRep,
     Polytope,
     Vec,
+    _echelon,
     dot,
     is_zero,
     lp_solve,
@@ -40,6 +50,10 @@ from paretostar.geometry import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The largest ambient dimension the oracle accepts by default; more raise
+# CapExceededError.
+DIM_CAP = 6
 
 
 def _primitive(normal: Vec, bound: Fraction) -> tuple[Vec, Fraction]:
@@ -100,8 +114,48 @@ def _box_and_cut(
     return verts
 
 
+def _tight_vertices(
+    ineqs: list[tuple[Vec, Fraction]], k: int
+) -> list[Vec] | None:
+    """Vertices of the bounded region {y in R^k : a·y <= b for each row}.
+
+    A vertex is a feasible point at which k linearly independent rows are
+    tight, so every k-subset of the rows is solved as a square system and
+    each unique solution that satisfies every row is kept, in no particular
+    order.  Returns None when no subset gives a vertex, which for a bounded
+    region means it is empty.
+    """
+    rows = list(dict.fromkeys(ineqs))
+    found: set[Vec] = set()
+    for subset in itertools.combinations(rows, k):
+        # The solution is unique iff the augmented system pivots on 0..k-1.
+        mat, dens, pivots = _echelon([[*a, b] for a, b in subset])
+        if pivots != list(range(k)):
+            continue
+        y = tuple(Fraction(row[k], q) for row, q in zip(mat, dens))
+        if y not in found and all(dot(a, y) <= b for a, b in rows):
+            found.add(y)
+    return list(found) or None
+
+
+def subset_vertices(
+    ineqs: list[tuple[Vec, Fraction]], k: int
+) -> list[Vec] | None:
+    """`_tight_vertices` behind the bounding LPs of `_box_and_cut`: None when
+    the region is empty, ValueError when it is unbounded."""
+    for j in range(k):
+        for sign in (_ONE, -_ONE):
+            e = tuple(sign if i == j else _ZERO for i in range(k))
+            status = lp_solve(e, HRep(tuple(ineqs))).status
+            if status == "infeasible":
+                return None
+            if status == "unbounded":
+                raise ValueError("region is unbounded; expected a polytope")
+    return _tight_vertices(ineqs, k)
+
+
 def vrep_to_hrep(
-    P: Polytope, dim_cap: int = DEFAULT_DIM_CAP, dual_vertices_of=_box_and_cut
+    P: Polytope, dim_cap: int = DIM_CAP, dual_vertices_of=_box_and_cut
 ) -> HRep:
     """Exact facet description of a vertex-represented polytope.
 
@@ -144,7 +198,9 @@ def vrep_to_hrep(
     return HRep(tuple(ineqs), tuple(sorted(eqs)))
 
 
-def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
+def hrep_vertices(
+    H: HRep, dim_cap: int = DIM_CAP, vertices_of=_box_and_cut
+) -> Polytope | None:
     """Exact vertex set of an H-represented polytope; None when empty.
 
     The equalities are eliminated by an exact parametrization of their
@@ -185,7 +241,7 @@ def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
                 return None
             continue
         reduced.append((a_t, b_t))
-    verts_t = _box_and_cut(reduced, k)
+    verts_t = vertices_of(reduced, k)
     if verts_t is None:
         return None
     verts = []
@@ -198,7 +254,7 @@ def hrep_vertices(H: HRep, dim_cap: int = DEFAULT_DIM_CAP) -> Polytope | None:
 
 
 def intersect_polytopes(
-    polys: list[Polytope], dim_cap: int = DEFAULT_DIM_CAP
+    polys: list[Polytope], dim_cap: int = DIM_CAP, vertices_of=_box_and_cut
 ) -> Polytope | None:
     """Exact intersection via stacked facet descriptions; None when empty."""
     if not polys:
@@ -206,7 +262,7 @@ def intersect_polytopes(
     ineqs: list[tuple[Vec, Fraction]] = []
     eqs: list[tuple[Vec, Fraction]] = []
     for P in polys:
-        h = vrep_to_hrep(P, dim_cap)
+        h = vrep_to_hrep(P, dim_cap, vertices_of)
         ineqs.extend(h.inequalities)
         eqs.extend(h.equalities)
-    return hrep_vertices(HRep(tuple(ineqs), tuple(eqs)), dim_cap)
+    return hrep_vertices(HRep(tuple(ineqs), tuple(eqs)), dim_cap, vertices_of)
